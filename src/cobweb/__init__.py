@@ -41,13 +41,9 @@ from .fseq import (
 from .seqalg import (
     DivisibilityWitness,
     HSequence,
-    build,
     h_general,
     h_natural,
-    point_product,
     reconstruct,
-    shift,
-    unit,
 )
 from .poset import (
     BlockPlacement,
@@ -83,6 +79,5 @@ from .tiling import (
     triangle,
     verify_tiling,
 )
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

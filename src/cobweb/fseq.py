@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DescriptorError, SequenceRangeError, ZeroTermError
 
@@ -53,18 +53,86 @@ __all__ = [
     "to_json",
 ]
 
-KINDS = (
-    "natural",
-    "fibonacci",
-    "constant",
-    "nondiminishing",
-    "periodic",
-    "geometric",
-    "rec2",
-    "shift",
-    "product",
-    "explicit",
-)
+# Parameter types other than an int minimum.
+_SEQ = "sequence"
+_TERMS = "terms"
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One sequence family: parameter fields, term rule and label format.
+
+    fields maps each parameter, in constructor order, to its type: an int
+    (the least value it accepts), _SEQ for a sub-sequence or _TERMS for a
+    term list.  rule(params, n, memo) gives the term at index n >= 1; a
+    recurrence reads its predecessors from memo, which FSeq.term fills
+    upward before asking for n.  label formats the parameters, with a
+    sub-sequence as its label and a term list as its length past index 0.
+    """
+
+    fields: dict
+    rule: Callable[[dict, int, dict], int]
+    label: str
+    recurrence: bool = False
+
+
+def _rec2_rule(p: dict, n: int, memo: dict) -> int:
+    # two-term recurrence t(n) = f2 * t(n-1) + t(n-2)
+    if n <= 2:
+        return p["f1"] if n == 1 else p["f2"]
+    return p["f2"] * memo[n - 1] + memo[n - 2]
+
+
+_FIBONACCI = {"f1": 1, "f2": 1}
+
+
+def _explicit_rule(p: dict, n: int, memo: dict) -> int:
+    terms = p["terms"]
+    if n >= len(terms):
+        raise SequenceRangeError(
+            f"explicit sequence has {len(terms) - 1} terms past index 0; "
+            f"index {n} is out of range"
+        )
+    return terms[n]
+
+
+KINDS: dict[str, Kind] = {
+    "natural": Kind({}, lambda p, n, memo: n, "natural"),
+    "fibonacci": Kind(
+        {},
+        lambda p, n, memo: _rec2_rule(_FIBONACCI, n, memo),
+        "fibonacci",
+        recurrence=True,
+    ),
+    "constant": Kind({"t": 1}, lambda p, n, memo: p["t"], "constant({t})"),
+    "nondiminishing": Kind(
+        {"c": 1, "M": 1},
+        lambda p, n, memo: p["c"] if n >= p["M"] else 1,
+        "nondiminishing(c={c}, M={M})",
+    ),
+    "periodic": Kind(
+        {"c": 1, "M": 1},
+        lambda p, n, memo: p["c"] if n % p["M"] == 0 else 1,
+        "periodic(c={c}, M={M})",
+    ),
+    "geometric": Kind(
+        {"alpha": 1, "c": 1},
+        lambda p, n, memo: p["alpha"] ** (n - 1) * p["c"] ** n,
+        "geometric(alpha={alpha}, c={c})",
+    ),
+    "rec2": Kind({"f1": 1, "f2": 1}, _rec2_rule, "rec2({f1}, {f2})", recurrence=True),
+    "shift": Kind(
+        {"inner": _SEQ, "s": 0},
+        lambda p, n, memo: 1 if n <= p["s"] else p["inner"].term(n - p["s"]),
+        "shift({inner}, s={s})",
+    ),
+    "product": Kind(
+        {"left": _SEQ, "right": _SEQ},
+        lambda p, n, memo: p["left"].term(n) * p["right"].term(n),
+        "product({left}, {right})",
+    ),
+    "explicit": Kind({"terms": _TERMS}, _explicit_rule, "explicit[{terms} terms]"),
+}
 
 
 class FSeq:
@@ -80,92 +148,55 @@ class FSeq:
     def __init__(self, kind: str, params: dict):
         self.kind = kind
         self.params = params
-        self._memo: dict[int, int] = {}
+        self._memo: dict[int, int] = {0: 1}
 
     def term(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"term index must be nonnegative, got {n}")
-        got = self._memo.get(n)
+        memo = self._memo
+        got = memo.get(n)
         if got is None:
-            got = self._compute(n)
-            self._memo[n] = got
+            kind = KINDS[self.kind]
+            if kind.recurrence:
+                start = n
+                while start - 1 not in memo:
+                    start -= 1
+                for j in range(start, n):
+                    memo[j] = kind.rule(self.params, j, memo)
+            # Keyed by the caller's n: a nested product chain then shares
+            # one key object across all its memos.
+            got = memo[n] = kind.rule(self.params, n, memo)
         return got
-
-    def _compute(self, n: int) -> int:
-        if n == 0:
-            return 1
-        kind = self.kind
-        p = self.params
-        if kind == "natural":
-            return n
-        if kind == "fibonacci":
-            if n <= 2:
-                return 1
-            a, b = 1, 1
-            for _ in range(n - 2):
-                a, b = b, a + b
-            return b
-        if kind == "constant":
-            return p["t"]
-        if kind == "nondiminishing":
-            return p["c"] if n >= p["M"] else 1
-        if kind == "periodic":
-            return p["c"] if n % p["M"] == 0 else 1
-        if kind == "geometric":
-            return p["alpha"] ** (n - 1) * p["c"] ** n
-        if kind == "rec2":
-            # two-term recurrence t(n) = f2 * t(n-1) + t(n-2)
-            if n == 1:
-                return p["f1"]
-            if n == 2:
-                return p["f2"]
-            a, b = p["f1"], p["f2"]
-            for _ in range(n - 2):
-                a, b = b, p["f2"] * b + a
-            return b
-        if kind == "shift":
-            s = p["s"]
-            return 1 if n <= s else p["inner"].term(n - s)
-        if kind == "product":
-            return p["left"].term(n) * p["right"].term(n)
-        if kind == "explicit":
-            terms = p["terms"]
-            if n >= len(terms):
-                raise SequenceRangeError(
-                    f"explicit sequence has {len(terms) - 1} terms past index 0; "
-                    f"index {n} is out of range"
-                )
-            return terms[n]
-        raise DescriptorError(f"unknown sequence kind {kind!r}")
 
     def __repr__(self) -> str:
         return f"FSeq({self.label()})"
 
     def label(self) -> str:
         """Short human-readable tag used in diagnostics."""
-        kind = self.kind
-        p = self.params
-        if kind == "constant":
-            return f"constant({p['t']})"
-        if kind == "nondiminishing":
-            return f"nondiminishing(c={p['c']}, M={p['M']})"
-        if kind == "periodic":
-            return f"periodic(c={p['c']}, M={p['M']})"
-        if kind == "geometric":
-            return f"geometric(alpha={p['alpha']}, c={p['c']})"
-        if kind == "rec2":
-            return f"rec2({p['f1']}, {p['f2']})"
-        if kind == "shift":
-            return f"shift({p['inner'].label()}, s={p['s']})"
-        if kind == "product":
-            return f"product({p['left'].label()}, {p['right'].label()})"
-        if kind == "explicit":
-            return f"explicit[{len(p['terms']) - 1} terms]"
-        return kind
+        kind = KINDS[self.kind]
+        values = {}
+        for name, value in self.params.items():
+            spec = kind.fields[name]
+            if spec == _SEQ:
+                value = value.label()
+            elif spec == _TERMS:
+                value = len(value) - 1
+            values[name] = value
+        return kind.label.format(**values)
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+def _decimal(value, what: str):
+    """value, with a decimal string parsed to an int."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return int(value, 10)
+    except ValueError:
+        raise DescriptorError(f"{what} is not an integer: {value!r}") from None
+
 
 def _check_int(value: int, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -175,82 +206,80 @@ def _check_int(value: int, name: str, minimum: int) -> int:
     return value
 
 
-def natural() -> FSeq:
-    """The sequence whose n-th term is n."""
-    return FSeq("natural", {})
-
-
-def fibonacci() -> FSeq:
-    """Terms 1, 1, 2, 3, 5, ... from index 1."""
-    return FSeq("fibonacci", {})
-
-
-def constant(t: int) -> FSeq:
-    """Every term from index 1 on equals t."""
-    return FSeq("constant", {"t": _check_int(t, "t", 1)})
-
-
-def nondiminishing(c: int, M: int) -> FSeq:
-    """Terms are 1 before index M and c from index M on."""
-    return FSeq(
-        "nondiminishing",
-        {"c": _check_int(c, "c", 1), "M": _check_int(M, "M", 1)},
-    )
-
-
-def periodic(c: int, M: int) -> FSeq:
-    """Term is c at indices divisible by M, else 1."""
-    return FSeq(
-        "periodic",
-        {"c": _check_int(c, "c", 1), "M": _check_int(M, "M", 1)},
-    )
-
-
-def geometric(alpha: int, c: int) -> FSeq:
-    """Term alpha**(n-1) * c**n."""
-    return FSeq(
-        "geometric",
-        {"alpha": _check_int(alpha, "alpha", 1), "c": _check_int(c, "c", 1)},
-    )
-
-
-def rec2(f1: int, f2: int) -> FSeq:
-    """Two-term recurrence t(n) = t(2) * t(n-1) + t(n-2) seeded with f1, f2."""
-    return FSeq(
-        "rec2",
-        {"f1": _check_int(f1, "f1", 1), "f2": _check_int(f2, "f2", 1)},
-    )
-
-
-def explicit(terms) -> FSeq:
-    """Finite term list indexed from 0; access past the end is an error."""
+def _parse_terms(terms) -> tuple[int, ...]:
     parsed = []
     for i, value in enumerate(terms):
-        if isinstance(value, str):
-            try:
-                value = int(value, 10)
-            except ValueError:
-                raise DescriptorError(f"explicit term {i} is not an integer: {value!r}")
+        value = _decimal(value, f"explicit term {i}")
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DescriptorError(f"explicit term {i} must be a nonnegative integer")
         parsed.append(value)
     if not parsed or parsed[0] != 1:
         raise DescriptorError("explicit term list must start with 1 at index 0")
-    return FSeq("explicit", {"terms": tuple(parsed)})
+    return tuple(parsed)
+
+
+def _make(kind: str, **params) -> FSeq:
+    """Sequence of a kind, with each parameter checked against its field."""
+    for name, spec in KINDS[kind].fields.items():
+        value = params[name]
+        if spec == _SEQ:
+            if not isinstance(value, FSeq):
+                raise DescriptorError(f"{kind} needs a sequence for {name!r}")
+        elif spec == _TERMS:
+            params[name] = _parse_terms(value)
+        else:
+            params[name] = _check_int(value, name, spec)
+    return FSeq(kind, params)
+
+
+def natural() -> FSeq:
+    """The sequence whose n-th term is n."""
+    return _make("natural")
+
+
+def fibonacci() -> FSeq:
+    """Terms 1, 1, 2, 3, 5, ... from index 1."""
+    return _make("fibonacci")
+
+
+def constant(t: int) -> FSeq:
+    """Every term from index 1 on equals t."""
+    return _make("constant", t=t)
+
+
+def nondiminishing(c: int, M: int) -> FSeq:
+    """Terms are 1 before index M and c from index M on."""
+    return _make("nondiminishing", c=c, M=M)
+
+
+def periodic(c: int, M: int) -> FSeq:
+    """Term is c at indices divisible by M, else 1."""
+    return _make("periodic", c=c, M=M)
+
+
+def geometric(alpha: int, c: int) -> FSeq:
+    """Term alpha**(n-1) * c**n."""
+    return _make("geometric", alpha=alpha, c=c)
+
+
+def rec2(f1: int, f2: int) -> FSeq:
+    """Two-term recurrence t(n) = t(2) * t(n-1) + t(n-2) seeded with f1, f2."""
+    return _make("rec2", f1=f1, f2=f2)
+
+
+def explicit(terms) -> FSeq:
+    """Finite term list indexed from 0; access past the end is an error."""
+    return _make("explicit", terms=terms)
 
 
 def shifted(inner: FSeq, s: int) -> FSeq:
     """Prepend s ones: term(n) = 1 for n <= s, inner term(n - s) past that."""
-    if not isinstance(inner, FSeq):
-        raise DescriptorError("shift needs an inner sequence")
-    return FSeq("shift", {"s": _check_int(s, "s", 0), "inner": inner})
+    return _make("shift", inner=inner, s=s)
 
 
 def product(left: FSeq, right: FSeq) -> FSeq:
     """Pointwise product of two sequences."""
-    if not isinstance(left, FSeq) or not isinstance(right, FSeq):
-        raise DescriptorError("product needs two sequences")
-    return FSeq("product", {"left": left, "right": right})
+    return _make("product", left=left, right=right)
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +287,15 @@ def product(left: FSeq, right: FSeq) -> FSeq:
 
 def to_descriptor(seq: FSeq) -> dict:
     """Plain-data descriptor; term values are decimal strings."""
-    kind = seq.kind
-    p = seq.params
-    if kind in ("natural", "fibonacci"):
-        return {"kind": kind}
-    if kind == "constant":
-        return {"kind": kind, "t": p["t"]}
-    if kind in ("nondiminishing", "periodic"):
-        return {"kind": kind, "c": p["c"], "M": p["M"]}
-    if kind == "geometric":
-        return {"kind": kind, "alpha": p["alpha"], "c": p["c"]}
-    if kind == "rec2":
-        return {"kind": kind, "f1": p["f1"], "f2": p["f2"]}
-    if kind == "shift":
-        return {"kind": kind, "s": p["s"], "inner": to_descriptor(p["inner"])}
-    if kind == "product":
-        return {
-            "kind": kind,
-            "left": to_descriptor(p["left"]),
-            "right": to_descriptor(p["right"]),
-        }
-    if kind == "explicit":
-        return {"kind": kind, "terms": [str(t) for t in p["terms"]]}
-    raise DescriptorError(f"unknown sequence kind {kind!r}")
-
-
-def _descriptor_int(d: dict, key: str) -> int:
-    if key not in d:
-        raise DescriptorError(f"descriptor kind {d.get('kind')!r} needs field {key!r}")
-    value = d[key]
-    if isinstance(value, str):
-        try:
-            value = int(value, 10)
-        except ValueError:
-            raise DescriptorError(f"field {key!r} is not an integer: {value!r}")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptorError(f"field {key!r} is not an integer: {value!r}")
-    return value
+    out = {"kind": seq.kind}
+    for name, spec in KINDS[seq.kind].fields.items():
+        value = seq.params[name]
+        if spec == _SEQ:
+            value = to_descriptor(value)
+        elif spec == _TERMS:
+            value = [str(t) for t in value]
+        out[name] = value
+    return out
 
 
 def from_descriptor(d: dict) -> FSeq:
@@ -302,34 +303,22 @@ def from_descriptor(d: dict) -> FSeq:
     if not isinstance(d, dict):
         raise DescriptorError(f"descriptor must be an object, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "natural":
-        return natural()
-    if kind == "fibonacci":
-        return fibonacci()
-    if kind == "constant":
-        return constant(_descriptor_int(d, "t"))
-    if kind == "nondiminishing":
-        return nondiminishing(_descriptor_int(d, "c"), _descriptor_int(d, "M"))
-    if kind == "periodic":
-        return periodic(_descriptor_int(d, "c"), _descriptor_int(d, "M"))
-    if kind == "geometric":
-        return geometric(_descriptor_int(d, "alpha"), _descriptor_int(d, "c"))
-    if kind == "rec2":
-        return rec2(_descriptor_int(d, "f1"), _descriptor_int(d, "f2"))
-    if kind == "shift":
-        if "inner" not in d:
-            raise DescriptorError("shift descriptor needs field 'inner'")
-        return shifted(from_descriptor(d["inner"]), _descriptor_int(d, "s"))
-    if kind == "product":
-        for side in ("left", "right"):
-            if side not in d:
-                raise DescriptorError(f"product descriptor needs field {side!r}")
-        return product(from_descriptor(d["left"]), from_descriptor(d["right"]))
-    if kind == "explicit":
-        if "terms" not in d or not isinstance(d["terms"], (list, tuple)):
-            raise DescriptorError("explicit descriptor needs a 'terms' array")
-        return explicit(d["terms"])
-    raise DescriptorError(f"unknown sequence kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise DescriptorError(f"unknown sequence kind {kind!r}")
+    params = {}
+    for name, spec in KINDS[kind].fields.items():
+        if name not in d:
+            raise DescriptorError(f"{kind} descriptor needs field {name!r}")
+        value = d[name]
+        if spec == _SEQ:
+            value = from_descriptor(value)
+        elif spec == _TERMS:
+            if not isinstance(value, (list, tuple)):
+                raise DescriptorError(f"{kind} descriptor needs a {name!r} array")
+        else:
+            value = _decimal(value, f"field {name!r}")
+        params[name] = value
+    return _make(kind, **params)
 
 
 def to_json(seq: FSeq) -> str:

@@ -25,7 +25,6 @@ from .fseq import FSeq
 __all__ = [
     "DEFAULT_CHAIN_CAP",
     "DEFAULT_PLACEMENT_CAP",
-    "Vertex",
     "Chain",
     "Layer",
     "BlockPlacement",
@@ -45,14 +44,6 @@ DEFAULT_PLACEMENT_CAP = 10**6
 
 # A maximal chain is one slot index per level, bottom to top.
 Chain = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """One anonymous slot on one level."""
-
-    level: int
-    slot: int
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Sequence algebra: shift, pointwise product, and periodic factorization.
+"""Periodic factorization of sequences into pointwise products.
 
 The factorization machinery rewrites a positive sequence F as a pointwise
 product of period-j components: h(1) enters through a constant component and
@@ -14,59 +14,16 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import fseq
-from .errors import DescriptorError, ZeroTermError
+from .errors import ZeroTermError
 from .fseq import FSeq
 
 __all__ = [
-    "shift",
-    "point_product",
-    "build",
-    "unit",
     "HSequence",
     "DivisibilityWitness",
     "h_natural",
     "h_general",
     "reconstruct",
 ]
-
-
-def shift(seq: FSeq, s: int) -> FSeq:
-    """Prepend s ones; term(n) = 1 for n <= s and term(n - s) of seq past that."""
-    return fseq.shifted(seq, s)
-
-
-def point_product(left: FSeq, right: FSeq) -> FSeq:
-    """Pointwise product sequence.
-
-    Generalized binomials factor termwise, so the product of two admissible
-    prefixes stays admissible.
-    """
-    return fseq.product(left, right)
-
-
-_BUILDERS = {
-    "natural": fseq.natural,
-    "fibonacci": fseq.fibonacci,
-    "constant": fseq.constant,
-    "nondiminishing": fseq.nondiminishing,
-    "periodic": fseq.periodic,
-    "geometric": fseq.geometric,
-    "rec2": fseq.rec2,
-    "explicit": fseq.explicit,
-}
-
-
-def build(kind: str, **params) -> FSeq:
-    """Construct a primitive family by name, validating parameters."""
-    maker = _BUILDERS.get(kind)
-    if maker is None:
-        raise DescriptorError(f"unknown builder kind {kind!r}")
-    return maker(**params)
-
-
-def unit() -> FSeq:
-    """The all-ones sequence, identity of the pointwise product."""
-    return fseq.constant(1)
 
 
 @dataclass(frozen=True)
@@ -144,9 +101,9 @@ def reconstruct(h: HSequence, s: int) -> FSeq:
     """
     if s < 1 or s > len(h.terms):
         raise ValueError(f"s must be within 1..{len(h.terms)}, got {s}")
-    out = fseq.constant(h.terms[0]) if h.terms[0] != 1 else unit()
+    out = fseq.constant(h.terms[0])
     for j in range(2, s + 1):
         factor = h.terms[j - 1]
         if factor != 1:
-            out = point_product(out, fseq.periodic(factor, j))
+            out = fseq.product(out, fseq.periodic(factor, j))
     return out

@@ -1,19 +1,25 @@
-"""Layer tilings: constructive recursions, verification, exhaustive search.
+"""Layer tilings: constructive recursion, verification, exhaustive search.
 
-Two constructive tilers split the top level of a layer and recurse on the
-shape (the tuple of level sizes), which fully determines the sub-problems:
+The constructive tilers recurse on the shape of the layer over levels k..n,
+the tuple of its m = n - k + 1 level sizes, which fully determines the
+sub-problems.  One recursion serves both identities.  It splits the top
+level's term(n) slots into count_a groups of size_a slots and count_b groups
+of size_b slots.  Each a-group tops a tiling of the shape without its top
+level.  Each b-group is the bottom level of a tiling of the shape
+(size_b,) + shape[:-1], whose slots are renamed into the group.
 
-* the additive variant peels term(m) top slots under a sum split
-  term(n) = term(m) + term(k - 1) of the top level, and moves the remainder
-  below the bottom level by an index remapping;
-* the convolution variant peels term(k) groups of term(m) slots and
-  term(m - 1) groups of term(k - 1) slots under the split
-  term(n) = term(k) * term(m) + term(m - 1) * term(k - 1).
+* The convolution split term(n) = term(k) * term(m) + term(m - 1) * term(k - 1)
+  takes term(k) groups of term(m) slots and term(m - 1) groups of
+  term(k - 1) slots.
+* The additive split term(n) = term(m) + term(k - 1) is the same split with
+  one group of each kind.
 
-Both recursions memoize finished sub-tilings by shape signature.  The
-enumerate-all policy walks every choice in the same recursion and yields
-distinct tilings (role-symmetric choices can collapse to the same tiling,
-so streams are deduplicated per shape).
+Prime-shaped and one-level shapes are the base cases, and the tilings of
+each shape are memoized.  A choice source offers the group families a split
+may use: first-slots cuts the top level's slots in order, seeded-random
+shuffles them once per split before cutting, and enumerate-all offers every
+unordered family.  Role-symmetric choices can give the same tiling, so the
+tilings of a shape are deduplicated.
 
 Exhaustive enumeration is an exact-cover search over the chain universe
 with minimum-remaining-candidates element selection; its count and
@@ -96,7 +102,7 @@ class TilePolicy:
 
 
 # ---------------------------------------------------------------------------
-# constructive recursion, additive split
+# constructive recursion
 
 def _single_level_blocks(seq: FSeq, size: int) -> tuple:
     one = seq.term(1)
@@ -107,119 +113,123 @@ def _single_level_blocks(seq: FSeq, size: int) -> tuple:
     return tuple((tuple(range(i, i + one)),) for i in range(0, size, one))
 
 
-def _tile_shape_additive(seq: FSeq, shape: tuple[int, ...], choose, memo: dict) -> tuple:
-    cached = memo.get(shape)
-    if cached is not None:
-        return cached
+def _additive_split(seq: FSeq, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """One group of term(m) top slots and one of the rest."""
+    m_f = seq.term(len(shape))
+    rest = shape[-1] - m_f
+    if rest < 0:
+        raise TilingError(
+            f"top level of shape {shape} is smaller than the peel size {m_f}"
+        )
+    return m_f, 1, rest, 1 if rest else 0
+
+
+def _convolution_split(seq: FSeq, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """kappa groups of term(m) top slots and mu groups of the rest / mu."""
     m = len(shape)
-    if m == 1:
-        blocks = _single_level_blocks(seq, shape[0])
-    elif shape == prime_level_sizes(seq, m):
-        blocks = (tuple(tuple(range(size)) for size in shape),)
-    else:
-        top = shape[-1]
-        m_f = seq.term(m)
-        rest = top - m_f
-        if rest < 0:
-            raise TilingError(
-                f"top level of shape {shape} is smaller than the peel size {m_f}"
-            )
-        chosen = choose(shape, top, m_f)
-        chosen_set = set(chosen)
-        left = tuple(x for x in range(top) if x not in chosen_set)
-        out = [b + (chosen,) for b in _tile_shape_additive(seq, shape[:-1], choose, memo)]
-        if rest:
-            moved = _tile_shape_additive(seq, (rest,) + shape[:-1], choose, memo)
-            for b in moved:
-                out.append(b[1:] + (tuple(left[i] for i in b[0]),))
-        blocks = tuple(sorted(out))
-    memo[shape] = blocks
-    return blocks
-
-
-# ---------------------------------------------------------------------------
-# constructive recursion, convolution split
-
-def _fib_split(seq: FSeq, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Group parameters (kappa, m_f, mu, small) for the convolution split."""
-    m = len(shape)
-    top = shape[-1]
     kappa = shape[0]
     m_f = seq.term(m)
     mu = seq.term(m - 1)
-    rest = top - kappa * m_f
+    rest = shape[-1] - kappa * m_f
     if rest < 0 or mu < 1 or rest % mu:
         raise TilingError(
             f"top level of shape {shape} does not split as {kappa}*{m_f} + {mu}*q"
         )
-    return kappa, m_f, mu, rest // mu
+    small = rest // mu
+    return m_f, kappa, small, mu if small else 0
 
 
-def _tile_shape_fib(seq: FSeq, shape: tuple[int, ...], choose_groups, memo: dict) -> tuple:
+_SPLITS = {1: _additive_split, 2: _convolution_split}
+
+
+def _shape_tilings(seq: FSeq, shape: tuple[int, ...], split, choose, memo: dict) -> list:
+    """Sorted distinct raw tilings of a shape over the group families offered.
+
+    split gives (size_a, count_a, size_b, count_b) for the top level, and
+    choose offers (groups_a, groups_b) families of that many groups.
+    """
     cached = memo.get(shape)
     if cached is not None:
         return cached
     m = len(shape)
     if m == 1:
-        blocks = _single_level_blocks(seq, shape[0])
+        result = [_single_level_blocks(seq, shape[0])]
     elif shape == prime_level_sizes(seq, m):
-        blocks = (tuple(tuple(range(size)) for size in shape),)
+        result = [(tuple(tuple(range(size)) for size in shape),)]
     else:
-        kappa, m_f, mu, small = _fib_split(seq, shape)
-        top = shape[-1]
-        groups_a, groups_b = choose_groups(shape, top, m_f, kappa, small, mu if small else 0)
-        sub_top = _tile_shape_fib(seq, shape[:-1], choose_groups, memo)
-        out = [b + (g,) for g in groups_a for b in sub_top]
-        if small:
-            moved = _tile_shape_fib(seq, (small,) + shape[:-1], choose_groups, memo)
-            for g in groups_b:
-                for b in moved:
-                    out.append(b[1:] + (tuple(g[i] for i in b[0]),))
-        blocks = tuple(sorted(out))
-    memo[shape] = blocks
-    return blocks
+        size_a, count_a, size_b, count_b = split(seq, shape)
+        families = choose(shape[-1], size_a, count_a, size_b, count_b)
+        subs_top = _shape_tilings(seq, shape[:-1], split, choose, memo)
+        subs_moved = (
+            _shape_tilings(seq, (size_b,) + shape[:-1], split, choose, memo)
+            if count_b else []
+        )
+        seen = set()
+        for groups_a, groups_b in families:
+            for picks_a in iproduct(subs_top, repeat=count_a):
+                capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
+                for picks_b in iproduct(subs_moved, repeat=count_b):
+                    moved = [
+                        b[1:] + (tuple(g[i] for i in b[0]),)
+                        for g, t in zip(groups_b, picks_b)
+                        for b in t
+                    ]
+                    seen.add(tuple(sorted(capped + moved)))
+        result = sorted(seen)
+    memo[shape] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
 # policies
 
-def _subset_chooser(policy: TilePolicy):
-    if policy.mode == "first-slots":
-        def choose(shape, top, want):
-            return tuple(range(want))
-    else:
-        rng = random.Random(policy.seed)
+def _chunk(order: list[int], start: int, size: int, count: int) -> tuple:
+    return tuple(sorted(
+        tuple(sorted(order[start + i * size:start + (i + 1) * size]))
+        for i in range(count)
+    ))
 
-        def choose(shape, top, want):
-            return tuple(sorted(rng.sample(range(top), want)))
+
+def _unordered_groups(slots: tuple[int, ...], size: int) -> Iterator[tuple]:
+    """Partitions of slots into unordered groups of a fixed positive size."""
+    if not slots:
+        yield ()
+        return
+    head = slots[0]
+    rest = slots[1:]
+    for mates in combinations(rest, size - 1):
+        mate_set = set(mates)
+        leftover = tuple(x for x in rest if x not in mate_set)
+        group = (head,) + mates
+        for tail in _unordered_groups(leftover, size):
+            yield (group,) + tail
+
+
+def _all_families(top, size_a, count_a, size_b, count_b) -> Iterator[tuple]:
+    """Every unordered family of count_a groups of size_a and count_b of size_b."""
+    slots = tuple(range(top))
+    for region in combinations(slots, size_a * count_a):
+        region_set = set(region)
+        remainder = tuple(x for x in slots if x not in region_set)
+        for groups_a in _unordered_groups(region, size_a):
+            for groups_b in _unordered_groups(remainder, size_b) if count_b else [()]:
+                yield groups_a, groups_b
+
+
+def _choice_source(policy: TilePolicy):
+    """Group families per split: every family for enumerate-all, else one
+    family cut in order from the top level's slots, shuffled once per split
+    under seeded-random."""
+    if policy.mode == "enumerate-all":
+        return _all_families
+    rng = random.Random(policy.seed) if policy.mode == "seeded-random" else None
+
+    def choose(top, size_a, count_a, size_b, count_b):
+        order = rng.sample(range(top), top) if rng else list(range(top))
+        cut = size_a * count_a
+        return [(_chunk(order, 0, size_a, count_a), _chunk(order, cut, size_b, count_b))]
+
     return choose
-
-
-def _group_chooser(policy: TilePolicy):
-    if policy.mode == "first-slots":
-        def choose(shape, top, size_a, count_a, size_b, count_b):
-            order = list(range(top))
-            return _chunk_groups(order, size_a, count_a, size_b, count_b)
-    else:
-        rng = random.Random(policy.seed)
-
-        def choose(shape, top, size_a, count_a, size_b, count_b):
-            order = rng.sample(range(top), top)
-            return _chunk_groups(order, size_a, count_a, size_b, count_b)
-    return choose
-
-
-def _chunk_groups(order: list[int], size_a: int, count_a: int, size_b: int, count_b: int):
-    groups_a = []
-    pos = 0
-    for _ in range(count_a):
-        groups_a.append(tuple(sorted(order[pos:pos + size_a])))
-        pos += size_a
-    groups_b = []
-    for _ in range(count_b):
-        groups_b.append(tuple(sorted(order[pos:pos + size_b])))
-        pos += size_b
-    return tuple(sorted(groups_a)), tuple(sorted(groups_b))
 
 
 def needs_identity(seq: FSeq, k: int, n: int) -> bool:
@@ -232,29 +242,24 @@ def needs_identity(seq: FSeq, k: int, n: int) -> bool:
     return shape != prime_level_sizes(seq, m)
 
 
+def _identity_witness(seq: FSeq, k: int, n: int, which: int):
+    """First violation of identity `which` that tiling levels k..n depends on."""
+    if not needs_identity(seq, k, n):
+        return None
+    check = fseq.check_identity_1 if which == 1 else fseq.check_identity_2
+    return check(seq, n)
+
+
 def detect_variant(seq: FSeq, k: int, n: int):
     """Recursion variant for the layer: ("additive" | "fibonacci", None, None),
     or (None, witness1, witness2) when neither identity holds."""
-    if not needs_identity(seq, k, n):
-        return "additive", None, None
-    w1 = fseq.check_identity_1(seq, n)
+    w1 = _identity_witness(seq, k, n, 1)
     if w1 is None:
         return "additive", None, None
-    w2 = fseq.check_identity_2(seq, n)
+    w2 = _identity_witness(seq, k, n, 2)
     if w2 is None:
         return "fibonacci", None, None
     return None, w1, w2
-
-
-def _check_precondition(seq: FSeq, k: int, n: int, which: int) -> None:
-    if not needs_identity(seq, k, n):
-        return
-    if which == 1:
-        witness = fseq.check_identity_1(seq, n)
-    else:
-        witness = fseq.check_identity_2(seq, n)
-    if witness is not None:
-        raise IdentityError(which, witness)
 
 
 def _raw_to_tiling(layer: Layer, raw_blocks) -> Tiling:
@@ -268,6 +273,16 @@ def _capped_layer(seq: FSeq, k: int, n: int, chain_cap: Optional[int]) -> Layer:
     if layer.chain_count > limit:
         raise CapExceeded("chains", limit, needed=layer.chain_count)
     return layer
+
+
+def _layer_tilings(seq, k, n, which, policy, chain_cap) -> tuple[Layer, list]:
+    """The capped layer and its raw tilings under identity `which`'s split."""
+    layer = _capped_layer(seq, k, n, chain_cap)
+    witness = _identity_witness(seq, k, n, which)
+    if witness is not None:
+        raise IdentityError(which, witness)
+    raws = _shape_tilings(seq, layer.sizes, _SPLITS[which], _choice_source(policy), {})
+    return layer, raws
 
 
 def tile_additive(
@@ -286,9 +301,7 @@ def tile_additive(
     policy = policy or TilePolicy()
     if policy.mode == "enumerate-all":
         raise ValueError("use iter_tiling_choices_additive for the enumerate-all policy")
-    layer = _capped_layer(seq, k, n, chain_cap)
-    _check_precondition(seq, k, n, 1)
-    raw = _tile_shape_additive(seq, layer.sizes, _subset_chooser(policy), {})
+    layer, (raw,) = _layer_tilings(seq, k, n, 1, policy, chain_cap)
     return _raw_to_tiling(layer, raw)
 
 
@@ -308,126 +321,16 @@ def tile_fibonacci(
     policy = policy or TilePolicy()
     if policy.mode == "enumerate-all":
         raise ValueError("use iter_tiling_choices_fibonacci for the enumerate-all policy")
-    layer = _capped_layer(seq, k, n, chain_cap)
-    _check_precondition(seq, k, n, 2)
-    raw = _tile_shape_fib(seq, layer.sizes, _group_chooser(policy), {})
+    layer, (raw,) = _layer_tilings(seq, k, n, 2, policy, chain_cap)
     return _raw_to_tiling(layer, raw)
-
-
-# ---------------------------------------------------------------------------
-# enumerate-all choice streams
-
-def _iter_shape_additive(seq: FSeq, shape: tuple[int, ...], memo: dict) -> list:
-    cached = memo.get(shape)
-    if cached is not None:
-        return cached
-    m = len(shape)
-    if m == 1:
-        result = [_single_level_blocks(seq, shape[0])]
-    elif shape == prime_level_sizes(seq, m):
-        result = [(tuple(tuple(range(size)) for size in shape),)]
-    else:
-        top = shape[-1]
-        m_f = seq.term(m)
-        rest = top - m_f
-        if rest < 0:
-            raise TilingError(
-                f"top level of shape {shape} is smaller than the peel size {m_f}"
-            )
-        subs_top = _iter_shape_additive(seq, shape[:-1], memo)
-        subs_moved = (
-            _iter_shape_additive(seq, (rest,) + shape[:-1], memo) if rest else None
-        )
-        seen = set()
-        for chosen in combinations(range(top), m_f):
-            chosen_set = set(chosen)
-            left = tuple(x for x in range(top) if x not in chosen_set)
-            for t1 in subs_top:
-                capped = [b + (chosen,) for b in t1]
-                if subs_moved is None:
-                    seen.add(tuple(sorted(capped)))
-                    continue
-                for t2 in subs_moved:
-                    blocks = list(capped)
-                    for b in t2:
-                        blocks.append(b[1:] + (tuple(left[i] for i in b[0]),))
-                    seen.add(tuple(sorted(blocks)))
-        result = sorted(seen)
-    memo[shape] = result
-    return result
-
-
-def _unordered_groups(slots: tuple[int, ...], size: int) -> Iterator[tuple]:
-    """Partitions of slots into unordered groups of a fixed positive size."""
-    if not slots:
-        yield ()
-        return
-    head = slots[0]
-    rest = slots[1:]
-    for mates in combinations(rest, size - 1):
-        mate_set = set(mates)
-        leftover = tuple(x for x in rest if x not in mate_set)
-        group = (head,) + mates
-        for tail in _unordered_groups(leftover, size):
-            yield (group,) + tail
-
-
-def _iter_shape_fib(seq: FSeq, shape: tuple[int, ...], memo: dict) -> list:
-    cached = memo.get(shape)
-    if cached is not None:
-        return cached
-    m = len(shape)
-    if m == 1:
-        result = [_single_level_blocks(seq, shape[0])]
-    elif shape == prime_level_sizes(seq, m):
-        result = [(tuple(tuple(range(size)) for size in shape),)]
-    else:
-        kappa, m_f, mu, small = _fib_split(seq, shape)
-        top = shape[-1]
-        subs_top = _iter_shape_fib(seq, shape[:-1], memo)
-        subs_moved = (
-            _iter_shape_fib(seq, (small,) + shape[:-1], memo) if small else None
-        )
-        seen = set()
-        slots = tuple(range(top))
-        for region in combinations(slots, kappa * m_f):
-            region_set = set(region)
-            remainder = tuple(x for x in slots if x not in region_set)
-            for groups_a in _unordered_groups(region, m_f):
-                b_options = (
-                    [()] if subs_moved is None
-                    else list(_unordered_groups(remainder, small))
-                )
-                for groups_b in b_options:
-                    for picks_a in iproduct(subs_top, repeat=len(groups_a)):
-                        capped = [
-                            b + (g,)
-                            for g, t1 in zip(groups_a, picks_a)
-                            for b in t1
-                        ]
-                        if not groups_b:
-                            seen.add(tuple(sorted(capped)))
-                            continue
-                        for picks_b in iproduct(subs_moved, repeat=len(groups_b)):
-                            blocks = list(capped)
-                            for g, t2 in zip(groups_b, picks_b):
-                                for b in t2:
-                                    blocks.append(
-                                        b[1:] + (tuple(g[i] for i in b[0]),)
-                                    )
-                            seen.add(tuple(sorted(blocks)))
-        result = sorted(seen)
-    memo[shape] = result
-    return result
 
 
 def iter_tiling_choices_additive(
     seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
 ) -> Iterator[Tiling]:
     """Every distinct tiling reachable by the additive recursion's choices."""
-    layer = _capped_layer(seq, k, n, chain_cap)
-    _check_precondition(seq, k, n, 1)
-    for raw in _iter_shape_additive(seq, layer.sizes, {}):
+    layer, raws = _layer_tilings(seq, k, n, 1, TilePolicy("enumerate-all"), chain_cap)
+    for raw in raws:
         yield _raw_to_tiling(layer, raw)
 
 
@@ -435,9 +338,8 @@ def iter_tiling_choices_fibonacci(
     seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
 ) -> Iterator[Tiling]:
     """Every distinct tiling reachable by the convolution recursion's choices."""
-    layer = _capped_layer(seq, k, n, chain_cap)
-    _check_precondition(seq, k, n, 2)
-    for raw in _iter_shape_fib(seq, layer.sizes, {}):
+    layer, raws = _layer_tilings(seq, k, n, 2, TilePolicy("enumerate-all"), chain_cap)
+    for raw in raws:
         yield _raw_to_tiling(layer, raw)
 
 
@@ -523,7 +425,6 @@ class TilingEnumeration:
     """Exact result of exhaustive tiling enumeration."""
 
     count: int
-    complete: bool
     truncated: bool
     tilings: Optional[tuple[Tiling, ...]]
     nodes: int
@@ -657,7 +558,7 @@ def enumerate_tilings(
             truncated = True
         tilings = tuple(_raw_to_tiling(layer, blocks) for blocks in raw)
     return TilingEnumeration(
-        count=count, complete=True, truncated=truncated, tilings=tilings, nodes=nodes
+        count=count, truncated=truncated, tilings=tilings, nodes=nodes
     )
 
 

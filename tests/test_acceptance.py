@@ -139,7 +139,7 @@ def test_criterion_8_fnomial_multiplicativity():
             left = fseq.fnomial(fseq.product(a, b), n, k).value
             right = fseq.fnomial(a, n, k).value * fseq.fnomial(b, n, k).value
             assert left == right, (a.label(), b.label(), n, k)
-        shifted = seqalg.shift(fseq.natural(), 3)
+        shifted = fseq.shifted(fseq.natural(), 3)
         assert fseq.prefix(shifted, 10) == [1, 1, 1, 1, 2, 3, 4, 5, 6, 7]
 
 

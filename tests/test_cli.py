@@ -401,3 +401,4 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 2 3\n"
+    assert proc.stderr == ""

@@ -219,6 +219,36 @@ def test_descriptor_json_round_trip():
     assert fseq.prefix(back, 5) == fseq.prefix(seq, 5)
 
 
+@pytest.mark.parametrize(
+    "seq, text, label",
+    [
+        (fseq.natural(), '{"kind": "natural"}', "natural"),
+        (fseq.fibonacci(), '{"kind": "fibonacci"}', "fibonacci"),
+        (fseq.constant(4), '{"kind": "constant", "t": 4}', "constant(4)"),
+        (fseq.nondiminishing(3, 2), '{"M": 2, "c": 3, "kind": "nondiminishing"}',
+         "nondiminishing(c=3, M=2)"),
+        (fseq.periodic(3, 2), '{"M": 2, "c": 3, "kind": "periodic"}',
+         "periodic(c=3, M=2)"),
+        (fseq.geometric(2, 3), '{"alpha": 2, "c": 3, "kind": "geometric"}',
+         "geometric(alpha=2, c=3)"),
+        (fseq.rec2(1, 2), '{"f1": 1, "f2": 2, "kind": "rec2"}', "rec2(1, 2)"),
+        (fseq.shifted(fseq.natural(), 2),
+         '{"inner": {"kind": "natural"}, "kind": "shift", "s": 2}',
+         "shift(natural, s=2)"),
+        (fseq.product(fseq.periodic(2, 2), fseq.constant(3)),
+         '{"kind": "product", "left": {"M": 2, "c": 2, "kind": "periodic"}, '
+         '"right": {"kind": "constant", "t": 3}}',
+         "product(periodic(c=2, M=2), constant(3))"),
+        (fseq.explicit([1, 2, 3]), '{"kind": "explicit", "terms": ["1", "2", "3"]}',
+         "explicit[2 terms]"),
+    ],
+)
+def test_descriptor_and_label_pinned(seq, text, label):
+    assert fseq.to_json(seq) == text
+    assert seq.label() == label
+    assert fseq.to_json(fseq.from_json(text)) == text
+
+
 def test_descriptor_accepts_string_parameters():
     seq = fseq.from_descriptor({"kind": "periodic", "c": "2", "M": "3"})
     assert fseq.prefix(seq, 6) == [1, 1, 2, 1, 1, 2]
@@ -246,6 +276,7 @@ _primitive = st.sampled_from(
         fseq.natural(),
         fseq.fibonacci(),
         fseq.constant(4),
+        fseq.nondiminishing(3, 2),
         fseq.periodic(3, 2),
         fseq.geometric(2, 1),
         fseq.rec2(1, 2),

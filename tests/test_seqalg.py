@@ -1,26 +1,30 @@
-"""Sequence algebra: shift, point product, builders, divisor factorization."""
+"""Sequence algebra: shift, point product, building by kind, divisor factorization."""
 import pytest
 
 from cobweb import errors, fseq, seqalg
 
 
 def test_shift_and_product_wrappers():
-    assert fseq.prefix(seqalg.shift(fseq.natural(), 3), 7) == [1, 1, 1, 1, 2, 3, 4]
-    prod = seqalg.point_product(fseq.periodic(2, 2), fseq.periodic(3, 3))
+    assert fseq.prefix(fseq.shifted(fseq.natural(), 3), 7) == [1, 1, 1, 1, 2, 3, 4]
+    prod = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
     assert fseq.prefix(prod, 9) == [1, 2, 3, 2, 1, 6, 1, 2, 3]
 
 
 def test_build_dispatch():
-    assert fseq.prefix(seqalg.build("natural"), 3) == [1, 2, 3]
-    assert fseq.prefix(seqalg.build("periodic", c=2, M=3), 6) == [1, 1, 2, 1, 1, 2]
-    assert fseq.prefix(seqalg.build("rec2", f1=1, f2=3), 4) == [1, 3, 10, 33]
+    assert fseq.prefix(fseq.from_descriptor({"kind": "natural"}), 3) == [1, 2, 3]
+    periodic = fseq.from_descriptor({"kind": "periodic", "c": 2, "M": 3})
+    assert fseq.prefix(periodic, 6) == [1, 1, 2, 1, 1, 2]
+    rec2 = fseq.from_descriptor({"kind": "rec2", "f1": 1, "f2": 3})
+    assert fseq.prefix(rec2, 4) == [1, 3, 10, 33]
     with pytest.raises(errors.DescriptorError):
-        seqalg.build("nope")
+        fseq.from_descriptor({"kind": "nope"})
 
 
 def test_unit_sequence():
-    u = seqalg.unit()
+    u = fseq.constant(1)
     assert fseq.prefix(u, 5) == [1, 1, 1, 1, 1]
+    h = seqalg.h_general(u, 5)
+    assert fseq.prefix(seqalg.reconstruct(h, 5), 5) == [1, 1, 1, 1, 1]
 
 
 def test_h_natural_list():
