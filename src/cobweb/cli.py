@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=None, help="also list up to this many tilings")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="results do not depend on it")
     p.add_argument("--cap-chains", type=int, default=None)
     p.add_argument("--cap-placements", type=int, default=None)
     p.add_argument("--cap-nodes", type=int, default=None)

@@ -21,17 +21,22 @@ shuffles them once per split before cutting, and enumerate-all offers every
 unordered family.  Role-symmetric choices can give the same tiling, so the
 tilings of a shape are deduplicated.
 
-Exhaustive enumeration is an exact-cover search over the chain universe
-with minimum-remaining-candidates element selection; its count and
-canonical tiling list are invariant across worker counts.
+Exhaustive enumeration is an exact cover of the chain universe by block
+placements, each stored as an int mask over the chain ids.  The search
+branches on the uncovered chain with the fewest remaining rows (MRV).  Its
+count pass memoizes the count of each uncovered chain set; the listing
+pass walks the same branches, skipping the children the memo proves empty.
+Both passes use explicit stacks and share one node cap, and the search is
+sequential, so its count, listing and cap outcome never depend on workers.
 """
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product as iproduct
 from math import comb, factorial
+from operator import or_
 from typing import Iterator, Optional
 
 from . import fseq
@@ -430,72 +435,88 @@ class TilingEnumeration:
     nodes: int
 
 
-def _build_cover(n_elems: int, rows: list[tuple[int, ...]]):
-    X: dict[int, set[int]] = {e: set() for e in range(n_elems)}
-    for rid, elems in enumerate(rows):
-        for e in elems:
-            X[e].add(rid)
-    return X
+class _Search:
+    """Count and listing passes over one bitmask exact cover, under one node cap.
 
+    masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
+    e, and clash[r] the rows sharing a chain with row r.  A state is
+    (uncovered, alive); the alive rows are the rows inside the uncovered
+    chains, so the uncovered set alone keys the count memo.
+    """
 
-def _cover(X, rows, rid):
-    removed = []
-    for e in rows[rid]:
-        for other in X[e]:
-            for e2 in rows[other]:
-                if e2 != e:
-                    X[e2].discard(other)
-        removed.append((e, X.pop(e)))
-    return removed
-
-
-def _uncover(X, rows, removed):
-    for e, column in reversed(removed):
-        X[e] = column
-        for other in column:
-            for e2 in rows[other]:
-                if e2 != e:
-                    X[e2].add(other)
-
-
-class _SearchState:
-    __slots__ = ("count", "nodes", "solutions", "node_cap")
-
-    def __init__(self, node_cap: int, collect: bool):
-        self.count = 0
+    def __init__(self, n_elems: int, rows: list[list[int]], node_cap: int):
+        self.elem_rows = [0] * n_elems
+        for rid, row in enumerate(rows):
+            for e in row:
+                self.elem_rows[e] |= 1 << rid
+        self.masks = [sum(1 << e for e in row) for row in rows]
+        self.clash = [reduce(or_, map(self.elem_rows.__getitem__, row)) for row in rows]
+        self.root = ((1 << n_elems) - 1, (1 << len(rows)) - 1)
+        self.memo = {0: 1}
         self.nodes = 0
-        self.solutions: Optional[list] = [] if collect else None
         self.node_cap = node_cap
 
+    def _tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            # a proven lower bound: the root's children counted so far
+            partial = sum(self.memo.get(u, 0) for _, u, _ in self._children(*self.root))
+            raise CapExceeded("nodes", self.node_cap, partial_count=partial)
 
-def _search(X, rows, stack: list[int], state: _SearchState) -> None:
-    state.nodes += 1
-    if state.nodes > state.node_cap:
-        raise CapExceeded("nodes", state.node_cap, partial_count=state.count)
-    if not X:
-        state.count += 1
-        if state.solutions is not None:
-            state.solutions.append(tuple(stack))
-        return
-    col = min(X, key=lambda e: (len(X[e]), e))
-    candidates = sorted(X[col])
-    for rid in candidates:
-        stack.append(rid)
-        removed = _cover(X, rows, rid)
-        _search(X, rows, stack, state)
-        _uncover(X, rows, removed)
-        stack.pop()
+    def _children(self, uncovered: int, alive: int) -> list:
+        """(row, uncovered, alive) after each alive row covering the MRV chain,
+        the uncovered chain with the fewest alive rows (ties to the lowest)."""
+        elem_rows = self.elem_rows
+        best, fewest = 0, None
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rows = alive & elem_rows[low.bit_length() - 1]
+            n = rows.bit_count()
+            if fewest is None or n < fewest:
+                best, fewest = rows, n
+                if n <= 1:
+                    break
+            rest ^= low
+        masks, clash = self.masks, self.clash
+        out = []
+        while best:
+            low = best & -best
+            r = low.bit_length() - 1
+            out.append((r, uncovered ^ masks[r], alive & ~clash[r]))
+            best ^= low
+        return out
 
+    def count(self) -> int:
+        """memo[uncovered] = sum of memo[child], filled from an explicit stack."""
+        memo = self.memo
+        stack = [(*self.root, None)]
+        while stack:
+            uncovered, alive, kids = stack.pop()
+            if uncovered in memo:
+                continue
+            if kids is None:
+                self._tick()
+                kids = self._children(uncovered, alive)
+                stack.append((uncovered, alive, kids))
+                stack += [(u, a, None) for _, u, a in kids if u not in memo]
+            else:
+                memo[uncovered] = sum(memo[u] for _, u, _ in kids)
+        return memo[self.root[0]]
 
-def _run_branch(n_elems, rows, node_cap, collect, forced):
-    X = _build_cover(n_elems, rows)
-    state = _SearchState(node_cap, collect)
-    stack: list[int] = []
-    if forced is not None:
-        stack.append(forced)
-        _cover(X, rows, forced)
-    _search(X, rows, stack, state)
-    return state
+    def listing(self) -> list[tuple[int, ...]]:
+        """Every solution as row ids, skipping the children count() proved empty."""
+        solutions = []
+        stack = [((), *self.root)]
+        while stack:
+            path, uncovered, alive = stack.pop()
+            self._tick()
+            if not uncovered:
+                solutions.append(path)
+                continue
+            kids = self._children(uncovered, alive)
+            stack += [(path + (r,), u, a) for r, u, a in kids if self.memo[u]]
+        return solutions
 
 
 def enumerate_tilings(
@@ -509,56 +530,31 @@ def enumerate_tilings(
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
-    The count is always exact when the function returns; passing a limit
-    requests the tilings themselves, canonically sorted, with a truncation
-    flag when the count exceeds the limit.  Results are identical for any
-    worker count.  Exceeding a cap raises instead of truncating.
+    The memoized count pass always runs.  A limit adds the listing pass and
+    returns the tilings, canonically sorted, with a truncation flag when the
+    count exceeds the limit.  nodes counts the states the count pass expands
+    plus the states the listing pass visits, all against one node cap, and
+    exceeding a cap raises instead of truncating.  The search is sequential,
+    so nothing depends on workers, which is only validated.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    node_limit = DEFAULT_NODE_CAP if node_cap is None else node_cap
-    chains = list(enumerate_chains(layer, cap=chain_cap))
-    chain_ids = {c: i for i, c in enumerate(chains)}
+    chain_ids = {c: i for i, c in enumerate(enumerate_chains(layer, cap=chain_cap))}
     placements = list(enumerate_placements(layer, cap=placement_cap))
-    rows = [
-        tuple(sorted(chain_ids[c] for c in placement.chains()))
-        for placement in placements
-    ]
-    collect = limit is not None
-    n_elems = len(chains)
-
-    if workers == 1:
-        states = [_run_branch(n_elems, rows, node_limit, collect, None)]
-    else:
-        X = _build_cover(n_elems, rows)
-        root = min(X, key=lambda e: (len(X[e]), e))
-        branch_rows = sorted(X[root])
-        if not branch_rows:
-            states = []
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_branch, n_elems, rows, node_limit, collect, rid)
-                    for rid in branch_rows
-                ]
-                states = [f.result() for f in futures]
-
-    count = sum(s.count for s in states)
-    nodes = sum(s.nodes for s in states)
+    rows = [[chain_ids[c] for c in placement.chains()] for placement in placements]
+    search = _Search(len(chain_ids), rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
+    count = search.count()
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
-    if collect:
-        raw = []
-        for s in states:
-            for solution in s.solutions:
-                raw.append(tuple(sorted(placements[rid].subsets for rid in solution)))
-        raw.sort()
-        if len(raw) > limit:
-            raw = raw[:limit]
-            truncated = True
-        tilings = tuple(_raw_to_tiling(layer, blocks) for blocks in raw)
+    if limit is not None:
+        raw = sorted(
+            tuple(sorted(placements[rid].subsets for rid in solution))
+            for solution in search.listing()
+        )
+        truncated = len(raw) > limit
+        tilings = tuple(_raw_to_tiling(layer, blocks) for blocks in raw[:limit])
     return TilingEnumeration(
-        count=count, truncated=truncated, tilings=tilings, nodes=nodes
+        count=count, truncated=truncated, tilings=tilings, nodes=search.nodes
     )
 
 

@@ -254,6 +254,17 @@ def test_enumerate_workers_match(capsys):
     assert base == multi
 
 
+def test_enumerate_deep_search_does_not_recurse(capsys):
+    # 4,895 chains, one single-chain block each: a search depth far past the
+    # interpreter's default recursion limit
+    code, out, err = run(
+        ["enumerate", "--seq", "fibonacci", "--k", "10", "--n", "11"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == "1"
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # triangle
 

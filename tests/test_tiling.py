@@ -1,4 +1,6 @@
 """Tilers, verifier, exhaustive enumeration, counters, triangles."""
+from itertools import combinations, permutations, product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +267,77 @@ def test_enumeration_node_cap():
     assert err.value.partial_count is not None
     with pytest.raises(ValueError):
         tiling.enumerate_tilings(layer, workers=0)
+    # partial_count is a lower bound on the 132 tilings wherever the cap bites
+    for cap in range(1, 201):
+        for limit in (None, 5):
+            outcome = _cap_outcome(layer, cap, limit, 1)
+            if outcome[0] == "cap":
+                assert 0 <= outcome[3] <= 132, (cap, limit)
+
+
+def _cap_outcome(layer, cap, limit, workers):
+    try:
+        res = tiling.enumerate_tilings(layer, limit, workers=workers, node_cap=cap)
+    except errors.CapExceeded as exc:
+        return ("cap", exc.cap_name, exc.limit, exc.partial_count)
+    listing = None if res.tilings is None else [_blocks(t) for t in res.tilings]
+    return ("done", res.count, res.nodes, listing)
+
+
+def test_enumeration_cap_outcome_is_worker_invariant():
+    layer = poset.build_layer(fseq.natural(), 3, 4)
+    seen = set()
+    for cap in range(1, 201):
+        for limit in (None, 5):
+            outcomes = [_cap_outcome(layer, cap, limit, w) for w in (1, 2, 4)]
+            assert outcomes[0] == outcomes[1] == outcomes[2], (cap, limit)
+            seen.add(outcomes[0][0])
+            if outcomes[0][0] == "done":
+                assert outcomes[0][1] == 132 and outcomes[0][2] <= cap
+    assert seen == {"cap", "done"}
+
+
+def _naive_tilings(layer):
+    """Every tiling as sorted block subsets, by a plain recursive exact cover
+    over chain sets that branches on the lowest uncovered chain."""
+    m = layer.m
+    prime = [layer.seq.term(j) for j in range(1, m + 1)]
+    blocks = []
+    for sizes in sorted(set(permutations(prime))):
+        pools = [combinations(range(s), a) for s, a in zip(layer.sizes, sizes)]
+        blocks += [(subsets, frozenset(iproduct(*subsets))) for subsets in iproduct(*pools)]
+
+    def cover(uncovered, chosen):
+        if not uncovered:
+            yield tuple(sorted(chosen))
+            return
+        low = min(uncovered)
+        for subsets, chains in blocks:
+            if low in chains and chains <= uncovered:
+                yield from cover(uncovered - chains, chosen + [subsets])
+
+    return sorted(cover(frozenset(iproduct(*map(range, layer.sizes))), []))
+
+
+def test_enumeration_matches_naive_exact_cover():
+    nat, fib = fseq.natural(), fseq.fibonacci()
+    prod = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
+    layers = [(nat, k, n) for n in range(1, 5) for k in range(1, n + 1)]
+    layers += [(fib, 2, 4), (prod, 5, 7)]
+    for seq, k, n in layers:
+        layer = poset.build_layer(seq, k, n)
+        want = _naive_tilings(layer)
+        res = tiling.enumerate_tilings(layer, limit=len(want) + 1)
+        assert res.count == len(want), (k, n)
+        assert [_blocks(t) for t in res.tilings] == want, (k, n)
+    assert want == []  # the last layer, product 5..7, has no tiling
+
+
+def test_enumeration_natural_3_5_count_and_work():
+    # the count memo keeps this well under the 2.2 M nodes of an unmemoized search
+    res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 3, 5))
+    assert res.count == 411168
+    assert res.nodes < 400_000
 
 
 def test_enumeration_respects_placement_cap():
