@@ -9,7 +9,9 @@ error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -119,7 +121,8 @@ def _cmd_seq(cfg: RunConfig, seq: FSeq) -> int:
             _emit(table.to_text(), cfg.output)
         return EXIT_OK
     if cfg.params["factorials"]:
-        values = [fseq.f_factorial(seq, i) for i in range(1, count + 1)]
+        # f_factorial(seq, i) for i = 1..count, as one running product
+        values = list(itertools.accumulate(fseq.prefix(seq, count), operator.mul))
         key = "factorials"
     else:
         values = fseq.prefix(seq, count)

@@ -16,13 +16,23 @@ fibonacci, constant, nondiminishing, periodic, geometric, rec2, explicit)
 plus two combinators (shift, product).  Descriptors round-trip through
 JSON with term values rendered as decimal strings, since terms exceed
 64-bit range for modest indices in the geometric and rec2 families.
+
+fnomial evaluates one cell by itself: two k-term products and a
+Fraction.  Scans over whole rows (the admissibility check, the fnomial
+triangle) use fnomial_row instead, which walks a row by the exact
+recurrence {n, k} = {n, k-1} * term(n-k+1) / term(k).  Each step reads two
+terms and multiplies the running value by a small fraction, so a row costs
+O(n) small-by-big operations and a scan of N rows O(N^2), against O(N^3)
+big multiplications cell by cell.  The row raises the same error at the
+same cell as the per-cell code, because step k reads term(k) and then
+term(n-k+1), the only terms the cell (n, k) reads that (n, k-1) did not.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import DescriptorError, SequenceRangeError, ZeroTermError
 
@@ -44,6 +54,7 @@ __all__ = [
     "f_factorial",
     "falling",
     "fnomial",
+    "fnomial_row",
     "is_admissible_prefix",
     "check_identity_1",
     "check_identity_2",
@@ -86,6 +97,21 @@ def _rec2_rule(p: dict, n: int, memo: dict) -> int:
 _FIBONACCI = {"f1": 1, "f2": 1}
 
 
+def _product_rule(p: dict, n: int, memo: dict) -> int:
+    # A left-nested chain product(product(a, b), c) is walked in a loop, so
+    # its depth is not bounded by the recursion limit.  Factors are read
+    # left to right (a, b, c), as the nested calls would read them.
+    rights = [p["right"]]
+    left = p["left"]
+    while left.kind == "product":
+        rights.append(left.params["right"])
+        left = left.params["left"]
+    out = left.term(n)
+    for right in reversed(rights):
+        out *= right.term(n)
+    return out
+
+
 def _explicit_rule(p: dict, n: int, memo: dict) -> int:
     terms = p["terms"]
     if n >= len(terms):
@@ -126,11 +152,7 @@ KINDS: dict[str, Kind] = {
         lambda p, n, memo: 1 if n <= p["s"] else p["inner"].term(n - p["s"]),
         "shift({inner}, s={s})",
     ),
-    "product": Kind(
-        {"left": _SEQ, "right": _SEQ},
-        lambda p, n, memo: p["left"].term(n) * p["right"].term(n),
-        "product({left}, {right})",
-    ),
+    "product": Kind({"left": _SEQ, "right": _SEQ}, _product_rule, "product({left}, {right})"),
     "explicit": Kind({"terms": _TERMS}, _explicit_rule, "explicit[{terms} terms]"),
 }
 
@@ -386,15 +408,33 @@ def fnomial(seq: FSeq, n: int, k: int) -> FNomial:
         raise ValueError(f"fnomial needs 0 <= k <= n, got n={n}, k={k}")
     den = 1
     for j in range(1, k + 1):
-        t = seq.term(j)
-        if t == 0:
-            raise ZeroTermError(
-                f"term {j} of {seq.label()} is zero; denominator undefined"
-            )
-        den *= t
+        den *= _denominator_term(seq, j)
     num = falling(seq, n, k)
     value = Fraction(num, den)
     return FNomial(num, den, value, num % den == 0)
+
+
+def _denominator_term(seq: FSeq, j: int) -> int:
+    t = seq.term(j)
+    if t == 0:
+        raise ZeroTermError(f"term {j} of {seq.label()} is zero; denominator undefined")
+    return t
+
+
+def fnomial_row(seq: FSeq, n: int) -> Iterator[Fraction]:
+    """Lazily yield fnomial(seq, n, k).value for k = 0..n.
+
+    Uses {n, k} = {n, k-1} * term(n-k+1) / term(k).  Errors surface at the
+    same k, with the same exception, as the per-cell fnomial.
+    """
+    if n < 0:
+        raise ValueError(f"fnomial row needs n >= 0, got {n}")
+    value = Fraction(1)
+    yield value
+    for k in range(1, n + 1):
+        den = _denominator_term(seq, k)
+        value *= Fraction(seq.term(n - k + 1), den)
+        yield value
 
 
 def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
@@ -406,8 +446,8 @@ def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     for n in range(N + 1):
-        for k in range(n + 1):
-            if not fnomial(seq, n, k).is_integer:
+        for k, value in enumerate(fnomial_row(seq, n)):
+            if value.denominator != 1:
                 return (n, k)
     return None
 

@@ -76,18 +76,20 @@ def h_general(seq: FSeq, N: int) -> Union[HSequence, DivisibilityWitness]:
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
+    # divisor_lcms[m] folds in term(d) for each checked proper divisor d of
+    # m, so it is complete when the scan reaches m; no later term is read.
+    divisor_lcms = [1] * (N + 1)
     terms = []
     for n in range(1, N + 1):
         t = seq.term(n)
         if t < 1:
             raise ZeroTermError(f"term {n} of {seq.label()} is not positive")
-        divisor_lcm = 1
-        for d in range(1, n):
-            if n % d == 0:
-                divisor_lcm = math.lcm(divisor_lcm, seq.term(d))
+        divisor_lcm = divisor_lcms[n]
         if t % divisor_lcm:
             return DivisibilityWitness(n=n, term=t, lcm=divisor_lcm)
         terms.append(t // divisor_lcm)
+        for m in range(2 * n, N + 1, n):
+            divisor_lcms[m] = math.lcm(divisor_lcms[m], t)
     return HSequence(base=seq, terms=tuple(terms))
 
 

@@ -771,16 +771,19 @@ def triangle(
     cells: dict = {}
     notes: dict = {}
     for n in range(1, rows + 1):
-        start = 0 if include_zero and kind == "fnomial" else 1
-        for k in range(start, n + 1):
+        if kind == "fnomial":
+            # One lazy row per n; its zero-term and range errors propagate.
+            for k, value in enumerate(fseq.fnomial_row(seq, n)):
+                if k == 0 and not include_zero:
+                    continue
+                if value.denominator != 1:
+                    notes[(n, k)] = f"non-integer {value}"
+                else:
+                    cells[(n, k)] = value.numerator
+            continue
+        for k in range(1, n + 1):
             try:
-                if kind == "fnomial":
-                    f = fseq.fnomial(seq, n, k)
-                    if not f.is_integer:
-                        notes[(n, k)] = f"non-integer {f.value}"
-                    else:
-                        cells[(n, k)] = int(f.value)
-                elif kind == "additive":
+                if kind == "additive":
                     cells[(n, k)] = count_tilings_additive(seq, n, k)
                 elif kind == "fibonacci":
                     cells[(n, k)] = count_tilings_fibonacci(seq, n, k, mode=mode)

@@ -49,6 +49,20 @@ def test_seq_factorials(capsys):
     assert out == "1 1 2 6 30 240\n"
 
 
+@pytest.mark.parametrize("spec", [
+    "natural",
+    "fibonacci",
+    '{"kind": "periodic", "c": 2, "M": 2}',
+])
+def test_seq_factorials_match_f_factorial(spec, capsys):
+    seq = cli.load_sequence(spec)
+    for count in (0, 1, 7, 25):
+        code, out, _ = run(["seq", "--seq", spec, "--count", str(count), "--factorials"], capsys)
+        assert code == 0
+        want = [str(fseq.f_factorial(seq, i)) for i in range(1, count + 1)]
+        assert json.loads(out)["factorials"] == want
+
+
 def test_seq_fnomial_table(capsys):
     code, out, _ = run(
         ["seq", "--seq", "fibonacci", "--count", "4", "--fnomials"], capsys
@@ -359,6 +373,15 @@ def test_cta3_partial_reconstruction_depth(capsys):
     )
     assert code == 0
     assert json.loads(out)["reconstruction"] == {"ok": True, "depth": 5}
+
+
+def test_cta3_deep_product_chain_does_not_recurse(capsys):
+    # the reconstruction nests one product per factor h(j) != 1, far more
+    # levels than the interpreter's default recursion limit
+    code, out, err = run(["cta3", "--seq", "fibonacci", "--count", "600"], capsys)
+    assert code == 0
+    assert json.loads(out)["reconstruction"] == {"ok": True, "depth": 600}
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import errors, fseq
+from cobweb import errors, fseq, tiling
 
 
 def test_prefixes_of_primitive_families():
@@ -310,3 +310,106 @@ def test_product_preserves_admissibility(a, b):
 def test_descriptor_round_trip_property(seq):
     back = fseq.from_json(fseq.to_json(seq))
     assert fseq.prefix(back, 10) == fseq.prefix(seq, 10)
+
+
+# ---------------------------------------------------------------------------
+# row kernel against per-cell fnomial
+
+_explicit_terms = st.lists(st.integers(0, 6), max_size=9).map(lambda ts: fseq.explicit([1] + ts))
+
+
+def _outcome(fn):
+    """("value", v) or ("error", type, message) of calling fn."""
+    try:
+        return ("value", fn())
+    except (errors.ZeroTermError, errors.SequenceRangeError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _per_cell_scan(seq, N):
+    """Cells, notes and first error of a cell-by-cell scan of rows 0..N."""
+    cells, notes = {}, {}
+    for n in range(N + 1):
+        for k in range(n + 1):
+            got = _outcome(lambda: fseq.fnomial(seq, n, k))
+            if got[0] == "error":
+                return cells, notes, got
+            f = got[1]
+            if f.is_integer:
+                cells[(n, k)] = int(f.value)
+            else:
+                notes[(n, k)] = f"non-integer {f.value}"
+    return cells, notes, None
+
+
+@given(_explicit_terms, st.integers(0, 11))
+@settings(max_examples=150, deadline=None)
+def test_fnomial_row_matches_per_cell(seq, n):
+    row = fseq.fnomial_row(seq, n)
+    for k in range(n + 1):
+        want = _outcome(lambda: fseq.fnomial(seq, n, k).value)
+        assert _outcome(lambda: next(row)) == want
+        if want[0] == "error":
+            return
+    assert next(row, None) is None
+
+
+@given(_explicit_terms, st.integers(0, 11))
+@settings(max_examples=150, deadline=None)
+def test_admissible_scan_matches_per_cell(seq, N):
+    _, notes, error = _per_cell_scan(seq, N)
+    got = _outcome(lambda: fseq.is_admissible_prefix(seq, N))
+    if notes:
+        # the scan stops at the first non-integral cell, before any error
+        assert got == ("value", next(iter(notes)))
+    elif error is not None:
+        assert got == error
+    else:
+        assert got == ("value", None)
+
+
+@given(_explicit_terms, st.integers(1, 11), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fnomial_triangle_matches_per_cell(seq, rows, include_zero):
+    cells, notes, error = _per_cell_scan(seq, rows)
+    got = _outcome(lambda: tiling.triangle(seq, "fnomial", rows, include_zero=include_zero))
+    if error is not None:
+        assert got == error
+        return
+    table = got[1]
+
+    def keep(n, k):
+        return n >= 1 and (include_zero or k >= 1)
+
+    assert table.cells == {key: v for key, v in cells.items() if keep(*key)}
+    assert table.notes == {key: v for key, v in notes.items() if keep(*key)}
+
+
+def test_fnomial_row_rejects_negative_row():
+    with pytest.raises(ValueError):
+        next(fseq.fnomial_row(fseq.natural(), -1))
+
+
+def test_fnomial_row_natural_is_pascal():
+    assert list(fseq.fnomial_row(fseq.natural(), 6)) == [1, 6, 15, 20, 15, 6, 1]
+
+
+def test_deep_left_nested_product_does_not_recurse():
+    # far more levels than the interpreter's default recursion limit
+    seq = fseq.constant(1)
+    for j in range(2, 3002):
+        seq = fseq.product(seq, fseq.periodic(2, j))
+    assert seq.term(12) == 2 ** 5
+    assert seq.term(3001) == 2  # 3001 is prime
+    assert fseq.product(fseq.natural(), seq).term(6) == 6 * 2 ** 3
+
+
+def test_product_reads_factors_left_to_right():
+    # with two factors out of range, the leftmost one reports the error
+    short = [fseq.explicit([1, 2]), fseq.explicit([1, 2, 3]), fseq.explicit([1])]
+    chain = fseq.product(fseq.product(short[0], short[1]), short[2])
+    with pytest.raises(errors.SequenceRangeError, match="has 1 terms"):
+        chain.term(2)
+    chain = fseq.product(fseq.product(fseq.natural(), short[1]), short[2])
+    with pytest.raises(errors.SequenceRangeError, match="has 0 terms"):
+        chain.term(2)

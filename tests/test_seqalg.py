@@ -1,5 +1,9 @@
 """Sequence algebra: shift, point product, building by kind, divisor factorization."""
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import errors, fseq, seqalg
 
@@ -63,6 +67,31 @@ def test_h_general_divisibility_witness():
     w = seqalg.h_general(fseq.explicit([1, 2, 3]), 2)
     assert isinstance(w, seqalg.DivisibilityWitness)
     assert (w.n, w.term, w.lcm) == (2, 3, 2)
+
+
+def _h_general_by_divisors(seq, N):
+    """h(n) or the first witness, from the lcm over every d < n dividing n."""
+    terms = []
+    for n in range(1, N + 1):
+        t = seq.term(n)
+        divisor_lcm = math.lcm(*(seq.term(d) for d in range(1, n) if n % d == 0))
+        if t % divisor_lcm:
+            return seqalg.DivisibilityWitness(n=n, term=t, lcm=divisor_lcm)
+        terms.append(t // divisor_lcm)
+    return seqalg.HSequence(base=seq, terms=tuple(terms))
+
+
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_h_general_matches_divisor_scan(terms):
+    seq = fseq.explicit([1] + terms)
+    N = len(terms)
+    want = _h_general_by_divisors(seq, N)
+    assert seqalg.h_general(seq, N) == want
+    if isinstance(want, seqalg.DivisibilityWitness):
+        # no term past the witness is read
+        cut = fseq.explicit([1] + terms[:want.n])
+        assert seqalg.h_general(cut, N) == want
 
 
 def test_h_general_rejects_zero_terms():
