@@ -14,10 +14,10 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import fseq, seqalg
+from .digits import to_decimal
 from .errors import (
     CapExceeded,
     CobwebError,
@@ -41,31 +41,15 @@ from .tiling import (
     verify_tiling,
 )
 
-__all__ = ["RunConfig", "main", "entry", "load_sequence"]
+__all__ = ["main", "entry", "load_sequence"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CAP_ENV = {
-    "chains": "COBWEB_CAP_CHAINS",
-    "placements": "COBWEB_CAP_PLACEMENTS",
-    "nodes": "COBWEB_CAP_NODES",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a command, its sequence, parameters, caps,
-    and output routing."""
-
-    command: str
-    seq_spec: str
-    fmt: str
-    output: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    caps: dict = field(default_factory=dict)
+# Each name has a --cap-<name> flag and a COBWEB_CAP_<NAME> variable.
+CAP_NAMES = ("chains", "placements", "nodes")
 
 
 def load_sequence(spec: str) -> FSeq:
@@ -82,13 +66,14 @@ def load_sequence(spec: str) -> FSeq:
 def _resolve_cap(flag_value: Optional[int], name: str) -> Optional[int]:
     value = flag_value
     if value is None:
-        raw = os.environ.get(_CAP_ENV[name])
+        env = f"COBWEB_CAP_{name.upper()}"
+        raw = os.environ.get(env)
         if raw is None:
             return None
         try:
             value = int(raw)
         except ValueError as exc:
-            raise ValueError(f"{_CAP_ENV[name]} must be an integer, got {raw!r}") from exc
+            raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ValueError(f"cap-{name} must be >= 1, got {value}")
     return value
@@ -106,64 +91,67 @@ def _emit_json(obj, output: Optional[str]) -> None:
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
 
 
+def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:
+    """obj under --format json, else text; for short reports only, since
+    both renderings are built."""
+    if ns.format == "json":
+        _emit_json(obj, ns.output)
+    else:
+        _emit(text, ns.output)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_seq(cfg: RunConfig, seq: FSeq) -> int:
-    count = cfg.params["count"]
+def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
+    count = ns.count
     if count < 0:
         raise ValueError(f"--count must be >= 0, got {count}")
-    if cfg.params["fnomials"]:
+    if ns.fnomials:
         table = triangle(seq, "fnomial", max(count, 1), include_zero=True)
-        if cfg.fmt == "json":
-            _emit_json(_triangle_obj(seq, table), cfg.output)
+        if ns.format == "json":
+            _emit_json(_triangle_obj(seq, table), ns.output)
         else:
-            _emit(table.to_text(), cfg.output)
+            _emit(table.to_text(), ns.output)
         return EXIT_OK
-    if cfg.params["factorials"]:
+    if ns.factorials:
         # f_factorial(seq, i) for i = 1..count, as one running product
-        values = list(itertools.accumulate(fseq.prefix(seq, count), operator.mul))
+        values = itertools.accumulate(fseq.prefix(seq, count), operator.mul)
         key = "factorials"
     else:
         values = fseq.prefix(seq, count)
         key = "terms"
-    if cfg.fmt == "json":
-        _emit_json(
-            {"seq": fseq.to_descriptor(seq), key: [str(v) for v in values]},
-            cfg.output,
-        )
+    texts = [to_decimal(v) for v in values]
+    if ns.format == "json":
+        _emit_json({"seq": fseq.to_descriptor(seq), key: texts}, ns.output)
     else:
-        _emit(" ".join(str(v) for v in values) + "\n", cfg.output)
+        _emit(" ".join(texts) + "\n", ns.output)
     return EXIT_OK
 
 
-def _cmd_admissible(cfg: RunConfig, seq: FSeq) -> int:
-    count = cfg.params["count"]
+def _cmd_admissible(ns: argparse.Namespace, seq: FSeq) -> int:
+    count = ns.count
     if count < 0:
         raise ValueError(f"--count must be >= 0, got {count}")
     witness = fseq.is_admissible_prefix(seq, count)
     if witness is None:
-        if cfg.fmt == "json":
-            _emit_json(
-                {"admissible": True, "n": count, "seq": fseq.to_descriptor(seq)},
-                cfg.output,
-            )
-        else:
-            _emit(f"admissible up to {count}\n", cfg.output)
+        _report(
+            ns,
+            {"admissible": True, "n": count, "seq": fseq.to_descriptor(seq)},
+            f"admissible up to {count}\n",
+        )
         return EXIT_OK
     wn, wk = witness
-    value = fseq.fnomial(seq, wn, wk).value
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "admissible": False,
-                "seq": fseq.to_descriptor(seq),
-                "witness": {"n": wn, "k": wk, "value": str(value)},
-            },
-            cfg.output,
-        )
-    else:
-        _emit(f"witness (n, k) = ({wn}, {wk}) value {value}\n", cfg.output)
+    value = to_decimal(fseq.fnomial(seq, wn, wk).value)
+    _report(
+        ns,
+        {
+            "admissible": False,
+            "seq": fseq.to_descriptor(seq),
+            "witness": {"n": wn, "k": wk, "value": value},
+        },
+        f"witness (n, k) = ({wn}, {wk}) value {value}\n",
+    )
     return EXIT_NEGATIVE
 
 
@@ -178,87 +166,70 @@ def _render_tiling_text(tiling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_tile(cfg: RunConfig, seq: FSeq) -> int:
-    k, n = cfg.params["k"], cfg.params["n"]
-    variant = cfg.params["variant"]
+def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
+    k, n = ns.k, ns.n
+    variant = ns.variant
     if variant == "auto":
         variant, w1, w2 = detect_variant(seq, k, n)
         if variant is None:
-            obj = {
-                "error": "no identity-1/2 structure; use enumerate",
-                "witness_additive": list(w1),
-                "witness_fibonacci": list(w2),
-            }
-            if cfg.fmt == "json":
-                _emit_json(obj, cfg.output)
-            else:
-                _emit(
-                    "no identity-1/2 structure; use enumerate "
-                    f"(witnesses {tuple(w1)} and {tuple(w2)})\n",
-                    cfg.output,
-                )
+            _report(
+                ns,
+                {
+                    "error": "no identity-1/2 structure; use enumerate",
+                    "witness_additive": list(w1),
+                    "witness_fibonacci": list(w2),
+                },
+                "no identity-1/2 structure; use enumerate "
+                f"(witnesses {tuple(w1)} and {tuple(w2)})\n",
+            )
             return EXIT_NEGATIVE
-    policy = TilePolicy(mode=cfg.params["policy"], seed=cfg.params["seed"])
-    chain_cap = cfg.caps.get("chains")
+    policy = TilePolicy(mode=ns.policy, seed=ns.seed)
+    tile = tile_additive if variant == "additive" else tile_fibonacci
     try:
-        if variant == "additive":
-            result = tile_additive(seq, k, n, policy, chain_cap=chain_cap)
-        else:
-            result = tile_fibonacci(seq, k, n, policy, chain_cap=chain_cap)
+        result = tile(seq, k, n, policy, chain_cap=ns.cap_chains)
     except IdentityError as exc:
         obj = {"error": str(exc), "identity": exc.which, "witness": list(exc.witness)}
-        if cfg.fmt == "json":
-            _emit_json(obj, cfg.output)
-        else:
-            _emit(str(exc) + "\n", cfg.output)
+        _report(ns, obj, str(exc) + "\n")
         return EXIT_NEGATIVE
     violation = verify_tiling(result)
     if violation is not None:
         _emit_json(
             {"error": "verification failed", "clause": violation.clause,
              "detail": violation.detail},
-            cfg.output,
+            ns.output,
         )
         return EXIT_NEGATIVE
-    if cfg.fmt == "dot":
-        _emit(to_dot(result.layer, result), cfg.output)
-    elif cfg.fmt == "text":
-        _emit(_render_tiling_text(result), cfg.output)
+    if ns.format == "dot":
+        _emit(to_dot(result.layer, result), ns.output)
+    elif ns.format == "text":
+        _emit(_render_tiling_text(result), ns.output)
     else:
         obj = tiling_to_dict(result)
         obj["variant"] = variant
         obj["block_count"] = str(len(result.blocks))
         obj["verified"] = True
-        _emit_json(obj, cfg.output)
+        _emit_json(obj, ns.output)
     return EXIT_OK
 
 
-def _cmd_enumerate(cfg: RunConfig, seq: FSeq) -> int:
-    k, n = cfg.params["k"], cfg.params["n"]
-    layer = build_layer(seq, k, n)
-    limit = cfg.params["limit"]
+def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
+    layer = build_layer(seq, ns.k, ns.n)
     try:
         result = enumerate_tilings(
             layer,
-            limit,
-            workers=cfg.params["workers"],
-            chain_cap=cfg.caps.get("chains"),
-            placement_cap=cfg.caps.get("placements"),
-            node_cap=cfg.caps.get("nodes"),
+            ns.limit,
+            workers=ns.workers,
+            chain_cap=ns.cap_chains,
+            placement_cap=ns.cap_placements,
+            node_cap=ns.cap_nodes,
         )
     except CapExceeded as exc:
-        partial = None if exc.partial_count is None else str(exc.partial_count)
+        partial = None if exc.partial_count is None else to_decimal(exc.partial_count)
         obj = {"complete": False, "count": partial, "error": str(exc)}
-        if cfg.fmt == "json":
-            _emit_json(obj, cfg.output)
-        else:
-            _emit(f"incomplete: {exc}\n", cfg.output)
+        _report(ns, obj, f"incomplete: {exc}\n")
         return EXIT_CAP
-    obj = {
-        "count": str(result.count),
-        "complete": True,
-        "truncated": result.truncated,
-    }
+    count = to_decimal(result.count)
+    obj = {"count": count, "complete": True, "truncated": result.truncated}
     if result.tilings is not None:
         for t in result.tilings:
             violation = verify_tiling(t)
@@ -270,16 +241,13 @@ def _cmd_enumerate(cfg: RunConfig, seq: FSeq) -> int:
             "sizes": [str(s) for s in layer.sizes],
         }
         obj["tilings"] = [tiling_to_dict(t)["blocks"] for t in result.tilings]
-    if cfg.fmt == "json":
-        _emit_json(obj, cfg.output)
-    else:
-        _emit(f"count {result.count}\n", cfg.output)
+    _report(ns, obj, f"count {count}\n")
     return EXIT_OK if result.count > 0 else EXIT_NEGATIVE
 
 
 def _triangle_obj(seq: FSeq, table) -> dict:
     cells = [
-        {"n": n, "k": k, "value": str(v)}
+        {"n": n, "k": k, "value": to_decimal(v)}
         for (n, k), v in sorted(table.cells.items())
     ]
     notes = [
@@ -294,49 +262,35 @@ def _triangle_obj(seq: FSeq, table) -> dict:
     }
 
 
-def _cmd_triangle(cfg: RunConfig, seq: FSeq) -> int:
+def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
     table = triangle(
-        seq,
-        cfg.params["kind"],
-        cfg.params["rows"],
-        mode=cfg.params["mode"],
-        include_zero=cfg.params["include_zero"],
+        seq, ns.kind, ns.rows, mode=ns.mode, include_zero=ns.include_zero
     )
-    if cfg.fmt == "csv":
-        _emit(table.to_csv(), cfg.output)
-    elif cfg.fmt == "text":
-        _emit(table.to_text(), cfg.output)
+    if ns.format == "csv":
+        _emit(table.to_csv(), ns.output)
+    elif ns.format == "text":
+        _emit(table.to_text(), ns.output)
     else:
-        _emit_json(_triangle_obj(seq, table), cfg.output)
+        _emit_json(_triangle_obj(seq, table), ns.output)
     return EXIT_NEGATIVE if table.notes else EXIT_OK
 
 
-def _cmd_cta3(cfg: RunConfig, seq: FSeq) -> int:
-    count = cfg.params["count"]
+def _cmd_cta3(ns: argparse.Namespace, seq: FSeq) -> int:
+    count = ns.count
     if count < 1:
         raise ValueError(f"--count must be >= 1, got {count}")
-    depth = cfg.params["reconstruct"]
-    if depth is None:
-        depth = count
+    depth = count if ns.reconstruct is None else ns.reconstruct
     if not 1 <= depth <= count:
         raise ValueError(f"--reconstruct must lie in 1..{count}, got {depth}")
     result = seqalg.h_general(seq, count)
     if isinstance(result, seqalg.DivisibilityWitness):
-        obj = {
-            "witness": {
-                "n": result.n,
-                "term": str(result.term),
-                "lcm": str(result.lcm),
-            }
-        }
-        if cfg.fmt == "json":
-            _emit_json(obj, cfg.output)
-        else:
-            _emit(
-                f"divisibility fails at n = {result.n}: "
-                f"term {result.term} not divisible by lcm {result.lcm}\n",
-                cfg.output,
-            )
+        term, lcm = to_decimal(result.term), to_decimal(result.lcm)
+        _report(
+            ns,
+            {"witness": {"n": result.n, "term": term, "lcm": lcm}},
+            f"divisibility fails at n = {result.n}: "
+            f"term {term} not divisible by lcm {lcm}\n",
+        )
         return EXIT_NEGATIVE
     rebuilt = seqalg.reconstruct(result, depth)
     mismatch = None
@@ -344,22 +298,22 @@ def _cmd_cta3(cfg: RunConfig, seq: FSeq) -> int:
         expected = seq.term(i)
         got = rebuilt.term(i)
         if expected != got:
-            mismatch = {"n": i, "expected": str(expected), "got": str(got)}
+            mismatch = {"n": i, "expected": to_decimal(expected), "got": to_decimal(got)}
             break
     obj = result.to_dict()
     obj["reconstruction"] = (
         {"ok": True, "depth": depth} if mismatch is None
         else {"ok": False, "depth": depth, "mismatch": mismatch}
     )
-    if cfg.fmt == "json":
-        _emit_json(obj, cfg.output)
+    if ns.format == "json":
+        _emit_json(obj, ns.output)
     else:
-        _emit(",".join(str(h) for h in result.terms) + "\n", cfg.output)
+        _emit(",".join(obj["h"]) + "\n", ns.output)
         if mismatch is not None:
             _emit(
                 f"reconstruction mismatch at n = {mismatch['n']}: "
                 f"expected {mismatch['expected']}, got {mismatch['got']}\n",
-                cfg.output,
+                ns.output,
             )
     return EXIT_OK if mismatch is None else EXIT_NEGATIVE
 
@@ -422,9 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=None, help="also list up to this many tilings")
     p.add_argument("--workers", type=int, default=1, help="results do not depend on it")
-    p.add_argument("--cap-chains", type=int, default=None)
-    p.add_argument("--cap-placements", type=int, default=None)
-    p.add_argument("--cap-nodes", type=int, default=None)
+    for name in CAP_NAMES:
+        p.add_argument(f"--cap-{name}", type=int, default=None)
 
     p = sub.add_parser("triangle", help="emit a counting triangle")
     common(p, ("csv", "text", "json"), "csv")
@@ -445,25 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    caps = {}
-    for name in ("chains", "placements", "nodes"):
-        flag = getattr(ns, f"cap_{name}", None)
-        value = _resolve_cap(flag, name)
-        if value is not None:
-            caps[name] = value
-    skip = {"command", "seq", "format", "output", "cap_chains", "cap_placements", "cap_nodes"}
-    params = {k: v for k, v in vars(ns).items() if k not in skip}
-    return RunConfig(
-        command=ns.command,
-        seq_spec=ns.seq,
-        fmt=ns.format,
-        output=ns.output,
-        params=params,
-        caps=caps,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -471,9 +405,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        cfg = _config_from(ns)
-        seq = load_sequence(cfg.seq_spec)
-        return _HANDLERS[cfg.command](cfg, seq)
+        for name in CAP_NAMES:
+            setattr(ns, f"cap_{name}", _resolve_cap(getattr(ns, f"cap_{name}", None), name))
+        seq = load_sequence(ns.seq)
+        return _HANDLERS[ns.command](ns, seq)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

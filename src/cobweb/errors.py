@@ -1,5 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one cap check."""
 from __future__ import annotations
+
+from typing import Optional
+
+from .digits import to_decimal
 
 
 class CobwebError(Exception):
@@ -53,5 +57,12 @@ class CapExceeded(CobwebError):
         self.partial_count = partial_count
         detail = f"{cap_name} cap of {limit} exceeded"
         if needed is not None:
-            detail += f" (needed {needed})"
+            detail += f" (needed {to_decimal(needed)})"
         super().__init__(detail)
+
+
+def check_cap(name: str, needed: int, cap: Optional[int], default: int) -> None:
+    """Raise CapExceeded when needed exceeds the cap (default when cap is None)."""
+    limit = default if cap is None else cap
+    if needed > limit:
+        raise CapExceeded(name, limit, needed=needed)

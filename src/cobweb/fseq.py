@@ -16,6 +16,10 @@ fibonacci, constant, nondiminishing, periodic, geometric, rec2, explicit)
 plus two combinators (shift, product).  Descriptors round-trip through
 JSON with term values rendered as decimal strings, since terms exceed
 64-bit range for modest indices in the geometric and rec2 families.
+Integers convert at any number of digits (cobweb.digits).  A descriptor
+nests at most MAX_DESCRIPTOR_DEPTH = 256 levels, a bare kind counting as
+one: deeper nesting is a DescriptorError, because term() recurses once per
+shift level and per right-nested product level.
 
 fnomial evaluates one cell by itself: two k-term products and a
 Fraction.  Scans over whole rows (the admissibility check, the fnomial
@@ -34,9 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from .digits import parse_decimal, to_decimal
 from .errors import DescriptorError, SequenceRangeError, ZeroTermError
 
 __all__ = [
+    "MAX_DESCRIPTOR_DEPTH",
     "FSeq",
     "FNomial",
     "natural",
@@ -63,6 +69,9 @@ __all__ = [
     "from_json",
     "to_json",
 ]
+
+MAX_DESCRIPTOR_DEPTH = 256
+_TOO_DEEP = f"descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
 
 # Parameter types other than an int minimum.
 _SEQ = "sequence"
@@ -215,7 +224,7 @@ def _decimal(value, what: str):
     if not isinstance(value, str):
         return value
     try:
-        return int(value, 10)
+        return parse_decimal(value)
     except ValueError:
         raise DescriptorError(f"{what} is not an integer: {value!r}") from None
 
@@ -224,7 +233,7 @@ def _check_int(value: int, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DescriptorError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise DescriptorError(f"{name} must be >= {minimum}, got {value}")
+        raise DescriptorError(f"{name} must be >= {minimum}, got {to_decimal(value)}")
     return value
 
 
@@ -315,13 +324,20 @@ def to_descriptor(seq: FSeq) -> dict:
         if spec == _SEQ:
             value = to_descriptor(value)
         elif spec == _TERMS:
-            value = [str(t) for t in value]
+            value = [to_decimal(t) for t in value]
         out[name] = value
     return out
 
 
 def from_descriptor(d: dict) -> FSeq:
-    """Build a sequence from a plain-data descriptor, validating parameters."""
+    """Build a sequence from a plain-data descriptor, validating parameters
+    and a nesting depth of at most MAX_DESCRIPTOR_DEPTH."""
+    return _from_descriptor(d, 1)
+
+
+def _from_descriptor(d: dict, depth: int) -> FSeq:
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise DescriptorError(_TOO_DEEP)
     if not isinstance(d, dict):
         raise DescriptorError(f"descriptor must be an object, got {type(d).__name__}")
     kind = d.get("kind")
@@ -333,7 +349,7 @@ def from_descriptor(d: dict) -> FSeq:
             raise DescriptorError(f"{kind} descriptor needs field {name!r}")
         value = d[name]
         if spec == _SEQ:
-            value = from_descriptor(value)
+            value = _from_descriptor(value, depth + 1)
         elif spec == _TERMS:
             if not isinstance(value, (list, tuple)):
                 raise DescriptorError(f"{kind} descriptor needs a {name!r} array")
@@ -349,9 +365,12 @@ def to_json(seq: FSeq) -> str:
 
 def from_json(text: str) -> FSeq:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=parse_decimal)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
+    except RecursionError:
+        # the JSON parser's own nesting limit, well past MAX_DESCRIPTOR_DEPTH
+        raise DescriptorError(_TOO_DEEP) from None
     return from_descriptor(data)
 
 

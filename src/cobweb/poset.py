@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from . import fseq
-from .errors import CapExceeded, ZeroTermError
+from .errors import ZeroTermError, check_cap
 from .fseq import FSeq
 
 __all__ = [
@@ -132,10 +132,7 @@ def tiling_to_dict(tiling: Tiling) -> dict:
 
 def enumerate_chains(layer: Layer, cap: Optional[int] = None) -> Iterator[Chain]:
     """All maximal chains in lexicographic order; errors if over the cap."""
-    limit = DEFAULT_CHAIN_CAP if cap is None else cap
-    total = layer.chain_count
-    if total > limit:
-        raise CapExceeded("chains", limit, needed=total)
+    check_cap("chains", layer.chain_count, cap, DEFAULT_CHAIN_CAP)
     return iproduct(*(range(size) for size in layer.sizes))
 
 
@@ -166,10 +163,7 @@ def enumerate_placements(layer: Layer, cap: Optional[int] = None) -> Iterator[Bl
     deduplicated before expansion.  Order is by size assignment, then by the
     lexicographic order of each level's subset.
     """
-    limit = DEFAULT_PLACEMENT_CAP if cap is None else cap
-    total = placement_count(layer)
-    if total > limit:
-        raise CapExceeded("placements", limit, needed=total)
+    check_cap("placements", placement_count(layer), cap, DEFAULT_PLACEMENT_CAP)
 
     def generate() -> Iterator[BlockPlacement]:
         for assignment in _fitting_assignments(layer):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import fseq
+from .digits import to_decimal
 from .errors import ZeroTermError
 from .fseq import FSeq
 
@@ -36,7 +37,7 @@ class HSequence:
     def to_dict(self) -> dict:
         return {
             "base": fseq.to_descriptor(self.base),
-            "h": [str(t) for t in self.terms],
+            "h": [to_decimal(t) for t in self.terms],
         }
 
 

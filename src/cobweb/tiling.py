@@ -17,9 +17,9 @@ level.  Each b-group is the bottom level of a tiling of the shape
 Prime-shaped and one-level shapes are the base cases, and the tilings of
 each shape are memoized.  A choice source offers the group families a split
 may use: first-slots cuts the top level's slots in order, seeded-random
-shuffles them once per split before cutting, and enumerate-all offers every
-unordered family.  Role-symmetric choices can give the same tiling, so the
-tilings of a shape are deduplicated.
+shuffles them once per split before cutting, and the iter_tiling_choices_*
+functions offer every unordered family.  Role-symmetric choices can give the
+same tiling, so the tilings of a shape are deduplicated.
 
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids.  The search
@@ -34,17 +34,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product as iproduct
+from itertools import combinations, groupby, product as iproduct
 from math import comb, factorial
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterator, Optional
 
 from . import fseq
+from .digits import to_decimal
 from .errors import (
     CapExceeded,
     IdentityError,
     NonIntegralError,
     TilingError,
+    check_cap,
 )
 from .fseq import FSeq
 from .poset import (
@@ -83,10 +85,11 @@ __all__ = [
     "triangle",
 ]
 
-DEFAULT_NODE_CAP = 10**8
+# The count memo holds about 140 bytes per node, so 10^7 nodes stay near 1.4 GB.
+DEFAULT_NODE_CAP = 10**7
 DEFAULT_ROW_CAP = 200
 
-POLICY_MODES = ("first-slots", "seeded-random", "enumerate-all")
+POLICY_MODES = ("first-slots", "seeded-random")
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ class TilePolicy:
     """Slot-choice policy for the constructive tilers.
 
     first-slots takes the lexicographically least slots at every split;
-    seeded-random draws them from a seeded generator; enumerate-all is
-    served by the iter_tiling_choices_* functions.
+    seeded-random draws them from a seeded generator.  Every choice is
+    offered by the iter_tiling_choices_* functions instead.
     """
 
     mode: str = "first-slots"
@@ -222,11 +225,8 @@ def _all_families(top, size_a, count_a, size_b, count_b) -> Iterator[tuple]:
 
 
 def _choice_source(policy: TilePolicy):
-    """Group families per split: every family for enumerate-all, else one
-    family cut in order from the top level's slots, shuffled once per split
-    under seeded-random."""
-    if policy.mode == "enumerate-all":
-        return _all_families
+    """One group family per split, cut in order from the top level's slots,
+    shuffled once per split under seeded-random."""
     rng = random.Random(policy.seed) if policy.mode == "seeded-random" else None
 
     def choose(top, size_a, count_a, size_b, count_b):
@@ -272,22 +272,15 @@ def _raw_to_tiling(layer: Layer, raw_blocks) -> Tiling:
     return make_tiling(layer, blocks)
 
 
-def _capped_layer(seq: FSeq, k: int, n: int, chain_cap: Optional[int]) -> Layer:
+def _layer_tilings(seq, k, n, which, choose, chain_cap) -> tuple[Layer, list]:
+    """The capped layer and its raw tilings under identity `which`'s split,
+    over the group families that choose offers."""
     layer = build_layer(seq, k, n)
-    limit = DEFAULT_CHAIN_CAP if chain_cap is None else chain_cap
-    if layer.chain_count > limit:
-        raise CapExceeded("chains", limit, needed=layer.chain_count)
-    return layer
-
-
-def _layer_tilings(seq, k, n, which, policy, chain_cap) -> tuple[Layer, list]:
-    """The capped layer and its raw tilings under identity `which`'s split."""
-    layer = _capped_layer(seq, k, n, chain_cap)
+    check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
     witness = _identity_witness(seq, k, n, which)
     if witness is not None:
         raise IdentityError(which, witness)
-    raws = _shape_tilings(seq, layer.sizes, _SPLITS[which], _choice_source(policy), {})
-    return layer, raws
+    return layer, _shape_tilings(seq, layer.sizes, _SPLITS[which], choose, {})
 
 
 def tile_additive(
@@ -303,10 +296,8 @@ def tile_additive(
     Requires the additive identity term(m + k) = term(m) + term(k) on the
     range the recursion touches; the first violation is raised as an error.
     """
-    policy = policy or TilePolicy()
-    if policy.mode == "enumerate-all":
-        raise ValueError("use iter_tiling_choices_additive for the enumerate-all policy")
-    layer, (raw,) = _layer_tilings(seq, k, n, 1, policy, chain_cap)
+    choose = _choice_source(policy or TilePolicy())
+    layer, (raw,) = _layer_tilings(seq, k, n, 1, choose, chain_cap)
     return _raw_to_tiling(layer, raw)
 
 
@@ -323,10 +314,8 @@ def tile_fibonacci(
     Requires the identity term(m + k) = term(k + 1) * term(m) +
     term(m - 1) * term(k) on the range the recursion touches.
     """
-    policy = policy or TilePolicy()
-    if policy.mode == "enumerate-all":
-        raise ValueError("use iter_tiling_choices_fibonacci for the enumerate-all policy")
-    layer, (raw,) = _layer_tilings(seq, k, n, 2, policy, chain_cap)
+    choose = _choice_source(policy or TilePolicy())
+    layer, (raw,) = _layer_tilings(seq, k, n, 2, choose, chain_cap)
     return _raw_to_tiling(layer, raw)
 
 
@@ -334,7 +323,7 @@ def iter_tiling_choices_additive(
     seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
 ) -> Iterator[Tiling]:
     """Every distinct tiling reachable by the additive recursion's choices."""
-    layer, raws = _layer_tilings(seq, k, n, 1, TilePolicy("enumerate-all"), chain_cap)
+    layer, raws = _layer_tilings(seq, k, n, 1, _all_families, chain_cap)
     for raw in raws:
         yield _raw_to_tiling(layer, raw)
 
@@ -343,7 +332,7 @@ def iter_tiling_choices_fibonacci(
     seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
 ) -> Iterator[Tiling]:
     """Every distinct tiling reachable by the convolution recursion's choices."""
-    layer, raws = _layer_tilings(seq, k, n, 2, TilePolicy("enumerate-all"), chain_cap)
+    layer, raws = _layer_tilings(seq, k, n, 2, _all_families, chain_cap)
     for raw in raws:
         yield _raw_to_tiling(layer, raw)
 
@@ -596,7 +585,7 @@ def count_tilings_fibonacci(seq: FSeq, n: int, k: int, mode: str = "derived") ->
     multinomial of ordinary factorials of term values times both sub-counts
     to the first power.  derived mode counts unordered group families and
     raises the sub-counts to the group-count powers, which matches the
-    deduplicated enumerate-all stream on the ranges tested.
+    deduplicated iter_tiling_choices_fibonacci stream on the ranges tested.
     """
     if mode not in ("paper", "derived"):
         raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
@@ -675,7 +664,7 @@ def _bound_parameters(seq: FSeq, n: int, k: int) -> tuple[int, int, int]:
     f = fseq.fnomial(seq, n, k - 1)
     if not f.is_integer:
         raise NonIntegralError(
-            f"fnomial({n}, {k - 1}) = {f.value} is not an integer; no block count"
+            f"fnomial({n}, {k - 1}) = {to_decimal(f.value)} is not an integer; no block count"
         )
     kappa = int(f.value)
     lam = fseq.f_factorial(seq, m)
@@ -714,37 +703,30 @@ class Triangle:
     cells: dict
     notes: dict
 
-    def to_csv(self) -> str:
-        lines = ["n,k,value"]
+    def _walk(self) -> Iterator[tuple[int, int, str]]:
+        """(n, k, text) for each cell in row order, a note's text led by "!".
+
+        A generator, so a caller holds no more cell strings than it keeps.
+        """
+        start = 0 if self.include_zero and self.kind == "fnomial" else 1
         for n in range(1, self.rows + 1):
-            start = 0 if self.include_zero and self.kind == "fnomial" else 1
             for k in range(start, n + 1):
-                if (n, k) in self.cells:
-                    value = str(self.cells[(n, k)])
-                else:
-                    value = "!" + self.notes[(n, k)].replace(",", ";")
-                lines.append(f"{n},{k},{value}")
+                value = self.cells.get((n, k))
+                text = "!" + self.notes[(n, k)] if value is None else to_decimal(value)
+                yield n, k, text
+
+    def to_csv(self) -> str:
+        # only notes hold commas
+        lines = ["n,k,value"]
+        lines += [f"{n},{k},{text.replace(',', ';')}" for n, k, text in self._walk()]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        rendered = {}
-        width = 1
-        for n in range(1, self.rows + 1):
-            start = 0 if self.include_zero and self.kind == "fnomial" else 1
-            for k in range(start, n + 1):
-                if (n, k) in self.cells:
-                    text = str(self.cells[(n, k)])
-                else:
-                    text = "!" + self.notes[(n, k)]
-                rendered[(n, k)] = text
-                width = max(width, len(text))
+        cells = list(self._walk())
+        width = max((len(text) for _, _, text in cells), default=1)
         lines = []
-        for n in range(1, self.rows + 1):
-            start = 0 if self.include_zero and self.kind == "fnomial" else 1
-            row = " ".join(
-                rendered[(n, k)].rjust(width) for k in range(start, n + 1)
-            )
-            lines.append(f"{n:>3} | {row}")
+        for n, row in groupby(cells, key=itemgetter(0)):
+            lines.append(f"{n:>3} | " + " ".join(text.rjust(width) for _, _, text in row))
         return "\n".join(lines) + "\n"
 
 
@@ -763,11 +745,9 @@ def triangle(
     """
     if kind not in TRIANGLE_KINDS:
         raise ValueError(f"kind must be one of {TRIANGLE_KINDS}, got {kind!r}")
-    limit = DEFAULT_ROW_CAP if row_cap is None else row_cap
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
-    if rows > limit:
-        raise CapExceeded("rows", limit, needed=rows)
+    check_cap("rows", rows, row_cap, DEFAULT_ROW_CAP)
     cells: dict = {}
     notes: dict = {}
     for n in range(1, rows + 1):
@@ -777,7 +757,7 @@ def triangle(
                 if k == 0 and not include_zero:
                     continue
                 if value.denominator != 1:
-                    notes[(n, k)] = f"non-integer {value}"
+                    notes[(n, k)] = f"non-integer {to_decimal(value)}"
                 else:
                     cells[(n, k)] = value.numerator
             continue

@@ -1,11 +1,17 @@
 """Command-line surface: subcommands, formats, exit codes, caps."""
+import contextlib
+import io
+import itertools
 import json
+import operator
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cobweb import cli, fseq
+from cobweb import cli, fseq, tiling
 
 REC2 = '{"kind": "rec2", "f1": 1, "f2": 2}'
 NON_ADMISSIBLE = '{"kind": "explicit", "terms": ["1", "3", "2"]}'
@@ -19,6 +25,26 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def shift_chain(depth):
+    """A descriptor of depth nested levels: depth - 1 shifts around natural."""
+    shifts = depth - 1
+    return '{"kind": "shift", "s": 1, "inner": ' * shifts + '{"kind": "natural"}' + "}" * shifts
+
+
+def parse_chunked(text):
+    """int(text) for decimal text of any length, 1,000 digits at a time."""
+    assert text.isdigit() and text.isascii()
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+HUGE_TERM = "7" + "1234567890" * 500  # 5,001 digits, past the 4,300-digit limit
+HUGE = '{"kind": "explicit", "terms": ["1", "%s"]}' % HUGE_TERM
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +305,48 @@ def test_enumerate_deep_search_does_not_recurse(capsys):
     assert err == ""
 
 
+# (name, argv, cap): each argv needs more than cap of the named resource
+CAP_CASES = [
+    ("chains", ["tile", "--seq", "natural", "--k", "2", "--n", "5"], 100),
+    ("chains", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 10),
+    ("placements", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 20),
+    ("nodes", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 50),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("name, argv, cap", CAP_CASES)
+def test_every_cap_by_flag_and_env(name, argv, cap, source, capsys, monkeypatch):
+    if source == "flag":
+        argv = argv + [f"--cap-{name}", str(cap)]
+    else:
+        monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", str(cap))
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert f"{name} cap of {cap} exceeded" in out + err
+
+
+@pytest.mark.parametrize("name", cli.CAP_NAMES)
+def test_cap_env_must_be_integer(name, capsys, monkeypatch):
+    monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", "1e3")
+    code, _, err = run(["enumerate", "--seq", "natural", "--k", "2", "--n", "3"], capsys)
+    assert code == 2
+    assert f"COBWEB_CAP_{name.upper()} must be an integer" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("name", cli.CAP_NAMES)
+def test_zero_cap_is_usage_error(name, source, capsys, monkeypatch):
+    argv = ["enumerate", "--seq", "natural", "--k", "2", "--n", "3"]
+    if source == "flag":
+        argv += [f"--cap-{name}", "0"]
+    else:
+        monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", "0")
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"cap-{name} must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # triangle
 
@@ -382,6 +450,134 @@ def test_cta3_deep_product_chain_does_not_recurse(capsys):
     assert code == 0
     assert json.loads(out)["reconstruction"] == {"ok": True, "depth": 600}
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# integers past the interpreter's 4,300-digit int/str limit
+
+def test_triangle_cells_past_digit_limit(capsys):
+    code, out, err = run(
+        ["triangle", "--seq", "natural", "--kind", "additive", "--rows", "16"], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    nat = fseq.natural()
+    assert len(rows) == 16 * 17 // 2
+    for n, k, value in rows:
+        assert parse_chunked(value) == tiling.count_tilings_additive(nat, int(n), int(k))
+    assert max(len(value) for _, _, value in rows) > 5000
+
+
+def test_seq_factorials_past_digit_limit(capsys):
+    code, out, err = run(
+        ["seq", "--seq", "fibonacci", "--count", "220", "--factorials"], capsys
+    )
+    assert (code, err) == (0, "")
+    got = [parse_chunked(v) for v in json.loads(out)["factorials"]]
+    terms = fseq.prefix(fseq.fibonacci(), 220)
+    assert got == list(itertools.accumulate(terms, operator.mul))
+    assert len(json.loads(out)["factorials"][-1]) > 5000
+
+
+def test_explicit_term_past_digit_limit_round_trips(capsys):
+    seq = fseq.from_json(HUGE)
+    assert seq.term(1) == parse_chunked(HUGE_TERM)
+    assert fseq.from_json(fseq.to_json(seq)).term(1) == seq.term(1)
+    code, out, err = run(["seq", "--seq", HUGE, "--count", "1"], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["terms"] == [HUGE_TERM]
+    assert obj["seq"]["terms"] == ["1", HUGE_TERM]
+
+
+# ---------------------------------------------------------------------------
+# descriptor depth
+
+def test_descriptor_at_depth_limit_works(capsys):
+    depth = fseq.MAX_DESCRIPTOR_DEPTH
+    code, out, err = run(
+        ["seq", "--seq", shift_chain(depth), "--count", "600", "--format", "text"], capsys
+    )
+    assert (code, err) == (0, "")
+    # every shift prepends one 1
+    assert out.split() == ["1"] * (depth - 1) + [str(n) for n in range(1, 601 - (depth - 1))]
+
+
+@pytest.mark.parametrize("depth", [fseq.MAX_DESCRIPTOR_DEPTH + 1, 500, 1200])
+def test_descriptor_past_depth_limit_is_usage_error(depth, capsys):
+    # 500 levels parse as JSON and fail the depth check; 1,200 levels
+    # exceed the JSON parser's own nesting limit first
+    code, out, err = run(["seq", "--seq", shift_chain(depth), "--count", "600"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: descriptor nests deeper than {fseq.MAX_DESCRIPTOR_DEPTH} levels\n"
+
+
+# ---------------------------------------------------------------------------
+# every argument vector ends in a documented exit code
+
+_SPECS = st.sampled_from([
+    "natural",
+    "fibonacci",
+    REC2,
+    NON_ADMISSIBLE,
+    PRODUCT_22_33,
+    '{"kind": "explicit", "terms": ["1", "2", "0", "3"]}',
+    '{"kind": "explicit", "terms": [1, 2.5]}',
+    '{"kind": "periodic", "c": 0, "M": 2}',
+    "nope",
+    "{bad json",
+    HUGE,
+    shift_chain(500),
+    shift_chain(1200),
+])
+_SMALL = st.integers(-2, 6).map(str)
+_FORMAT = st.sampled_from(["json", "text", "csv", "dot"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    spec = draw(_SPECS)
+    argv = [command, "--seq", spec]
+    if command in ("seq", "admissible", "cta3"):
+        argv += ["--count", draw(st.integers(-1, 30).map(str))]
+    elif command in ("tile", "enumerate"):
+        argv += ["--k", draw(_SMALL), "--n", draw(st.integers(-1, 4).map(str))]
+    else:
+        # The equal-blocks kind takes factorials of term products, and no
+        # cap bounds their size yet: a huge term would not terminate, and
+        # six rows on rec2 take about 20 s (factorial(243600) per cell).
+        kinds = [k for k in tiling.TRIANGLE_KINDS if spec != HUGE or k != "equal-blocks"]
+        rows = st.integers(-2, 5).map(str)
+        argv += ["--rows", draw(rows), "--kind", draw(st.sampled_from(kinds))]
+    optional = {
+        "seq": [["--factorials"], ["--fnomials"]],
+        "cta3": [["--reconstruct", draw(_SMALL)]],
+        "tile": [["--variant", draw(st.sampled_from(["auto", "additive", "fibonacci"]))],
+                 ["--policy", "seeded-random", "--seed", draw(_SMALL)],
+                 ["--cap-chains", draw(_SMALL)]],
+        "enumerate": [["--limit", draw(_SMALL)], ["--workers", draw(_SMALL)],
+                      ["--cap-chains", draw(_SMALL)], ["--cap-placements", draw(_SMALL)],
+                      ["--cap-nodes", draw(_SMALL)]],
+        "triangle": [["--mode", "paper"], ["--include-zero"]],
+    }.get(command, [])
+    for option in optional:
+        if draw(st.booleans()):
+            argv += option
+    if draw(st.booleans()):
+        argv += ["--format", draw(_FORMAT)]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "Exceeds the limit" not in err.getvalue(), argv
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import errors, fseq, tiling
+from cobweb import digits, errors, fseq, tiling
 
 
 def test_prefixes_of_primitive_families():
@@ -413,3 +413,35 @@ def test_product_reads_factors_left_to_right():
     chain = fseq.product(fseq.product(fseq.natural(), short[1]), short[2])
     with pytest.raises(errors.SequenceRangeError, match="has 0 terms"):
         chain.term(2)
+
+
+def _chunked_text(value):
+    """Decimal text of a nonnegative int, 1,000 digits at a time."""
+    chunks = []
+    while True:
+        value, low = divmod(value, 10**1000)
+        if not value:
+            return str(low) + "".join(chunks)
+        chunks.insert(0, str(low).zfill(1000))
+
+
+@given(st.integers(1, 60_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_decimal_helpers_round_trip_at_any_size(bits, negative):
+    value = (1 << bits) - 12345 if bits > 20 else bits
+    text = _chunked_text(value)
+    if negative:
+        value, text = -value, "-" + text
+    assert digits.to_decimal(value) == text
+    assert digits.parse_decimal(text) == value
+    assert digits.parse_decimal(f" +{text.lstrip('-')}\n") == abs(value)
+    if value % 7:
+        assert digits.to_decimal(Fraction(value, 7)) == f"{text}/7"
+
+
+def test_parse_decimal_rejects_what_int_rejects():
+    long = "9" * 5000
+    assert digits.parse_decimal(long[:1000] + "_" + long[1000:]) == 10**5000 - 1
+    for bad in ("", "12a", "1.5", "1e5", long + "a", "a" + long, "1" + "__" + long, long + ".0"):
+        with pytest.raises(ValueError):
+            digits.parse_decimal(bad)

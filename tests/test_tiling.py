@@ -19,7 +19,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         tiling.TilePolicy(mode="nope")
     with pytest.raises(ValueError):
-        tiling.tile_additive(fseq.natural(), 2, 3, tiling.TilePolicy("enumerate-all"))
+        tiling.TilePolicy("enumerate-all")
 
 
 def test_tile_additive_smallest_split():
