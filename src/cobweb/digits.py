@@ -1,10 +1,10 @@
 """Decimal text of integers of any size.
 
 CPython 3.11 and later refuse int/str conversions past
-sys.int_max_str_digits (4,300 digits by default).  That setting is
-process-wide, so these helpers leave it alone: short values take the
-builtin conversions, and long ones go through the decimal module, whose
-conversions are exact and carry no such limit.
+sys.int_max_str_digits (4,300 digits by default, as low as 640 when set
+through PYTHONINTMAXSTRDIGITS or -X int_max_str_digits).  That setting
+is process-wide, so these helpers leave it alone and convert through the
+decimal module, whose int conversions are exact and carry no such limit.
 """
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-# Below these sizes the builtin conversions stay under the 4,300-digit
-# limit: 14,000 bits make at most 4,215 digits.
-_SHORT_BITS = 14_000
-_SHORT_CHARS = 4_300
-_LONG_INT = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*", re.ASCII)
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*", re.ASCII)
 
 
 def to_decimal(value: Union[int, Fraction]) -> str:
@@ -26,13 +22,11 @@ def to_decimal(value: Union[int, Fraction]) -> str:
         if value.denominator == 1:
             return to_decimal(value.numerator)
         return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
-    if value.bit_length() < _SHORT_BITS:
-        return str(value)
     return str(Decimal(value))
 
 
 def parse_decimal(text: str) -> int:
-    """int(text, 10), at any number of digits; long text must be ASCII."""
-    if len(text) <= _SHORT_CHARS or not _LONG_INT.fullmatch(text):
-        return int(text, 10)
-    return int(Decimal(text))
+    """int(text, 10), at any number of digits for ASCII text."""
+    if _ASCII_INT.fullmatch(text):
+        return int(Decimal(text))
+    return int(text, 10)

@@ -15,7 +15,8 @@ Descriptors form a small closed algebra: primitive families (natural,
 fibonacci, constant, nondiminishing, periodic, geometric, rec2, explicit)
 plus two combinators (shift, product).  Descriptors round-trip through
 JSON with term values rendered as decimal strings, since terms exceed
-64-bit range for modest indices in the geometric and rec2 families.
+64-bit range for modest indices in the geometric and rec2 families; an
+int parameter of more than 640 digits is rendered as a string too.
 Integers convert at any number of digits (cobweb.digits).  A descriptor
 nests at most MAX_DESCRIPTOR_DEPTH = 256 levels, a bare kind counting as
 one: deeper nesting is a DescriptorError, because term() recurses once per
@@ -71,6 +72,10 @@ __all__ = [
 ]
 
 MAX_DESCRIPTOR_DEPTH = 256
+# Int parameters below this bound (at most 640 digits, the least int/str
+# limit CPython accepts) stay JSON numbers, which any Python json reader
+# parses; larger ones are written as decimal strings, as terms are.
+_JSON_INT_BOUND = 10**640
 _TOO_DEEP = f"descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
 
 # Parameter types other than an int minimum.
@@ -212,6 +217,8 @@ class FSeq:
                 value = value.label()
             elif spec == _TERMS:
                 value = len(value) - 1
+            else:
+                value = to_decimal(value)
             values[name] = value
         return kind.label.format(**values)
 
@@ -317,7 +324,8 @@ def product(left: FSeq, right: FSeq) -> FSeq:
 # descriptor serialization
 
 def to_descriptor(seq: FSeq) -> dict:
-    """Plain-data descriptor; term values are decimal strings."""
+    """Plain-data descriptor; term values and int parameters of more than
+    640 digits are decimal strings."""
     out = {"kind": seq.kind}
     for name, spec in KINDS[seq.kind].fields.items():
         value = seq.params[name]
@@ -325,6 +333,8 @@ def to_descriptor(seq: FSeq) -> dict:
             value = to_descriptor(value)
         elif spec == _TERMS:
             value = [to_decimal(t) for t in value]
+        elif abs(value) >= _JSON_INT_BOUND:
+            value = to_decimal(value)
         out[name] = value
     return out
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import operator
+import os
 import subprocess
 import sys
 
@@ -45,6 +46,13 @@ def parse_chunked(text):
 
 HUGE_TERM = "7" + "1234567890" * 500  # 5,001 digits, past the 4,300-digit limit
 HUGE = '{"kind": "explicit", "terms": ["1", "%s"]}' % HUGE_TERM
+HUGE_T = "1" + "0" * 4400
+HUGE_CONSTANT = '{"kind": "constant", "t": "%s"}' % HUGE_T
+# term 1 is 0 * 10^4400: the zero-term error names the huge parameter
+ZERO_TIMES_HUGE = (
+    '{"kind": "product", "left": {"kind": "explicit", "terms": ["1", "0"]},'
+    ' "right": %s}' % HUGE_CONSTANT
+)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +498,46 @@ def test_explicit_term_past_digit_limit_round_trips(capsys):
     assert obj["seq"]["terms"] == ["1", HUGE_TERM]
 
 
+def test_huge_parameter_in_output_and_errors(capsys):
+    code, out, err = run(["seq", "--seq", HUGE_CONSTANT, "--count", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"seq": {"kind": "constant", "t": HUGE_T}, "terms": [HUGE_T] * 2}
+    code, out, err = run(["admissible", "--seq", ZERO_TIMES_HUGE, "--count", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: term 1 of product(explicit[1 terms], constant(%s)) is zero; "
+        "denominator undefined\n" % HUGE_T
+    )
+
+
+def test_output_does_not_depend_on_the_digit_limit():
+    # 640 digits is the least limit CPython accepts; every command below
+    # converts values of 641 to 4,300 digits, which the default limit allows.
+    term = "3" + "1234567890" * 100
+    cases = [
+        ["seq", "--seq", "fibonacci", "--count", "100", "--factorials"],
+        ["seq", "--seq", '{"kind": "explicit", "terms": ["1", "%s"]}' % term, "--count", "1"],
+        ["seq", "--seq", '{"kind": "constant", "t": "%s"}' % term, "--count", "1"],
+        ["triangle", "--seq", "natural", "--kind", "additive", "--rows", "14",
+         "--format", "json"],
+        ["cta3", "--seq", '{"kind": "explicit", "terms": ["1", "%s", "%s"]}' % (term, term),
+         "--count", "2"],
+        ["admissible", "--seq", '{"kind": "explicit", "terms": ["1", "%s", "2"]}' % term,
+         "--count", "2"],
+    ]
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    for argv in cases:
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            code = cli.main(argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobweb.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+        assert proc.stdout == expected.getvalue(), argv
+        assert max(map(len, expected.getvalue().split('"'))) > 640, argv
+
+
 # ---------------------------------------------------------------------------
 # descriptor depth
 
@@ -527,6 +575,8 @@ _SPECS = st.sampled_from([
     "nope",
     "{bad json",
     HUGE,
+    HUGE_CONSTANT,
+    ZERO_TIMES_HUGE,
     shift_chain(500),
     shift_chain(1200),
 ])
@@ -547,7 +597,8 @@ def _argv(draw):
         # The equal-blocks kind takes factorials of term products, and no
         # cap bounds their size yet: a huge term would not terminate, and
         # six rows on rec2 take about 20 s (factorial(243600) per cell).
-        kinds = [k for k in tiling.TRIANGLE_KINDS if spec != HUGE or k != "equal-blocks"]
+        huge = spec in (HUGE, HUGE_CONSTANT)
+        kinds = [k for k in tiling.TRIANGLE_KINDS if not huge or k != "equal-blocks"]
         rows = st.integers(-2, 5).map(str)
         argv += ["--rows", draw(rows), "--kind", draw(st.sampled_from(kinds))]
     optional = {

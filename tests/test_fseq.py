@@ -249,6 +249,18 @@ def test_descriptor_and_label_pinned(seq, text, label):
     assert fseq.to_json(fseq.from_json(text)) == text
 
 
+def test_huge_parameters_are_written_as_strings():
+    # Up to 640 digits an int parameter stays a JSON number; past that it
+    # is a decimal string, and labels print it at any size.
+    below, above = 10**640 - 1, 10**4400
+    assert fseq.to_descriptor(fseq.constant(below)) == {"kind": "constant", "t": below}
+    d = fseq.to_descriptor(fseq.geometric(above, 2))
+    assert d == {"kind": "geometric", "alpha": "1" + "0" * 4400, "c": 2}
+    assert fseq.from_descriptor(d).term(2) == above * 4
+    assert fseq.from_json(fseq.to_json(fseq.constant(above))).term(1) == above
+    assert fseq.constant(above).label() == "constant(1" + "0" * 4400 + ")"
+
+
 def test_descriptor_accepts_string_parameters():
     seq = fseq.from_descriptor({"kind": "periodic", "c": "2", "M": "3"})
     assert fseq.prefix(seq, 6) == [1, 1, 2, 1, 1, 2]
