@@ -22,21 +22,27 @@ functions offer every unordered family.  Role-symmetric choices can give the
 same tiling, so the tilings of a shape are deduplicated.
 
 Exhaustive enumeration is an exact cover of the chain universe by block
-placements, each stored as an int mask over the chain ids.  The search
-branches on the uncovered chain with the fewest remaining rows (MRV).  Its
-count pass memoizes the count of each uncovered chain set; the listing
-pass walks the same branches, skipping the children the memo proves empty.
-Both passes use explicit stacks and share one node cap, and the search is
-sequential, so its count, listing and cap outcome never depend on workers.
+placements, each stored as an int mask over the chain ids and ranked by its
+subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
+search branches on the uncovered chain with the fewest remaining rows (MRV).
+Its count pass memoizes the count of each uncovered chain set.  The listing
+pass expands each distinct state with a solution once, then merges the
+states' sorted solution lists from the empty state up, keeping the first
+`limit` of each, so it lists in canonical order without building every
+solution.  Both passes use explicit stacks and share one node cap, and the
+search is sequential, so its count, listing and cap outcome never depend on
+workers.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, groupby, product as iproduct
+from heapq import merge
+from itertools import combinations, groupby, islice, product as iproduct
 from math import comb, factorial
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Iterator, Optional
 
 from . import fseq
@@ -493,19 +499,43 @@ class _Search:
                 memo[uncovered] = sum(memo[u] for _, u, _ in kids)
         return memo[self.root[0]]
 
-    def listing(self) -> list[tuple[int, ...]]:
-        """Every solution as row ids, skipping the children count() proved empty."""
-        solutions = []
-        stack = [((), *self.root)]
+    def listing(self, limit: int) -> list[tuple[int, ...]]:
+        """The first `limit` solutions as sorted row ids, in lexicographic order.
+
+        Each distinct state with a solution is expanded once.  From the fewest
+        uncovered chains up, a state keeps the first `limit` of its children's
+        merged lists, each with the branching row inserted (all solutions of a
+        state have equal length, so that keeps them sorted), and a child's
+        list is dropped once its last parent has merged it.
+        """
+        memo = self.memo
+        kids, parents = {}, {}
+        stack = [self.root]
         while stack:
-            path, uncovered, alive = stack.pop()
-            self._tick()
-            if not uncovered:
-                solutions.append(path)
+            uncovered, alive = stack.pop()
+            if uncovered in kids:
                 continue
-            kids = self._children(uncovered, alive)
-            stack += [(path + (r,), u, a) for r, u, a in kids if self.memo[u]]
-        return solutions
+            self._tick()
+            kids[uncovered] = live = [k for k in self._children(uncovered, alive) if memo[k[1]]]
+            for _, u, a in live:
+                parents[u] = parents.get(u, 0) + 1
+                stack.append((u, a))
+        lists = {}
+        for uncovered in sorted(kids, key=int.bit_count):
+            streams = [_with_row(lists[u], r) for r, u, _ in kids[uncovered]]
+            lists[uncovered] = list(islice(merge(*streams), limit)) if uncovered else [()]
+            for _, u, _ in kids[uncovered]:
+                parents[u] -= 1
+                if not parents[u]:
+                    del lists[u]
+        return lists[self.root[0]]
+
+
+def _with_row(solutions: list, r: int) -> Iterator[tuple[int, ...]]:
+    """Each sorted solution with row r inserted in order."""
+    for rows in solutions:
+        i = bisect(rows, r)
+        yield rows[:i] + (r,) + rows[i:]
 
 
 def enumerate_tilings(
@@ -520,28 +550,31 @@ def enumerate_tilings(
     """Count (exactly) and optionally list all tilings of a layer.
 
     The memoized count pass always runs.  A limit adds the listing pass and
-    returns the tilings, canonically sorted, with a truncation flag when the
-    count exceeds the limit.  nodes counts the states the count pass expands
-    plus the states the listing pass visits, all against one node cap, and
-    exceeding a cap raises instead of truncating.  The search is sequential,
-    so nothing depends on workers, which is only validated.
+    returns the first `limit` tilings in canonical order, with a truncation
+    flag when the count exceeds the limit; the listing expands each distinct
+    state with a solution once and builds at most `limit` solutions of any
+    state.  nodes counts the states the count pass expands plus the states
+    the listing pass expands, all against one node cap, and exceeding a cap
+    raises instead of truncating.  The search is sequential, so nothing
+    depends on workers, which is only validated.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     chain_ids = {c: i for i, c in enumerate(enumerate_chains(layer, cap=chain_cap))}
-    placements = list(enumerate_placements(layer, cap=placement_cap))
+    placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
     rows = [[chain_ids[c] for c in placement.chains()] for placement in placements]
     search = _Search(len(chain_ids), rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
     count = search.count()
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
     if limit is not None:
-        raw = sorted(
-            tuple(sorted(placements[rid].subsets for rid in solution))
-            for solution in search.listing()
+        truncated = count > limit
+        solutions = search.listing(limit) if count and limit else []
+        tilings = tuple(
+            make_tiling(layer, [placements[r] for r in solution]) for solution in solutions
         )
-        truncated = len(raw) > limit
-        tilings = tuple(_raw_to_tiling(layer, blocks) for blocks in raw[:limit])
     return TilingEnumeration(
         count=count, truncated=truncated, tilings=tilings, nodes=search.nodes
     )

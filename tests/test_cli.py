@@ -295,6 +295,16 @@ def test_bad_cap_env_is_usage_error(capsys, monkeypatch):
     assert "COBWEB_CAP_NODES" in err
 
 
+def test_enumerate_negative_limit_is_usage_error(capsys):
+    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit"]
+    code, out, err = run(argv + ["-1"], capsys)
+    assert code == 2 and out == "" and "limit" in err
+    code, out, _ = run(argv + ["0"], capsys)
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["count"], obj["tilings"], obj["truncated"]) == ("132", [], True)
+
+
 def test_enumerate_workers_match(capsys):
     argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "5"]
     base = run(argv, capsys)

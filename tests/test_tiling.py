@@ -2,7 +2,7 @@
 from itertools import combinations, permutations, product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset, tiling
@@ -338,6 +338,80 @@ def test_enumeration_natural_3_5_count_and_work():
     res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 3, 5))
     assert res.count == 411168
     assert res.nodes < 400_000
+
+
+def _listing_oracle(layer):
+    """Every tiling as sorted block subsets, in canonical order: every
+    solution of the search pruned by the count memo, sorted by block subsets."""
+    chain_ids = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
+    placements = list(poset.enumerate_placements(layer))
+    rows = [[chain_ids[c] for c in p.chains()] for p in placements]
+    search = tiling._Search(len(chain_ids), rows, tiling.DEFAULT_NODE_CAP)
+    search.count()
+    solutions, stack = [], [((), *search.root)]
+    while stack:
+        path, uncovered, alive = stack.pop()
+        if not uncovered:
+            solutions.append(path)
+            continue
+        kids = search._children(uncovered, alive)
+        stack += [(path + (r,), u, a) for r, u, a in kids if search.memo[u]]
+    return sorted(tuple(sorted(placements[r].subsets for r in s)) for s in solutions)
+
+
+def _check_listing_against_oracle(layer, node_cap=None):
+    want = _listing_oracle(layer)
+    count = len(want)
+    for limit in sorted({0, 1, 7, count - 1, count, count + 1} - {-1}):
+        res = tiling.enumerate_tilings(layer, limit, node_cap=node_cap)
+        assert res.count == count, limit
+        assert [_blocks(t) for t in res.tilings] == want[:limit], limit
+        assert res.truncated == (count > limit), limit
+
+
+def test_enumeration_listing_matches_sorted_oracle():
+    nat, fib = fseq.natural(), fseq.fibonacci()
+    prod = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
+    gap = fseq.explicit(["1", "1", "2", "4", "3", "5"])
+    layers = [(nat, 3, 4), (nat, 2, 5), (fib, 2, 5), (prod, 2, 6), (prod, 5, 7), (gap, 3, 5)]
+    for seq, k, n in layers:
+        _check_listing_against_oracle(poset.build_layer(seq, k, n))
+    # the last two layers have no tiling
+    assert tiling.enumerate_tilings(poset.build_layer(prod, 5, 7), 1).tilings == ()
+    assert tiling.enumerate_tilings(poset.build_layer(gap, 3, 5), 1).tilings == ()
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_listing_matches_oracle_on_explicit_sequences(terms, data):
+    # term(0) = term(1) = 1, then the drawn terms; with term(1) = 1 a layer
+    # with k = 1 or k = n has exactly one tiling, so draw 2 <= k < n
+    n = data.draw(st.integers(3, len(terms) + 1))
+    k = data.draw(st.integers(2, n - 1))
+    layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
+    assume(layer.chain_count <= 36)
+    try:
+        count = tiling.enumerate_tilings(layer, node_cap=2_000).count
+    except errors.CapExceeded:
+        assume(False)
+    assume(count <= 2_000)
+    _check_listing_against_oracle(layer, node_cap=10_000)
+
+
+def test_enumeration_listing_expands_each_state_once():
+    # visiting every path of the memo's DAG took 141,324 and 31,592 nodes
+    nat = poset.build_layer(fseq.natural(), 4, 5)
+    assert tiling.enumerate_tilings(nat, limit=1000).nodes < 10_000
+    prod = poset.build_layer(fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3)), 2, 6)
+    assert tiling.enumerate_tilings(prod, limit=100).nodes < 10_000
+
+
+def test_enumeration_rejects_negative_limit():
+    layer = poset.build_layer(fseq.natural(), 3, 4)
+    with pytest.raises(ValueError):
+        tiling.enumerate_tilings(layer, -1)
+    res = tiling.enumerate_tilings(layer, 0)
+    assert res.count == 132 and res.tilings == () and res.truncated
 
 
 def test_enumeration_respects_placement_cap():
