@@ -9,6 +9,7 @@ error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -212,6 +213,17 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
     return EXIT_OK
 
 
+def _tilings_json(tilings) -> str:
+    """The tilings' block arrays as json.dumps(..., indent=2) writes them one
+    key deep, each distinct placement rendered once and reused."""
+    block_text = functools.cache(
+        lambda block: json.dumps(block.subsets, indent=2).replace("\n", "\n      ")
+    )
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(block_text, t.blocks)) + "\n    ]" for t in tilings
+    ) + "\n  ]"
+
+
 def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     layer = build_layer(seq, ns.k, ns.n)
     try:
@@ -240,8 +252,15 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
             "n": layer.n,
             "sizes": [str(s) for s in layer.sizes],
         }
-        obj["tilings"] = [tiling_to_dict(t)["blocks"] for t in result.tilings]
-    _report(ns, obj, f"count {count}\n")
+        obj["tilings"] = []
+    if ns.format == "json" and result.tilings:
+        # obj's other values are numbers, booleans, decimal strings and
+        # nonempty lists, so the placeholder occurs once
+        doc = json.dumps(obj, sort_keys=True, indent=2)
+        doc = doc.replace('"tilings": []', '"tilings": ' + _tilings_json(result.tilings), 1)
+        _emit(doc + "\n", ns.output)
+    else:
+        _report(ns, obj, f"count {count}\n")
     return EXIT_OK if result.count > 0 else EXIT_NEGATIVE
 
 

@@ -25,22 +25,20 @@ Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
 search branches on the uncovered chain with the fewest remaining rows (MRV).
-Its count pass memoizes the count of each uncovered chain set.  The listing
-pass expands each distinct state with a solution once, then merges the
-states' sorted solution lists from the empty state up, keeping the first
-`limit` of each, so it lists in canonical order without building every
-solution.  Both passes use explicit stacks and share one node cap, and the
-search is sequential, so its count, listing and cap outcome never depend on
-workers.
+Its count pass memoizes the count of each uncovered chain set, and charges
+each state it expands to one node cap.  The listing pass revisits each
+distinct state with a solution once, then builds the states' solution lists
+from the empty state up, each solution one int with a bit per row, keeping
+the first `limit` of each, so it lists in canonical order without building
+every solution.  Both passes use explicit stacks, and the search is
+sequential, so its count, listing and cap outcome never depend on workers.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from heapq import merge
-from itertools import combinations, groupby, islice, product as iproduct
+from itertools import combinations, groupby, product as iproduct
 from math import comb, factorial
 from operator import attrgetter, itemgetter, or_
 from typing import Iterator, Optional
@@ -431,7 +429,8 @@ class TilingEnumeration:
 
 
 class _Search:
-    """Count and listing passes over one bitmask exact cover, under one node cap.
+    """Count and listing passes over one bitmask exact cover; the count pass
+    runs under the node cap.
 
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
     e, and clash[r] the rows sharing a chain with row r.  A state is
@@ -450,13 +449,6 @@ class _Search:
         self.memo = {0: 1}
         self.nodes = 0
         self.node_cap = node_cap
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            # a proven lower bound: the root's children counted so far
-            partial = sum(self.memo.get(u, 0) for _, u, _ in self._children(*self.root))
-            raise CapExceeded("nodes", self.node_cap, partial_count=partial)
 
     def _children(self, uncovered: int, alive: int) -> list:
         """(row, uncovered, alive) after each alive row covering the MRV chain,
@@ -491,7 +483,11 @@ class _Search:
             if uncovered in memo:
                 continue
             if kids is None:
-                self._tick()
+                self.nodes += 1
+                if self.nodes > self.node_cap:
+                    # a proven lower bound: the root's children counted so far
+                    partial = sum(memo.get(u, 0) for _, u, _ in self._children(*self.root))
+                    raise CapExceeded("nodes", self.node_cap, partial_count=partial)
                 kids = self._children(uncovered, alive)
                 stack.append((uncovered, alive, kids))
                 stack += [(u, a, None) for _, u, a in kids if u not in memo]
@@ -502,40 +498,51 @@ class _Search:
     def listing(self, limit: int) -> list[tuple[int, ...]]:
         """The first `limit` solutions as sorted row ids, in lexicographic order.
 
-        Each distinct state with a solution is expanded once.  From the fewest
-        uncovered chains up, a state keeps the first `limit` of its children's
-        merged lists, each with the branching row inserted (all solutions of a
-        state have equal length, so that keeps them sorted), and a child's
-        list is dropped once its last parent has merged it.
+        A partial solution is one int in which row r sets bit W - 1 - r, for W
+        rows.  All solutions of a state have the same size, and for equal-size
+        row sets lexicographic order of the sorted ids is descending int
+        order, which OR-ing in the branching row's bit keeps.  So from the
+        fewest uncovered chains up, a state's list is its children's lists
+        with the branching row's bit OR-ed in, sorted descending and cut to
+        `limit`, and a child's list is dropped once its last parent has used
+        it.  Every state listed has a solution, so the count pass has already
+        expanded it and charged it to the node cap.
         """
         memo = self.memo
+        top = len(self.masks) - 1
         kids, parents = {}, {}
         stack = [self.root]
         while stack:
             uncovered, alive = stack.pop()
             if uncovered in kids:
                 continue
-            self._tick()
             kids[uncovered] = live = [k for k in self._children(uncovered, alive) if memo[k[1]]]
             for _, u, a in live:
                 parents[u] = parents.get(u, 0) + 1
                 stack.append((u, a))
         lists = {}
         for uncovered in sorted(kids, key=int.bit_count):
-            streams = [_with_row(lists[u], r) for r, u, _ in kids[uncovered]]
-            lists[uncovered] = list(islice(merge(*streams), limit)) if uncovered else [()]
-            for _, u, _ in kids[uncovered]:
+            keys = [] if uncovered else [0]
+            for r, u, _ in kids[uncovered]:
+                bit = 1 << (top - r)
+                keys += [key | bit for key in lists[u]]
                 parents[u] -= 1
                 if not parents[u]:
                     del lists[u]
-        return lists[self.root[0]]
+            keys.sort(reverse=True)
+            del keys[limit:]
+            lists[uncovered] = keys
+        return [_rows(key, top) for key in lists[self.root[0]]]
 
 
-def _with_row(solutions: list, r: int) -> Iterator[tuple[int, ...]]:
-    """Each sorted solution with row r inserted in order."""
-    for rows in solutions:
-        i = bisect(rows, r)
-        yield rows[:i] + (r,) + rows[i:]
+def _rows(key: int, top: int) -> tuple[int, ...]:
+    """The ascending row ids of a listing key, whose bit top - r marks row r."""
+    rows = []
+    while key:
+        b = key.bit_length() - 1
+        rows.append(top - b)
+        key ^= 1 << b
+    return tuple(rows)
 
 
 def enumerate_tilings(
@@ -551,12 +558,13 @@ def enumerate_tilings(
 
     The memoized count pass always runs.  A limit adds the listing pass and
     returns the first `limit` tilings in canonical order, with a truncation
-    flag when the count exceeds the limit; the listing expands each distinct
+    flag when the count exceeds the limit; the listing revisits each distinct
     state with a solution once and builds at most `limit` solutions of any
-    state.  nodes counts the states the count pass expands plus the states
-    the listing pass expands, all against one node cap, and exceeding a cap
-    raises instead of truncating.  The search is sequential, so nothing
-    depends on workers, which is only validated.
+    state.  nodes counts the states the count pass expands, against the node
+    cap; the listing only revisits those, so it neither adds nodes nor can
+    exceed the cap.  Exceeding a cap raises instead of truncating.  The
+    search is sequential, so nothing depends on workers, which is only
+    validated.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import cli, fseq, tiling
+from cobweb import cli, fseq, poset, tiling
 
 REC2 = '{"kind": "rec2", "f1": 1, "f2": 2}'
 NON_ADMISSIBLE = '{"kind": "explicit", "terms": ["1", "3", "2"]}'
@@ -238,6 +238,46 @@ def test_enumerate_listing(capsys):
     assert len(obj["tilings"]) == 4
     assert obj["layer"] == {"k": 2, "n": 3, "sizes": ["2", "3"]}
     assert [[[0], [0, 1]], [[0, 1], [2]], [[1], [0, 1]]] in obj["tilings"]
+
+
+def _listing_document(seq, k, n, limit):
+    """The enumerate --limit document as json.dumps writes the whole object."""
+    layer = poset.build_layer(seq, k, n)
+    res = tiling.enumerate_tilings(layer, limit)
+    obj = {
+        "count": str(res.count),
+        "complete": True,
+        "truncated": res.truncated,
+        "layer": {"k": k, "n": n, "sizes": [str(s) for s in layer.sizes]},
+        "tilings": [poset.tiling_to_dict(t)["blocks"] for t in res.tilings],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+GAP = '{"kind": "explicit", "terms": ["1", "1", "2", "4", "3", "5"]}'
+
+
+@pytest.mark.parametrize("spec,k,n", [
+    ("natural", 3, 4), ("natural", 2, 5), ("fibonacci", 2, 5), (PRODUCT_22_33, 2, 6),
+    (GAP, 3, 5),
+])
+def test_enumerate_listing_json_is_byte_identical(spec, k, n, capsys):
+    seq = cli.load_sequence(spec)
+    count = tiling.enumerate_tilings(poset.build_layer(seq, k, n)).count
+    for limit in (0, 1, 7, count + 1):
+        argv = ["enumerate", "--seq", spec, "--k", str(k), "--n", str(n), "--limit", str(limit)]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0 if count else 1, ""), limit
+        assert out == _listing_document(seq, k, n, limit), limit
+    assert (count == 0) == (spec == GAP)
+
+
+def test_enumerate_listing_json_to_file(tmp_path, capsys):
+    target = tmp_path / "listing.json"
+    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "7"]
+    code, out, _ = run(argv + ["--output", str(target)], capsys)
+    assert (code, out) == (0, "")
+    assert target.read_text(encoding="utf-8") == _listing_document(fseq.natural(), 3, 4, 7)
 
 
 def test_enumerate_zero_is_negative(capsys):
@@ -630,12 +670,22 @@ def _argv(draw):
     return argv
 
 
+# hypothesis raises the recursion limit while a test runs, which would hide
+# a recursion-depth defect, so each argv runs under the limit found at import
+_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
 @given(_argv())
 @settings(max_examples=150, deadline=None)
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(_RECURSION_LIMIT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.setrecursionlimit(raised)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
     assert "Exceeds the limit" not in err.getvalue(), argv
