@@ -25,17 +25,19 @@ Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
 search branches on the uncovered chain with the fewest remaining rows (MRV).
-Its count pass memoizes the count of each uncovered chain set, and charges
-each state it expands to one node cap.  The listing pass revisits each
-distinct state with a solution once, then builds the states' solution lists
-from the empty state up, each solution one int with a bit per row, keeping
-the first `limit` of each, so it lists in canonical order without building
-every solution.  Both passes use explicit stacks, and the search is
-sequential, so its count, listing and cap outcome never depend on workers.
+Its count pass, the only traversal, memoizes the count of each uncovered
+chain set, charges each state it expands to one node cap, and for a listing
+records each solvable state's solvable children, children first.  The
+listing merges that record from the empty state up, each solution one int
+with a bit per row, keeping the first `limit` of each state: canonical order
+without building every solution, and no node beyond the count's.  The
+search is sequential, so its count, listing and cap outcome never depend on
+workers.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, groupby, product as iproduct
@@ -429,8 +431,8 @@ class TilingEnumeration:
 
 
 class _Search:
-    """Count and listing passes over one bitmask exact cover; the count pass
-    runs under the node cap.
+    """One bitmask exact cover: the count pass, under the node cap, and a
+    listing merged over the states the count pass recorded.
 
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
     e, and clash[r] the rows sharing a chain with row r.  A state is
@@ -474,9 +476,12 @@ class _Search:
             best ^= low
         return out
 
-    def count(self) -> int:
-        """memo[uncovered] = sum of memo[child], filled from an explicit stack."""
+    def count(self, record: bool = False) -> int:
+        """memo[uncovered] = sum of memo[child], filled from an explicit stack.
+        With record, dag[uncovered] holds a solvable state's solvable children
+        as (row, uncovered) pairs, filled as states finish: children first."""
         memo = self.memo
+        dag = self.dag = {} if record else None
         stack = [(*self.root, None)]
         while stack:
             uncovered, alive, kids = stack.pop()
@@ -492,7 +497,9 @@ class _Search:
                 stack.append((uncovered, alive, kids))
                 stack += [(u, a, None) for _, u, a in kids if u not in memo]
             else:
-                memo[uncovered] = sum(memo[u] for _, u, _ in kids)
+                total = memo[uncovered] = sum(memo[u] for _, u, _ in kids)
+                if record and total:
+                    dag[uncovered] = [(r, u) for r, u, _ in kids if memo[u]]
         return memo[self.root[0]]
 
     def listing(self, limit: int) -> list[tuple[int, ...]]:
@@ -501,29 +508,18 @@ class _Search:
         A partial solution is one int in which row r sets bit W - 1 - r, for W
         rows.  All solutions of a state have the same size, and for equal-size
         row sets lexicographic order of the sorted ids is descending int
-        order, which OR-ing in the branching row's bit keeps.  So from the
-        fewest uncovered chains up, a state's list is its children's lists
-        with the branching row's bit OR-ed in, sorted descending and cut to
-        `limit`, and a child's list is dropped once its last parent has used
-        it.  Every state listed has a solution, so the count pass has already
-        expanded it and charged it to the node cap.
+        order, which OR-ing in the branching row's bit keeps.  So in the
+        order of the dag that count(record=True) filled, a state's list is
+        its children's lists with the branching row's bit OR-ed in, sorted
+        descending and cut to `limit`, and a child's list is dropped once its
+        last parent has used it.  The listing expands no state.
         """
-        memo = self.memo
         top = len(self.masks) - 1
-        kids, parents = {}, {}
-        stack = [self.root]
-        while stack:
-            uncovered, alive = stack.pop()
-            if uncovered in kids:
-                continue
-            kids[uncovered] = live = [k for k in self._children(uncovered, alive) if memo[k[1]]]
-            for _, u, a in live:
-                parents[u] = parents.get(u, 0) + 1
-                stack.append((u, a))
-        lists = {}
-        for uncovered in sorted(kids, key=int.bit_count):
-            keys = [] if uncovered else [0]
-            for r, u, _ in kids[uncovered]:
+        parents = Counter(u for kids in self.dag.values() for _, u in kids)
+        lists = {0: [0]}
+        for uncovered, kids in self.dag.items():
+            keys = []
+            for r, u in kids:
                 bit = 1 << (top - r)
                 keys += [key | bit for key in lists[u]]
                 parents[u] -= 1
@@ -556,12 +552,12 @@ def enumerate_tilings(
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
-    The memoized count pass always runs.  A limit adds the listing pass and
-    returns the first `limit` tilings in canonical order, with a truncation
-    flag when the count exceeds the limit; the listing revisits each distinct
-    state with a solution once and builds at most `limit` solutions of any
-    state.  nodes counts the states the count pass expands, against the node
-    cap; the listing only revisits those, so it neither adds nodes nor can
+    The memoized count pass always runs.  A positive limit makes it record
+    the states with a solution, and the listing merges that record into the
+    first `limit` tilings in canonical order, building at most `limit`
+    solutions of any state; a truncation flag tells when the count exceeds
+    the limit.  nodes counts the states the count pass expands, against the
+    node cap; the listing expands none, so it neither adds nodes nor can
     exceed the cap.  Exceeding a cap raises instead of truncating.  The
     search is sequential, so nothing depends on workers, which is only
     validated.
@@ -574,7 +570,7 @@ def enumerate_tilings(
     placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
     rows = [[chain_ids[c] for c in placement.chains()] for placement in placements]
     search = _Search(len(chain_ids), rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
-    count = search.count()
+    count = search.count(record=bool(limit))
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
     if limit is not None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import cli, fseq, poset, tiling
+from cobweb import cli, errors, fseq, poset, tiling
 
 REC2 = '{"kind": "rec2", "f1": 1, "f2": 2}'
 NON_ADMISSIBLE = '{"kind": "explicit", "terms": ["1", "3", "2"]}'
@@ -343,6 +343,42 @@ def test_enumerate_negative_limit_is_usage_error(capsys):
     obj = json.loads(out)
     assert code == 0
     assert (obj["count"], obj["tilings"], obj["truncated"]) == ("132", [], True)
+
+
+def test_enumerate_text_limit_lists_nothing(capsys, monkeypatch):
+    # the text report shows only the count, so it neither lists nor verifies
+    def fail(tiling):
+        raise AssertionError("text report verified a tiling")
+
+    monkeypatch.setattr(cli, "verify_tiling", fail)
+    argv = ["enumerate", "--seq", "natural", "--k", "4", "--n", "5", "--format", "text"]
+    assert run(argv + ["--limit", "1000"], capsys) == (0, "count 44928\n", "")
+    code, out, err = run(argv + ["--limit", "-1"], capsys)
+    assert code == 2 and out == "" and "limit" in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.CapExceeded("nodes", 5), 3),
+        (errors.DescriptorError("bad descriptor"), 2),
+        (errors.SequenceRangeError("past the end"), 2),
+        (ValueError("bad value"), 2),
+        (OSError("unreadable"), 2),
+        (errors.IdentityError(1, (2, 3)), 1),
+        (errors.NonIntegralError("not an integer"), 1),
+        (errors.TilingError("no split"), 1),
+        (errors.ZeroTermError("zero term"), 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_exit_code_per_error_type(error, code, capsys, monkeypatch):
+    def handler(ns, seq):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "seq", handler)
+    argv = ["seq", "--seq", "natural", "--count", "3"]
+    assert run(argv, capsys) == (code, "", f"error: {error}\n")
 
 
 def test_enumerate_workers_match(capsys):

@@ -406,13 +406,22 @@ def test_enumeration_listing_expands_each_state_once():
     assert tiling.enumerate_tilings(prod, limit=100).nodes < 10_000
 
 
-def test_enumeration_listing_adds_no_nodes():
-    # the listing only revisits states the count pass expanded, so a listing
-    # fits under the cap its count fits under
+def test_enumeration_listing_adds_no_nodes(monkeypatch):
+    # the listing merges what the count pass recorded and expands no state,
+    # so a listing fits under the cap its count fits under
     layer = poset.build_layer(fseq.natural(), 4, 5)
     counted = tiling.enumerate_tilings(layer).nodes
+    scans = 0
+    children = tiling._Search._children
+
+    def counting_children(self, uncovered, alive):
+        nonlocal scans
+        scans += 1
+        return children(self, uncovered, alive)
+
+    monkeypatch.setattr(tiling._Search, "_children", counting_children)
     listed = tiling.enumerate_tilings(layer, 1000, node_cap=counted)
-    assert listed.nodes == counted == 3155
+    assert listed.nodes == counted == scans == 3155
     assert len(listed.tilings) == 1000
     with pytest.raises(errors.CapExceeded):
         tiling.enumerate_tilings(layer, 1000, node_cap=counted - 1)
