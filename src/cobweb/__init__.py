@@ -44,6 +44,7 @@ from .seqalg import (
     h_general,
     h_natural,
     reconstruct,
+    reconstruct_prefix,
 )
 from .poset import (
     BlockPlacement,

@@ -28,7 +28,7 @@ from .errors import (
     TilingError,
 )
 from .fseq import FSeq
-from .poset import build_layer, tiling_to_dict, to_dot
+from .poset import Tiling, build_layer, tiling_to_dict, to_dot
 from .tiling import (
     TRIANGLE_KINDS,
     TilePolicy,
@@ -203,23 +203,51 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
     elif ns.format == "text":
         _emit(_render_tiling_text(result), ns.output)
     else:
-        obj = tiling_to_dict(result)
+        # "blocks": [] is a placeholder for the array written below; "blocks"
+        # sorts before "layer", the only other nested value, so the first
+        # occurrence is the placeholder
+        obj = tiling_to_dict(Tiling(result.layer, ()))
         obj["variant"] = variant
         obj["block_count"] = str(len(result.blocks))
         obj["verified"] = True
-        _emit_json(obj, ns.output)
+        doc = json.dumps(obj, sort_keys=True, indent=2)
+        doc = doc.replace('"blocks": []', '"blocks": ' + _blocks_json(result.blocks, 1), 1)
+        _emit(doc + "\n", ns.output)
     return EXIT_OK
 
 
-def _tilings_json(tilings) -> str:
-    """The tilings' block arrays as json.dumps(..., indent=2) writes them one
-    key deep, each distinct placement rendered once and reused."""
-    block_text = functools.cache(
-        lambda block: json.dumps(block.subsets, indent=2).replace("\n", "\n      ")
+# json.dumps(indent=2) encodes in pure Python before 3.13; the block arrays
+# of tile and enumerate are written here with joins, byte for byte alike.
+
+def _json_array(items: list, depth: int) -> str:
+    """Rendered items as json.dumps(..., indent=2) writes an array depth levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _block_renderer(depth: int):
+    """Function writing one block depth levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+    return lambda block: _json_array(
+        [head + sep.join(map(str, s)) + tail if s else "[]" for s in block.subsets], depth
     )
-    return "[\n    " + ",\n    ".join(
-        "[\n      " + ",\n      ".join(map(block_text, t.blocks)) + "\n    ]" for t in tilings
-    ) + "\n  ]"
+
+
+def _blocks_json(blocks, depth: int, render_block=None) -> str:
+    """A block list depth levels deep; render_block, if given, writes each
+    block (one level deeper)."""
+    render_block = render_block or _block_renderer(depth + 1)
+    return _json_array(list(map(render_block, blocks)), depth)
+
+
+def _tilings_json(tilings) -> str:
+    """The tilings' block arrays one key deep, each distinct placement
+    rendered once and reused."""
+    render_block = functools.cache(_block_renderer(3))
+    return _json_array([_blocks_json(t.blocks, 2, render_block) for t in tilings], 1)
 
 
 def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -311,11 +339,9 @@ def _cmd_cta3(ns: argparse.Namespace, seq: FSeq) -> int:
             f"term {term} not divisible by lcm {lcm}\n",
         )
         return EXIT_NEGATIVE
-    rebuilt = seqalg.reconstruct(result, depth)
     mismatch = None
-    for i in range(1, depth + 1):
+    for i, got in enumerate(seqalg.reconstruct_prefix(result, depth), 1):
         expected = seq.term(i)
-        got = rebuilt.term(i)
         if expected != got:
             mismatch = {"n": i, "expected": to_decimal(expected), "got": to_decimal(got)}
             break

@@ -3,8 +3,8 @@
 A cobweb poset is determined by a sequence of nonnegative integers.  This
 module evaluates such sequences and the generalized binomial coefficients
 built from them.  Everything is exact: terms are Python ints, generalized
-binomials are Fraction values, and admissibility is a divisibility verdict,
-so no floating point appears anywhere.
+binomials are exact rationals (ints or Fractions), and admissibility is a
+divisibility verdict, so no floating point appears anywhere.
 
 Index 0 of every sequence is fixed to 1 regardless of the descriptor, so
 factorial-style products over empty ranges are total.  The classical value
@@ -26,18 +26,21 @@ fnomial evaluates one cell by itself: two k-term products and a
 Fraction.  Scans over whole rows (the admissibility check, the fnomial
 triangle) use fnomial_row instead, which walks a row by the exact
 recurrence {n, k} = {n, k-1} * term(n-k+1) / term(k).  Each step reads two
-terms and multiplies the running value by a small fraction, so a row costs
-O(n) small-by-big operations and a scan of N rows O(N^2), against O(N^3)
-big multiplications cell by cell.  The row raises the same error at the
-same cell as the per-cell code, because step k reads term(k) and then
-term(n-k+1), the only terms the cell (n, k) reads that (n, k-1) did not.
+terms, multiplies the running value by one and divides it by the other, so
+a row costs O(n) small-by-big operations and a scan of N rows O(N^2),
+against O(N^3) big multiplications cell by cell.  The running value is an
+int while the cells are integral: a step is one divmod, and only a nonzero
+remainder makes it a Fraction, which turns back into an int once a later
+cell is integral again.  The row raises the same error at the same cell as
+the per-cell code, because step k reads term(k) and then term(n-k+1), the
+only terms the cell (n, k) reads that (n, k-1) did not.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .digits import parse_decimal, to_decimal
 from .errors import DescriptorError, SequenceRangeError, ZeroTermError
@@ -450,19 +453,27 @@ def _denominator_term(seq: FSeq, j: int) -> int:
     return t
 
 
-def fnomial_row(seq: FSeq, n: int) -> Iterator[Fraction]:
-    """Lazily yield fnomial(seq, n, k).value for k = 0..n.
+def fnomial_row(seq: FSeq, n: int) -> Iterator[Union[int, Fraction]]:
+    """Lazily yield fnomial(seq, n, k).value for k = 0..n, as an int when
+    the cell is integral and as a Fraction otherwise.
 
     Uses {n, k} = {n, k-1} * term(n-k+1) / term(k).  Errors surface at the
     same k, with the same exception, as the per-cell fnomial.
     """
     if n < 0:
         raise ValueError(f"fnomial row needs n >= 0, got {n}")
-    value = Fraction(1)
+    value = 1
     yield value
     for k in range(1, n + 1):
         den = _denominator_term(seq, k)
-        value *= Fraction(seq.term(n - k + 1), den)
+        if type(value) is int:
+            value, rest = divmod(value * seq.term(n - k + 1), den)
+            if rest:
+                value = Fraction(value * den + rest, den)
+        else:
+            value *= Fraction(seq.term(n - k + 1), den)
+            if value.denominator == 1:
+                value = value.numerator
         yield value
 
 

@@ -6,6 +6,10 @@ each h(j) with j >= 2 through a component equal to h(j) at multiples of j and
 1 elsewhere.  The factor h(n) is term(n) divided by the lcm of the terms at
 the proper divisors of n; when that division fails the sequence has no such
 factorization and the failing index is returned as a witness.
+
+reconstruct multiplies the components back as a nested product sequence,
+one product level per factor h(j) != 1; reconstruct_prefix gives the same
+terms on 1..s as a list, by a sieve over multiples that reads no term().
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ __all__ = [
     "h_natural",
     "h_general",
     "reconstruct",
+    "reconstruct_prefix",
 ]
 
 
@@ -94,6 +99,11 @@ def h_general(seq: FSeq, N: int) -> Union[HSequence, DivisibilityWitness]:
     return HSequence(base=seq, terms=tuple(terms))
 
 
+def _check_depth(h: HSequence, s: int) -> None:
+    if s < 1 or s > len(h.terms):
+        raise ValueError(f"s must be within 1..{len(h.terms)}, got {s}")
+
+
 def reconstruct(h: HSequence, s: int) -> FSeq:
     """Pointwise product of the first s periodic components.
 
@@ -102,11 +112,28 @@ def reconstruct(h: HSequence, s: int) -> FSeq:
     natural and fibonacci families do) on indices 1..s and continues
     periodically past s.
     """
-    if s < 1 or s > len(h.terms):
-        raise ValueError(f"s must be within 1..{len(h.terms)}, got {s}")
+    _check_depth(h, s)
     out = fseq.constant(h.terms[0])
     for j in range(2, s + 1):
         factor = h.terms[j - 1]
         if factor != 1:
             out = fseq.product(out, fseq.periodic(factor, j))
+    return out
+
+
+def reconstruct_prefix(h: HSequence, s: int) -> list[int]:
+    """Terms 1..s of reconstruct(h, s), without building the product.
+
+    A sieve over multiples, as in h_general: every term starts at h(1), and
+    each h(j) != 1 is multiplied into the terms at j, 2j, ..., s.  That is
+    one multiplication per multiple, where the nested product costs one
+    term() call and one multiplication per factor and index.
+    """
+    _check_depth(h, s)
+    out = [h.terms[0]] * s
+    for j in range(2, s + 1):
+        factor = h.terms[j - 1]
+        if factor != 1:
+            for i in range(j - 1, s, j):
+                out[i] *= factor
     return out

@@ -148,6 +148,39 @@ def test_tile_json(capsys):
     assert obj["blocks"] == [[[0], [0, 1]], [[0, 1], [2]], [[1], [0, 1]]]
 
 
+def _tile_document(seq, k, n, variant, policy):
+    """The tile --format json document as json.dumps writes the whole object."""
+    tile = tiling.tile_additive if variant == "additive" else tiling.tile_fibonacci
+    obj = poset.tiling_to_dict(tile(seq, k, n, policy))
+    obj.update(variant=variant, block_count=str(len(obj["blocks"])), verified=True)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind,variant,seed", [
+    ("fibonacci", "fibonacci", None), ("natural", "additive", None),
+    ("fibonacci", "fibonacci", 7), ("natural", "additive", 11),
+])
+def test_tile_json_is_byte_identical(kind, variant, seed, tmp_path, capsys):
+    argv = ["tile", "--seq", kind, "--k", "2", "--n", "5", "--format", "json"]
+    policy = tiling.TilePolicy()
+    if seed is not None:
+        argv += ["--policy", "seeded-random", "--seed", str(seed)]
+        policy = tiling.TilePolicy(mode="seeded-random", seed=seed)
+    want = _tile_document(cli.load_sequence(kind), 2, 5, variant, policy)
+    assert run(argv, capsys) == (0, want, "")
+    target = tmp_path / "tile.json"
+    assert run(argv + ["--output", str(target)], capsys) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == want
+
+
+def test_block_arrays_match_json_dumps_at_any_depth():
+    blocks = [poset.BlockPlacement(((0, 1), (), (3,))), poset.BlockPlacement(((2,),))]
+    for depth in range(4):
+        want = json.dumps([[list(s) for s in b.subsets] for b in blocks], indent=2)
+        assert cli._blocks_json(blocks, depth) == want.replace("\n", "\n" + "  " * depth)
+        assert cli._blocks_json([], depth) == "[]"
+
+
 def test_tile_auto_picks_fibonacci(capsys):
     code, out, _ = run(["tile", "--seq", "fibonacci", "--k", "3", "--n", "4"], capsys)
     assert code == 0

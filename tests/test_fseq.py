@@ -397,6 +397,30 @@ def test_fnomial_triangle_matches_per_cell(seq, rows, include_zero):
     assert table.notes == {key: v for key, v in notes.items() if keep(*key)}
 
 
+@given(_explicit_terms, st.integers(0, 11))
+@settings(max_examples=150, deadline=None)
+def test_fnomial_row_is_int_exactly_on_integral_cells(seq, n):
+    try:
+        for k, value in enumerate(fseq.fnomial_row(seq, n)):
+            integral = fseq.fnomial(seq, n, k).is_integer
+            assert type(value) is (int if integral else Fraction), (n, k)
+    except (errors.ZeroTermError, errors.SequenceRangeError):
+        pass  # raised at the same cell by both, as tested above
+
+
+def test_fnomial_row_leaves_the_integers_and_comes_back():
+    row = list(fseq.fnomial_row(fseq.explicit([1, 3, 2]), 2))
+    assert row == [1, Fraction(2, 3), 1]
+    assert [type(v) for v in row] == [int, Fraction, int]
+
+
+@pytest.mark.parametrize("seq,n", [(fseq.fibonacci(), 40), (fseq.rec2(1, 3), 60)])
+def test_fnomial_row_stays_int_on_admissible_rows(seq, n):
+    row = list(fseq.fnomial_row(seq, n))
+    assert all(type(v) is int for v in row)
+    assert row == [fseq.fnomial(seq, n, k).value for k in range(n + 1)]
+
+
 def test_fnomial_row_rejects_negative_row():
     with pytest.raises(ValueError):
         next(fseq.fnomial_row(fseq.natural(), -1))

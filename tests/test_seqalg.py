@@ -151,3 +151,32 @@ def test_reconstruct_validates_depth():
         seqalg.reconstruct(h, 0)
     with pytest.raises(ValueError):
         seqalg.reconstruct(h, 6)
+
+
+# products of random factors along divisors, on which h_general always
+# succeeds; the plain random sequences drawn beside them succeed sometimes
+_factorable = (
+    st.lists(st.integers(1, 4), min_size=1, max_size=16)
+    .map(lambda hs: [1] + [math.prod(hs[j - 1] for j in range(1, n + 1) if n % j == 0)
+                           for n in range(1, len(hs) + 1)])
+    .map(fseq.explicit)
+)
+
+
+@given(_factorable | st.lists(st.integers(1, 12), min_size=1, max_size=16).map(
+    lambda ts: fseq.explicit([1] + ts)))
+@settings(max_examples=150, deadline=None)
+def test_reconstruct_prefix_matches_reconstruct(seq):
+    N = len(seq.params["terms"]) - 1
+    h = seqalg.h_general(seq, N)
+    if isinstance(h, seqalg.DivisibilityWitness):
+        return
+    for s in range(1, N + 1):
+        assert seqalg.reconstruct_prefix(h, s) == fseq.prefix(seqalg.reconstruct(h, s), s), s
+
+
+def test_reconstruct_prefix_validates_depth():
+    h = seqalg.h_general(fseq.natural(), 5)
+    for s in (0, 6):
+        with pytest.raises(ValueError, match="within 1..5"):
+            seqalg.reconstruct_prefix(h, s)
