@@ -9,19 +9,20 @@ import csv
 import sys
 
 from cobweb import cli, errors, fseq, poset, tiling
+from cobweb.digits import to_decimal
 
 
 def census_row(seq, k, n, skip_exhaustive):
     m = n - k + 1
     row = {"k": k, "n": n, "blocks": "", "constructive": "", "exhaustive": "", "bound": ""}
     f = fseq.fnomial(seq, n, m)
-    row["blocks"] = str(f.value) if f.is_integer else f"non-integer {f.value}"
+    row["blocks"] = to_decimal(f.value) if f.is_integer else f"non-integer {to_decimal(f.value)}"
     try:
         variant, _, _ = tiling.detect_variant(seq, k, n)
         if variant == "additive":
-            row["constructive"] = str(tiling.count_tilings_additive(seq, n, k))
+            row["constructive"] = to_decimal(tiling.count_tilings_additive(seq, n, k))
         elif variant == "fibonacci":
-            row["constructive"] = str(tiling.count_tilings_fibonacci(seq, n, k))
+            row["constructive"] = to_decimal(tiling.count_tilings_fibonacci(seq, n, k))
         else:
             row["constructive"] = "no recursion"
     except errors.CobwebError as exc:
@@ -29,11 +30,11 @@ def census_row(seq, k, n, skip_exhaustive):
     if not skip_exhaustive:
         try:
             layer = poset.build_layer(seq, k, n)
-            row["exhaustive"] = str(tiling.enumerate_tilings(layer).count)
+            row["exhaustive"] = to_decimal(tiling.enumerate_tilings(layer).count)
         except errors.CapExceeded as exc:
             row["exhaustive"] = f"capped: {exc}"
     try:
-        row["bound"] = str(tiling.equal_block_bound(seq, n, k))
+        row["bound"] = to_decimal(tiling.equal_block_bound(seq, n, k))
     except errors.NonIntegralError:
         row["bound"] = "undefined"
     return row

@@ -140,7 +140,7 @@ def _fitting_assignments(layer: Layer) -> list[tuple[int, ...]]:
     base = prime_level_sizes(layer.seq, layer.m)
     fits = []
     for assignment in sorted(set(permutations(base))):
-        if all(a <= size for a, size in zip(assignment, layer.sizes)):
+        if all(0 < a <= size for a, size in zip(assignment, layer.sizes)):
             fits.append(assignment)
     return fits
 

@@ -21,6 +21,11 @@ shuffles them once per split before cutting, and the iter_tiling_choices_*
 functions offer every unordered family.  Role-symmetric choices can give the
 same tiling, so the tilings of a shape are deduplicated.
 
+Both choice counts are one recursion over cells (n, k), the split's
+multinomial times the sub-counts, so paper and derived modes differ only for
+the convolution.  A triangle shares one memo across its cells and checks its
+identity once per row.
+
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
@@ -39,7 +44,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import combinations, groupby, product as iproduct
 from math import comb, factorial
 from operator import attrgetter, itemgetter, or_
@@ -587,86 +592,74 @@ def enumerate_tilings(
 # ---------------------------------------------------------------------------
 # counting recurrences
 
-def count_tilings_additive(seq: FSeq, n: int, k: int) -> int:
-    """Outcome count of the additive recursion's choice tree for levels k..n."""
-    if k < 1 or n < k:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if k != n and k != 1:
-        witness = fseq.check_identity_1(seq, n)
-        if witness is not None:
-            raise IdentityError(1, witness)
+def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
+    """count(n, k) of identity `which`'s recursion for levels k..n, over one
+    memo for every cell it is asked for.
+
+    A cell splits term(n) slots into ga groups of term(m) and gb groups of
+    term(k - 1), (ga, gb) = (1, 1) for the additive identity (1) and
+    (term(k), term(m - 1)) for the convolution identity (2), and is the
+    multinomial of that split times count(n - 1, k) ** ga * count(n - 1,
+    k - 1) ** gb.  derived mode counts unordered families, dividing by
+    ga! gb!; paper mode keeps the ordered multinomial and first powers.
+    Cells with k = 1 or m <= which are base cases.  The identity is checked
+    once per row n, and it covers every split below (n, k).
+    """
+    if mode not in ("paper", "derived"):
+        raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
+    check = cache(partial(fseq.check_identity_1 if which == 1 else fseq.check_identity_2, seq))
     memo: dict[tuple[int, int], int] = {}
 
-    def rec(nn: int, kk: int) -> int:
-        if kk == nn or kk == 1:
+    def rec(n: int, k: int) -> int:
+        m = n - k + 1
+        if k == 1 or m <= which:
             return 1
-        key = (nn, kk)
-        got = memo.get(key)
-        if got is None:
-            m = nn - kk + 1
-            got = (
-                comb(seq.term(nn), seq.term(m))
-                * rec(nn - 1, kk)
-                * rec(nn - 1, kk - 1)
-            )
-            memo[key] = got
-        return got
+        if (n, k) in memo:
+            return memo[n, k]
+        total, a, b = seq.term(n), seq.term(m), seq.term(k - 1)
+        ga, gb = (1, 1) if which == 1 else (seq.term(k), seq.term(m - 1))
+        if ga == gb == 1:
+            got = comb(total, a)  # two groups: a binomial
+        else:
+            denom = factorial(a) ** ga * factorial(b) ** gb
+            if mode == "derived":
+                denom *= factorial(ga) * factorial(gb)
+            got, remainder = divmod(factorial(total), denom)
+            # an integer unless a zero-size group kind has a repeat factor
+            if remainder:
+                raise NonIntegralError(
+                    f"multinomial {to_decimal(total)}! / {to_decimal(denom)} "
+                    f"is not an integer at (n, k) = ({n}, {k})"
+                )
+            if mode == "paper":
+                ga = gb = 1  # the printed form takes each sub-count once
+        memo[n, k] = got * rec(n - 1, k) ** ga * rec(n - 1, k - 1) ** gb
+        return memo[n, k]
 
-    return rec(n, k)
+    def count(n: int, k: int) -> int:
+        if k < 1 or n < k:
+            raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+        witness = check(n) if k != 1 and n - k + 1 > which else None
+        if witness is not None:
+            raise IdentityError(which, witness)
+        return rec(n, k)
+
+    return count
+
+
+def count_tilings_additive(seq: FSeq, n: int, k: int) -> int:
+    """Outcome count of the additive recursion's choice tree for levels k..n."""
+    return _constructive_counter(seq, 1)(n, k)
 
 
 def count_tilings_fibonacci(seq: FSeq, n: int, k: int, mode: str = "derived") -> int:
     """Choice count of the convolution recursion for levels k..n.
 
-    paper mode evaluates the printed closed form verbatim: an ordered
-    multinomial of ordinary factorials of term values times both sub-counts
-    to the first power.  derived mode counts unordered group families and
-    raises the sub-counts to the group-count powers, which matches the
-    deduplicated iter_tiling_choices_fibonacci stream on the ranges tested.
+    paper mode evaluates the printed closed form verbatim.  derived mode
+    counts unordered group families, which matches the deduplicated
+    iter_tiling_choices_fibonacci stream on the ranges tested.
     """
-    if mode not in ("paper", "derived"):
-        raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
-    if k < 1 or n < k:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if k not in (n, n - 1, 1):
-        witness = fseq.check_identity_2(seq, n)
-        if witness is not None:
-            raise IdentityError(2, witness)
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(nn: int, kk: int) -> int:
-        if kk in (nn, nn - 1, 1):
-            return 1
-        key = (nn, kk)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        m = nn - kk + 1
-        kappa = seq.term(kk)
-        mu = seq.term(m - 1)
-        m_f = seq.term(m)
-        small = seq.term(kk - 1)
-        n_f = seq.term(nn)
-        if kappa * m_f + mu * small != n_f:
-            raise TilingError(
-                f"split {kappa}*{m_f} + {mu}*{small} != {n_f} at (n, k) = ({nn}, {kk})"
-            )
-        denom = factorial(m_f) ** kappa * factorial(small) ** mu
-        if mode == "derived":
-            denom *= factorial(kappa) * factorial(mu)
-        quotient, remainder = divmod(factorial(n_f), denom)
-        if remainder:
-            raise NonIntegralError(
-                f"multinomial {n_f}! / {denom} is not an integer at (n, k) = ({nn}, {kk})"
-            )
-        if mode == "paper":
-            got = quotient * rec(nn - 1, kk) * rec(nn - 1, kk - 1)
-        else:
-            got = quotient * rec(nn - 1, kk) ** kappa * rec(nn - 1, kk - 1) ** mu
-        memo[key] = got
-        return got
-
-    return rec(n, k)
+    return _constructive_counter(seq, 2, mode)(n, k)
 
 
 def stirling_lambda(eta: int, kappa: int, lam: int) -> int:
@@ -787,6 +780,12 @@ def triangle(
     check_cap("rows", rows, row_cap, DEFAULT_ROW_CAP)
     cells: dict = {}
     notes: dict = {}
+    if kind == "additive":
+        cell = _constructive_counter(seq, 1)
+    elif kind == "fibonacci":
+        cell = _constructive_counter(seq, 2, mode)
+    else:
+        cell = partial(equal_block_bound, seq)
     for n in range(1, rows + 1):
         if kind == "fnomial":
             # One lazy row per n; its zero-term and range errors propagate.
@@ -800,13 +799,8 @@ def triangle(
             continue
         for k in range(1, n + 1):
             try:
-                if kind == "additive":
-                    cells[(n, k)] = count_tilings_additive(seq, n, k)
-                elif kind == "fibonacci":
-                    cells[(n, k)] = count_tilings_fibonacci(seq, n, k, mode=mode)
-                else:
-                    cells[(n, k)] = equal_block_bound(seq, n, k)
-            except (IdentityError, NonIntegralError, TilingError) as exc:
+                cells[(n, k)] = cell(n, k)
+            except (IdentityError, NonIntegralError) as exc:
                 notes[(n, k)] = str(exc)
     return Triangle(
         kind=kind, rows=rows, include_zero=include_zero, cells=cells, notes=notes

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, caps."""
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -35,11 +36,12 @@ def shift_chain(depth):
 
 
 def parse_chunked(text):
-    """int(text) for decimal text of any length, 1,000 digits at a time."""
+    """int(text) for decimal text of any length, 500 digits at a time (under
+    the lowest int/str digit limit, 640)."""
     assert text.isdigit() and text.isascii()
     value = 0
-    for i in range(0, len(text), 1000):
-        chunk = text[i:i + 1000]
+    for i in range(0, len(text), 500):
+        chunk = text[i:i + 500]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
 
@@ -321,6 +323,20 @@ def test_enumerate_zero_is_negative(capsys):
     assert json.loads(out)["count"] == "0"
 
 
+ZERO_PRIME = '{"kind": "explicit", "terms": ["1", "2", "0", "2", "2", "2"]}'
+
+
+@pytest.mark.parametrize("k,n", [(3, 4), (4, 5)])
+def test_enumerate_zero_prime_size_counts_zero(k, n, capsys):
+    # prime sizes (2, 0): no placement fits, so no tiling exists
+    code, out, err = run(
+        ["enumerate", "--seq", ZERO_PRIME, "--k", str(k), "--n", str(n), "--limit", "3"], capsys
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"count": "0", "complete": True, "truncated": False, "tilings": [],
+                               "layer": {"k": k, "n": n, "sizes": ["2", "2"]}}
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(
         ["enumerate", "--seq", "natural", "--k", "2", "--n", "3",
@@ -522,6 +538,93 @@ def test_triangle_row_cap(capsys):
     assert "rows cap of 200 exceeded" in err
 
 
+# sha256 of the stdout of `triangle --format csv --rows 7`, pinned from the
+# output of the separate additive and convolution counters that one shared
+# recursion replaced: (sequence, kind) -> (exit code, derived, paper)
+_TRIANGLE_SEQS = {
+    "natural": "natural",
+    "fibonacci": "fibonacci",
+    "rec2(1,2)": REC2,
+    "rec2(1,3)": '{"kind": "rec2", "f1": 1, "f2": 3}',
+    "even": '{"kind": "explicit", "terms": ["1", "2", "4", "6", "8", "10", "12", "14"]}',
+    "zero": '{"kind": "explicit", "terms": ["1", "0", "0", "0", "0", "0", "0", "0"]}',
+    "short": '{"kind": "explicit", "terms": ["1", "1", "2", "3", "4"]}',
+    # the additive identity holds through n = 4, the convolution one through
+    # n = 4 with a non-integral family count at (4, 2)
+    "bent": '{"kind": "explicit", "terms": ["1", "1", "2", "3", "4", "6", "7", "8"]}',
+    "zero-first": '{"kind": "explicit", "terms": ["1", "0", "2", "4", "8", "16", "32", "64"]}',
+}
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_NO_CONVOLUTION = "cd25ed22919506ea2b198a2bb92a2593282fe21f7901d24b958effb6068d38e0"
+_NO_ADDITIVE = "cab8b540515af30fdaddd0741c2063297fc733d193e88175b7f5f4c71d9dc3d7"
+_SHORT_ERROR = "error: explicit sequence has 4 terms past index 0; index 5 is out of range\n"
+_ONES = "ad1fa8456ca6116aa686e062e492545c9b48e9312e2e7afd4e76903508ba9f0d"
+_TRIANGLE_DIGESTS = {
+    ("natural", "additive"): (
+        0,
+        "59ac7bf76fcd6d04ba87925fb628b6c9371ca3a6e51067a4076e54965ccc6470",
+        "59ac7bf76fcd6d04ba87925fb628b6c9371ca3a6e51067a4076e54965ccc6470",
+    ),
+    ("natural", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("fibonacci", "additive"): (
+        1,
+        "7e4187358f1e31be52a21efd9da3bd1064693fb703297c23d1a2a3b6a2a88872",
+        "7e4187358f1e31be52a21efd9da3bd1064693fb703297c23d1a2a3b6a2a88872",
+    ),
+    ("fibonacci", "fibonacci"): (
+        0,
+        "8212b8c63485d75b6e64152417c06bcea72bed22bf449a1f24d01bcf74098da3",
+        "2c7372ec9170679c126a9c4f23cd71e5af8666afe7f8dfe272a36c73977e4f45",
+    ),
+    ("rec2(1,2)", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
+    ("rec2(1,2)", "fibonacci"): (
+        0,
+        "781b9173dff25602ec7c391dcd455c5895cf3752adb681f6a906c2c5aa06f5b4",
+        "f96d2c2fecf02498f00864b6a36cd1923f6cf36bbb43d9db0159c95f03ce2c3a",
+    ),
+    ("rec2(1,3)", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
+    ("rec2(1,3)", "fibonacci"): (
+        0,
+        "941ca01ee6b489537949ebea0ad9d64cd3b9bfa758ac64faf2a5b957fe54575f",
+        "22a9fbf4ccda64f61dff2210123a70921cef34d2b2d114f47dba17134e4ad20f",
+    ),
+    ("even", "additive"): (
+        0,
+        "b48e32857db5c48f55e22674c71b1fa352bf52b907761a7758b1afe306a7fa86",
+        "b48e32857db5c48f55e22674c71b1fa352bf52b907761a7758b1afe306a7fa86",
+    ),
+    ("even", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("zero", "additive"): (0, _ONES, _ONES),
+    ("zero", "fibonacci"): (0, _ONES, _ONES),
+    # row 5 reads term 5, past the list: _SHORT_ERROR
+    ("short", "additive"): (2, _EMPTY, _EMPTY),
+    ("short", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("bent", "additive"): (
+        1,
+        "2da634387943bc6883679e69ce52f97a101c57be016d5e01069c9725028a7c83",
+        "2da634387943bc6883679e69ce52f97a101c57be016d5e01069c9725028a7c83",
+    ),
+    ("bent", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("zero-first", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
+    ("zero-first", "fibonacci"): (
+        1,
+        "763b343e1490af80a55e1695f1a7c25b7d3910da5edf700a4456c1fd512aa349",
+        "a9a3399381a9ed68544961e78e76d6a14cd493a926295e26f26fd65b257afb99",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(_TRIANGLE_DIGESTS))
+def test_constructive_triangles_are_pinned(name, kind, capsys):
+    code, *digests = _TRIANGLE_DIGESTS[(name, kind)]
+    for mode, digest in zip(("derived", "paper"), digests):
+        argv = ["triangle", "--seq", _TRIANGLE_SEQS[name], "--kind", kind, "--mode", mode,
+                "--format", "csv", "--rows", "7"]
+        got, out, err = run(argv, capsys)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), mode
+        assert err == (_SHORT_ERROR if code == 2 else ""), mode
+
+
 # ---------------------------------------------------------------------------
 # cta3
 
@@ -689,6 +792,7 @@ _SPECS = st.sampled_from([
     NON_ADMISSIBLE,
     PRODUCT_22_33,
     '{"kind": "explicit", "terms": ["1", "2", "0", "3"]}',
+    ZERO_PRIME,
     '{"kind": "explicit", "terms": [1, 2.5]}',
     '{"kind": "periodic", "c": 0, "M": 2}',
     "nope",

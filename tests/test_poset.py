@@ -58,6 +58,15 @@ def test_placement_count_and_enumeration():
         assert sorted(len(s) for s in p.subsets) == [1, 2]
 
 
+def test_zero_prime_size_fits_no_placement():
+    # prime sizes (2, 0) against levels (2, 2): a block needs a nonempty
+    # subset on every level, so nothing fits
+    layer = poset.build_layer(fseq.explicit([1, 2, 0, 2, 2, 2]), 4, 5)
+    assert layer.sizes == (2, 2)
+    assert poset.placement_count(layer) == 0
+    assert list(poset.enumerate_placements(layer)) == []
+
+
 def test_enumerate_placements_cap():
     layer = poset.build_layer(fseq.natural(), 2, 4)
     with pytest.raises(errors.CapExceeded) as err:

@@ -15,6 +15,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
         ("tiling_census.py", ["--max-n", "4"]),
         ("render_layers.py", ["--out", "{tmp}", "--seed", "3"]),
         ("triangle_gallery.py", ["--rows", "6"]),
+        # row 8 of the natural census holds values past 4,300 digits
+        ("tiling_census.py", ["--seq", "natural", "--max-n", "8", "--skip-exhaustive"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):

@@ -492,6 +492,25 @@ def test_count_fibonacci_modes():
         tiling.count_tilings_fibonacci(fseq.natural(), 5, 2)
 
 
+def test_count_fibonacci_flags_a_non_integral_family_count():
+    # term(1) = 0 passes the convolution identity through n = 4, but (4, 2)
+    # splits 8 slots into 2 groups of 4 and 2 empty groups: 8! / (4!^2 2! 2!)
+    # unordered families is not an integer, while the ordered count is
+    seq = fseq.explicit([1, 0, 2, 4, 8])
+    assert fseq.check_identity_2(seq, 4) is None
+    with pytest.raises(errors.NonIntegralError, match=r"multinomial 8! / 2304 .* \(4, 2\)"):
+        tiling.count_tilings_fibonacci(seq, 4, 2)
+    assert tiling.count_tilings_fibonacci(seq, 4, 2, mode="paper") == 70
+
+
+def test_counters_reach_deep_cells():
+    # every cell of an all-zero sequence counts one tiling; the recursion
+    # still goes about n calls deep
+    zero = fseq.explicit([1] + [0] * 800)
+    assert tiling.count_tilings_additive(zero, 800, 400) == 1
+    assert tiling.count_tilings_fibonacci(zero, 800, 400) == 1
+
+
 def test_stirling_lambda():
     assert tiling.stirling_lambda(6, 3, 2) == 15
     assert tiling.stirling_lambda(7, 3, 2) == 0
@@ -569,6 +588,36 @@ def test_triangle_text_alignment():
     rows = text.strip().split("\n")
     assert len(rows) == 4
     assert rows[3].split("|")[1].split() == ["1", "12", "18", "1"]
+
+
+@pytest.mark.parametrize("seq", [
+    fseq.natural(),
+    fseq.fibonacci(),
+    fseq.rec2(1, 2),
+    fseq.explicit([1, 2, 4, 6, 8, 10, 12, 14]),
+    fseq.explicit([1, 0, 2, 4, 8, 16, 32, 64]),
+    fseq.explicit([1, 1, 0, 1, 0, 1, 0, 1]),
+    fseq.explicit([1, 1, 3, 4, 7, 11, 18, 29]),
+])
+def test_triangle_shared_memo_matches_single_cells(seq):
+    counters = {
+        ("additive", "derived"): lambda n, k: tiling.count_tilings_additive(seq, n, k),
+        ("additive", "paper"): lambda n, k: tiling.count_tilings_additive(seq, n, k),
+        ("fibonacci", "derived"): lambda n, k: tiling.count_tilings_fibonacci(seq, n, k),
+        ("fibonacci", "paper"): lambda n, k: tiling.count_tilings_fibonacci(
+            seq, n, k, mode="paper"),
+    }
+    for (kind, mode), count in counters.items():
+        table = tiling.triangle(seq, kind, 7, mode=mode)
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                try:
+                    want = ("cell", count(n, k))
+                except (errors.IdentityError, errors.NonIntegralError) as exc:
+                    want = ("note", str(exc))
+                got = ("cell", table.cells[(n, k)]) if (n, k) in table.cells else (
+                    "note", table.notes[(n, k)])
+                assert got == want, (kind, mode, n, k)
 
 
 def test_triangle_equal_blocks():
