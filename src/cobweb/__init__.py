@@ -72,8 +72,6 @@ from .tiling import (
     enumerate_tilings,
     equal_block_bound,
     needs_identity,
-    iter_tiling_choices_additive,
-    iter_tiling_choices_fibonacci,
     stirling_lambda,
     tile_additive,
     tile_fibonacci,

@@ -167,6 +167,7 @@ def _render_tiling_text(tiling) -> str:
 
 def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
     k, n = ns.k, ns.n
+    policy = TilePolicy(mode=ns.policy, seed=ns.seed)
     variant = ns.variant
     if variant == "auto":
         variant, w1, w2 = detect_variant(seq, k, n)
@@ -182,7 +183,6 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
                 f"(witnesses {tuple(w1)} and {tuple(w2)})\n",
             )
             return EXIT_NEGATIVE
-    policy = TilePolicy(mode=ns.policy, seed=ns.seed)
     tile = tile_additive if variant == "additive" else tile_fibonacci
     try:
         result = tile(seq, k, n, policy, chain_cap=ns.cap_chains)

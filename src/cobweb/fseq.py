@@ -492,6 +492,18 @@ def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     return None
 
 
+def _first_violation(N: int, least: int, holds) -> Optional[tuple[int, int]]:
+    """First (m, k) with m >= 2, k >= 1, m + k <= N, in lexicographic order,
+    at which holds(m, k) is false, else None; N must be at least `least`."""
+    if N < least:
+        raise ValueError(f"N must be at least {least}, got {N}")
+    for m in range(2, N):
+        for k in range(1, N - m + 1):
+            if not holds(m, k):
+                return (m, k)
+    return None
+
+
 def check_identity_1(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     """First (m, k) with term(m + k) != term(m) + term(k), else None.
 
@@ -500,13 +512,8 @@ def check_identity_1(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     whose value is pinned by the side condition term(1) = 1 rather than by
     the identity.
     """
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    for m in range(2, N):
-        for k in range(1, N - m + 1):
-            if seq.term(m + k) != seq.term(m) + seq.term(k):
-                return (m, k)
-    return None
+    t = seq.term
+    return _first_violation(N, 2, lambda m, k: t(m + k) == t(m) + t(k))
 
 
 def check_identity_2(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
@@ -515,12 +522,5 @@ def check_identity_2(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     Checks term(m + k) == term(k + 1) * term(m) + term(m - 1) * term(k) for
     m > 1, k >= 1, m + k <= N, in lexicographic order.
     """
-    if N < 3:
-        raise ValueError(f"N must be at least 3, got {N}")
-    for m in range(2, N):
-        for k in range(1, N - m + 1):
-            lhs = seq.term(m + k)
-            rhs = seq.term(k + 1) * seq.term(m) + seq.term(m - 1) * seq.term(k)
-            if lhs != rhs:
-                return (m, k)
-    return None
+    t = seq.term
+    return _first_violation(N, 3, lambda m, k: t(m + k) == t(k + 1) * t(m) + t(m - 1) * t(k))

@@ -16,15 +16,21 @@ level.  Each b-group is the bottom level of a tiling of the shape
 
 Prime-shaped and one-level shapes are the base cases, and the tilings of
 each shape are memoized.  A choice source offers the group families a split
-may use: first-slots cuts the top level's slots in order, seeded-random
-shuffles them once per split before cutting, and the iter_tiling_choices_*
-functions offer every unordered family.  Role-symmetric choices can give the
-same tiling, so the tilings of a shape are deduplicated.
+may use: first-slots cuts the top level's slots in order, and seeded-random
+shuffles them, from its required seed, once per split before cutting.  The
+private _all_families offers every unordered family; over it the recursion
+yields every tiling it can reach, the oracle the counters are tested
+against.  Role-symmetric choices can give the same tiling, so the tilings
+of a shape are deduplicated.
 
 Both choice counts are one recursion over cells (n, k), the split's
-multinomial times the sub-counts, so paper and derived modes differ only for
-the convolution.  A triangle shares one memo across its cells and checks its
-identity once per row.
+multinomial times the sub-counts.  Its derived mode counts the tiler's
+choice tree: the tiler's base cases, plus layers whose prime sizes are all
+1, count one tiling each, and every other cell counts the unordered group
+families of its split.  paper mode is the printed closed form taken
+verbatim: ordered, with the printed base cases k = 1 and m <= 1 (additive)
+or m <= 2 (convolution).  A triangle shares one memo across its cells and
+checks its identity once per row.
 
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
@@ -84,8 +90,6 @@ __all__ = [
     "tile_fibonacci",
     "needs_identity",
     "detect_variant",
-    "iter_tiling_choices_additive",
-    "iter_tiling_choices_fibonacci",
     "verify_tiling",
     "enumerate_tilings",
     "count_tilings_additive",
@@ -108,8 +112,8 @@ class TilePolicy:
     """Slot-choice policy for the constructive tilers.
 
     first-slots takes the lexicographically least slots at every split;
-    seeded-random draws them from a seeded generator.  Every choice is
-    offered by the iter_tiling_choices_* functions instead.
+    seeded-random draws them from a generator seeded with `seed`, which it
+    requires, so that every run gives the same tiling.
     """
 
     mode: str = "first-slots"
@@ -118,6 +122,8 @@ class TilePolicy:
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise ValueError(f"policy mode must be one of {POLICY_MODES}, got {self.mode!r}")
+        if self.mode == "seeded-random" and self.seed is None:
+            raise ValueError("the seeded-random policy needs a seed")
 
 
 # ---------------------------------------------------------------------------
@@ -132,40 +138,33 @@ def _single_level_blocks(seq: FSeq, size: int) -> tuple:
     return tuple((tuple(range(i, i + one)),) for i in range(0, size, one))
 
 
-def _additive_split(seq: FSeq, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """One group of term(m) top slots and one of the rest."""
-    m_f = seq.term(len(shape))
-    rest = shape[-1] - m_f
-    if rest < 0:
-        raise TilingError(
-            f"top level of shape {shape} is smaller than the peel size {m_f}"
-        )
-    return m_f, 1, rest, 1 if rest else 0
+def _group_counts(seq: FSeq, bottom: int, m: int, which: int) -> tuple[int, int]:
+    """(count_a, count_b) of a top-level split of m levels whose bottom level
+    has `bottom` slots: one group of each kind under the additive identity
+    (1), term(k) = bottom and term(m - 1) under the convolution identity (2)."""
+    return (1, 1) if which == 1 else (bottom, seq.term(m - 1))
 
 
-def _convolution_split(seq: FSeq, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """kappa groups of term(m) top slots and mu groups of the rest / mu."""
+def _split(seq: FSeq, shape: tuple[int, ...], which: int) -> tuple[int, int, int, int]:
+    """(size_a, count_a, size_b, count_b): count_a groups of term(m) top slots
+    and count_b groups sharing the rest, dropped when they would be empty."""
     m = len(shape)
-    kappa = shape[0]
-    m_f = seq.term(m)
-    mu = seq.term(m - 1)
-    rest = shape[-1] - kappa * m_f
-    if rest < 0 or mu < 1 or rest % mu:
+    count_a, count_b = _group_counts(seq, shape[0], m, which)
+    size_a = seq.term(m)
+    rest = shape[-1] - count_a * size_a
+    if rest < 0 or count_b < 1 or rest % count_b:
         raise TilingError(
-            f"top level of shape {shape} does not split as {kappa}*{m_f} + {mu}*q"
+            f"top level of shape {shape} does not split as {count_a}*{size_a} + {count_b}*q"
         )
-    small = rest // mu
-    return m_f, kappa, small, mu if small else 0
+    size_b = rest // count_b
+    return size_a, count_a, size_b, count_b if size_b else 0
 
 
-_SPLITS = {1: _additive_split, 2: _convolution_split}
-
-
-def _shape_tilings(seq: FSeq, shape: tuple[int, ...], split, choose, memo: dict) -> list:
+def _shape_tilings(seq: FSeq, shape: tuple[int, ...], which: int, choose, memo: dict) -> list:
     """Sorted distinct raw tilings of a shape over the group families offered.
 
-    split gives (size_a, count_a, size_b, count_b) for the top level, and
-    choose offers (groups_a, groups_b) families of that many groups.
+    choose offers (groups_a, groups_b) families of the groups that identity
+    `which`'s split asks for.
     """
     cached = memo.get(shape)
     if cached is not None:
@@ -176,11 +175,11 @@ def _shape_tilings(seq: FSeq, shape: tuple[int, ...], split, choose, memo: dict)
     elif shape == prime_level_sizes(seq, m):
         result = [(tuple(tuple(range(size)) for size in shape),)]
     else:
-        size_a, count_a, size_b, count_b = split(seq, shape)
+        size_a, count_a, size_b, count_b = _split(seq, shape, which)
         families = choose(shape[-1], size_a, count_a, size_b, count_b)
-        subs_top = _shape_tilings(seq, shape[:-1], split, choose, memo)
+        subs_top = _shape_tilings(seq, shape[:-1], which, choose, memo)
         subs_moved = (
-            _shape_tilings(seq, (size_b,) + shape[:-1], split, choose, memo)
+            _shape_tilings(seq, (size_b,) + shape[:-1], which, choose, memo)
             if count_b else []
         )
         seen = set()
@@ -250,48 +249,53 @@ def _choice_source(policy: TilePolicy):
 
 def needs_identity(seq: FSeq, k: int, n: int) -> bool:
     """Whether tiling levels k..n ever splits a level (prime-shaped and
-    one-level layers are pure base cases and need no identity)."""
+    one-level layers are pure base cases and need no identity).  Levels are
+    compared bottom up and the first difference answers."""
     if k < 2 or n <= k:
         return False
-    m = n - k + 1
-    shape = tuple(seq.term(j) for j in range(k, n + 1))
-    return shape != prime_level_sizes(seq, m)
+    return any(seq.term(j) != seq.term(j - k + 1) for j in range(k, n + 1))
 
 
-def _identity_witness(seq: FSeq, k: int, n: int, which: int):
-    """First violation of identity `which` that tiling levels k..n depends on."""
-    if not needs_identity(seq, k, n):
-        return None
-    check = fseq.check_identity_1 if which == 1 else fseq.check_identity_2
-    return check(seq, n)
+def _witness(seq: FSeq, which: int, n: int):
+    """First violation of identity `which` up to n, by the check fseq holds
+    at call time."""
+    return getattr(fseq, f"check_identity_{which}")(seq, n)
 
 
 def detect_variant(seq: FSeq, k: int, n: int):
     """Recursion variant for the layer: ("additive" | "fibonacci", None, None),
     or (None, witness1, witness2) when neither identity holds."""
-    w1 = _identity_witness(seq, k, n, 1)
+    if not needs_identity(seq, k, n):
+        return "additive", None, None
+    # read every level before the scans, so that a sequence too short for
+    # the layer fails here as it does in the tilers
+    for j in range(k, n + 1):
+        seq.term(j)
+    w1 = _witness(seq, 1, n)
     if w1 is None:
         return "additive", None, None
-    w2 = _identity_witness(seq, k, n, 2)
+    w2 = _witness(seq, 2, n)
     if w2 is None:
         return "fibonacci", None, None
     return None, w1, w2
 
 
-def _raw_to_tiling(layer: Layer, raw_blocks) -> Tiling:
-    blocks = [BlockPlacement(subsets=b) for b in raw_blocks]
-    return make_tiling(layer, blocks)
-
-
-def _layer_tilings(seq, k, n, which, choose, chain_cap) -> tuple[Layer, list]:
-    """The capped layer and its raw tilings under identity `which`'s split,
-    over the group families that choose offers."""
+def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
+    """The sorted distinct tilings of levels k..n under identity `which`'s
+    recursion, over the group families that choose offers: one from a
+    policy's choice source, every reachable one from _all_families."""
     layer = build_layer(seq, k, n)
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
-    witness = _identity_witness(seq, k, n, which)
-    if witness is not None:
+    witness = needs_identity(seq, k, n) and _witness(seq, which, n)
+    if witness:
         raise IdentityError(which, witness)
-    return layer, _shape_tilings(seq, layer.sizes, _SPLITS[which], choose, {})
+    raws = _shape_tilings(seq, layer.sizes, which, choose, {})
+    return [make_tiling(layer, [BlockPlacement(subsets=b) for b in raw]) for raw in raws]
+
+
+def _tile(seq, k, n, which, policy, chain_cap) -> Tiling:
+    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(policy or TilePolicy()), chain_cap)
+    return tiling
 
 
 def tile_additive(
@@ -307,9 +311,7 @@ def tile_additive(
     Requires the additive identity term(m + k) = term(m) + term(k) on the
     range the recursion touches; the first violation is raised as an error.
     """
-    choose = _choice_source(policy or TilePolicy())
-    layer, (raw,) = _layer_tilings(seq, k, n, 1, choose, chain_cap)
-    return _raw_to_tiling(layer, raw)
+    return _tile(seq, k, n, 1, policy, chain_cap)
 
 
 def tile_fibonacci(
@@ -325,27 +327,7 @@ def tile_fibonacci(
     Requires the identity term(m + k) = term(k + 1) * term(m) +
     term(m - 1) * term(k) on the range the recursion touches.
     """
-    choose = _choice_source(policy or TilePolicy())
-    layer, (raw,) = _layer_tilings(seq, k, n, 2, choose, chain_cap)
-    return _raw_to_tiling(layer, raw)
-
-
-def iter_tiling_choices_additive(
-    seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
-) -> Iterator[Tiling]:
-    """Every distinct tiling reachable by the additive recursion's choices."""
-    layer, raws = _layer_tilings(seq, k, n, 1, _all_families, chain_cap)
-    for raw in raws:
-        yield _raw_to_tiling(layer, raw)
-
-
-def iter_tiling_choices_fibonacci(
-    seq: FSeq, k: int, n: int, *, chain_cap: Optional[int] = None
-) -> Iterator[Tiling]:
-    """Every distinct tiling reachable by the convolution recursion's choices."""
-    layer, raws = _layer_tilings(seq, k, n, 2, _all_families, chain_cap)
-    for raw in raws:
-        yield _raw_to_tiling(layer, raw)
+    return _tile(seq, k, n, 2, policy, chain_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -597,27 +579,35 @@ def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
     memo for every cell it is asked for.
 
     A cell splits term(n) slots into ga groups of term(m) and gb groups of
-    term(k - 1), (ga, gb) = (1, 1) for the additive identity (1) and
-    (term(k), term(m - 1)) for the convolution identity (2), and is the
-    multinomial of that split times count(n - 1, k) ** ga * count(n - 1,
-    k - 1) ** gb.  derived mode counts unordered families, dividing by
-    ga! gb!; paper mode keeps the ordered multinomial and first powers.
-    Cells with k = 1 or m <= which are base cases.  The identity is checked
-    once per row n, and it covers every split below (n, k).
+    term(k - 1), (ga, gb) as in the tiler's split, and is the multinomial of
+    that split times count(n - 1, k) ** ga * count(n - 1, k - 1) ** gb.
+    derived mode counts unordered families, dividing by ga! gb!, and its
+    base cases are the tiler's (needs_identity is false) plus the layers
+    whose prime sizes are all 1, which only single chains tile: it counts
+    the tiler's choice tree.  paper mode keeps the ordered multinomial,
+    first powers and the printed base cases k = 1 and m <= which.  The
+    identity is checked once per row n, for a cell that is no base case, and
+    it covers every split below (n, k).
     """
     if mode not in ("paper", "derived"):
         raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
-    check = cache(partial(fseq.check_identity_1 if which == 1 else fseq.check_identity_2, seq))
+    check = cache(partial(_witness, seq, which))
     memo: dict[tuple[int, int], int] = {}
 
-    def rec(n: int, k: int) -> int:
+    def base(n: int, k: int) -> bool:
         m = n - k + 1
-        if k == 1 or m <= which:
+        if mode == "paper":
+            return k == 1 or m <= which
+        return not needs_identity(seq, k, n) or all(seq.term(j) == 1 for j in range(1, m + 1))
+
+    def rec(n: int, k: int) -> int:
+        if base(n, k):
             return 1
         if (n, k) in memo:
             return memo[n, k]
+        m = n - k + 1
         total, a, b = seq.term(n), seq.term(m), seq.term(k - 1)
-        ga, gb = (1, 1) if which == 1 else (seq.term(k), seq.term(m - 1))
+        ga, gb = _group_counts(seq, seq.term(k), m, which)
         if ga == gb == 1:
             got = comb(total, a)  # two groups: a binomial
         else:
@@ -639,8 +629,8 @@ def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
     def count(n: int, k: int) -> int:
         if k < 1 or n < k:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-        witness = check(n) if k != 1 and n - k + 1 > which else None
-        if witness is not None:
+        witness = not base(n, k) and check(n)
+        if witness:
             raise IdentityError(which, witness)
         return rec(n, k)
 
@@ -656,8 +646,8 @@ def count_tilings_fibonacci(seq: FSeq, n: int, k: int, mode: str = "derived") ->
     """Choice count of the convolution recursion for levels k..n.
 
     paper mode evaluates the printed closed form verbatim.  derived mode
-    counts unordered group families, which matches the deduplicated
-    iter_tiling_choices_fibonacci stream on the ranges tested.
+    counts the tiler's choice tree: unordered group families under the
+    tiler's own base cases, with a layer of all-1 prime sizes counting once.
     """
     return _constructive_counter(seq, 2, mode)(n, k)
 
@@ -780,10 +770,8 @@ def triangle(
     check_cap("rows", rows, row_cap, DEFAULT_ROW_CAP)
     cells: dict = {}
     notes: dict = {}
-    if kind == "additive":
-        cell = _constructive_counter(seq, 1)
-    elif kind == "fibonacci":
-        cell = _constructive_counter(seq, 2, mode)
+    if kind in ("additive", "fibonacci"):
+        cell = _constructive_counter(seq, 1 if kind == "additive" else 2, mode)
     else:
         cell = partial(equal_block_bound, seq)
     for n in range(1, rows + 1):

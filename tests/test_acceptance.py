@@ -89,7 +89,7 @@ def test_criterion_5_counting_consistency():
         for n in range(1, 6):
             for k in range(1, n + 1):
                 counted = tiling.count_tilings_additive(nat, n, k)
-                streamed = sum(1 for _ in tiling.iter_tiling_choices_additive(nat, k, n))
+                streamed = len(tiling._layer_tilings(nat, k, n, 1, tiling._all_families, None))
                 assert counted == streamed, (n, k)
                 total = tiling.enumerate_tilings(poset.build_layer(nat, k, n)).count
                 assert total >= counted, (n, k)

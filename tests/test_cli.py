@@ -6,6 +6,8 @@ import itertools
 import json
 import operator
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -241,6 +243,18 @@ def test_tile_seeded_policy_reproducible(capsys):
     second = run(argv, capsys)
     assert first == second
     assert first[0] == 0
+
+
+def test_tile_seeded_random_needs_a_seed(capsys):
+    # seeded from the OS, three runs printed two different tilings
+    for variant in ("auto", "additive"):
+        code, out, err = run(
+            ["tile", "--seq", "natural", "--k", "2", "--n", "4", "--variant", variant,
+             "--policy", "seeded-random", "--format", "text"],
+            capsys,
+        )
+        assert (code, out) == (2, ""), variant
+        assert err == "error: the seeded-random policy needs a seed\n", variant
 
 
 def test_tile_chain_cap(capsys):
@@ -538,9 +552,12 @@ def test_triangle_row_cap(capsys):
     assert "rows cap of 200 exceeded" in err
 
 
-# sha256 of the stdout of `triangle --format csv --rows 7`, pinned from the
-# output of the separate additive and convolution counters that one shared
-# recursion replaced: (sequence, kind) -> (exit code, derived, paper)
+# sha256 of the stdout of `triangle --format csv --rows 7`: (sequence, kind)
+# -> (exit code, derived, paper), the code a (derived, paper) pair where the
+# modes differ.  The paper digests were pinned from the separate additive and
+# convolution counters that one shared recursion replaced.  The derived ones
+# count the tiler's choice tree: its base cases, plus one tiling where every
+# prime size is 1.
 _TRIANGLE_SEQS = {
     "natural": "natural",
     "fibonacci": "fibonacci",
@@ -556,6 +573,9 @@ _TRIANGLE_SEQS = {
 }
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _NO_CONVOLUTION = "cd25ed22919506ea2b198a2bb92a2593282fe21f7901d24b958effb6068d38e0"
+# the same notes, and one more on each m = 2 cell, which derived mode no
+# longer takes as a base case
+_NO_CONVOLUTION_DERIVED = "f5365798ad52f6211e56307dad4cad4b01b73cdf476a4ef7c181fea6ce738d09"
 _NO_ADDITIVE = "cab8b540515af30fdaddd0741c2063297fc733d193e88175b7f5f4c71d9dc3d7"
 _SHORT_ERROR = "error: explicit sequence has 4 terms past index 0; index 5 is out of range\n"
 _ONES = "ad1fa8456ca6116aa686e062e492545c9b48e9312e2e7afd4e76903508ba9f0d"
@@ -565,10 +585,10 @@ _TRIANGLE_DIGESTS = {
         "59ac7bf76fcd6d04ba87925fb628b6c9371ca3a6e51067a4076e54965ccc6470",
         "59ac7bf76fcd6d04ba87925fb628b6c9371ca3a6e51067a4076e54965ccc6470",
     ),
-    ("natural", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("natural", "fibonacci"): (1, _NO_CONVOLUTION_DERIVED, _NO_CONVOLUTION),
     ("fibonacci", "additive"): (
         1,
-        "7e4187358f1e31be52a21efd9da3bd1064693fb703297c23d1a2a3b6a2a88872",
+        "67f37ff8a8d09bd246ee16fb52911e35204809f670dd624e8546aee49a598590",
         "7e4187358f1e31be52a21efd9da3bd1064693fb703297c23d1a2a3b6a2a88872",
     ),
     ("fibonacci", "fibonacci"): (
@@ -579,13 +599,13 @@ _TRIANGLE_DIGESTS = {
     ("rec2(1,2)", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
     ("rec2(1,2)", "fibonacci"): (
         0,
-        "781b9173dff25602ec7c391dcd455c5895cf3752adb681f6a906c2c5aa06f5b4",
+        "97e0b8e0b90cd8da4ce2318231f1aa4006c19b378f8ee937df982aad5add48e5",
         "f96d2c2fecf02498f00864b6a36cd1923f6cf36bbb43d9db0159c95f03ce2c3a",
     ),
     ("rec2(1,3)", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
     ("rec2(1,3)", "fibonacci"): (
         0,
-        "941ca01ee6b489537949ebea0ad9d64cd3b9bfa758ac64faf2a5b957fe54575f",
+        "3a578afcf4090f310b71467350e053ced693cbe25b48f93a54ee870dc21d6adb",
         "22a9fbf4ccda64f61dff2210123a70921cef34d2b2d114f47dba17134e4ad20f",
     ),
     ("even", "additive"): (
@@ -593,22 +613,25 @@ _TRIANGLE_DIGESTS = {
         "b48e32857db5c48f55e22674c71b1fa352bf52b907761a7758b1afe306a7fa86",
         "b48e32857db5c48f55e22674c71b1fa352bf52b907761a7758b1afe306a7fa86",
     ),
-    ("even", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("even", "fibonacci"): (1, _NO_CONVOLUTION_DERIVED, _NO_CONVOLUTION),
     ("zero", "additive"): (0, _ONES, _ONES),
     ("zero", "fibonacci"): (0, _ONES, _ONES),
-    # row 5 reads term 5, past the list: _SHORT_ERROR
+    # row 5 reads term 5, past the list: _SHORT_ERROR.  Under the convolution
+    # identity, paper mode notes every cell past its index base cases before
+    # reading a term past 4; derived mode reads term 5 to test whether levels
+    # 5..6 are prime-shaped.
     ("short", "additive"): (2, _EMPTY, _EMPTY),
-    ("short", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("short", "fibonacci"): ((2, 1), _EMPTY, _NO_CONVOLUTION),
     ("bent", "additive"): (
         1,
         "2da634387943bc6883679e69ce52f97a101c57be016d5e01069c9725028a7c83",
         "2da634387943bc6883679e69ce52f97a101c57be016d5e01069c9725028a7c83",
     ),
-    ("bent", "fibonacci"): (1, _NO_CONVOLUTION, _NO_CONVOLUTION),
+    ("bent", "fibonacci"): (1, _NO_CONVOLUTION_DERIVED, _NO_CONVOLUTION),
     ("zero-first", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
     ("zero-first", "fibonacci"): (
         1,
-        "763b343e1490af80a55e1695f1a7c25b7d3910da5edf700a4456c1fd512aa349",
+        "59a69704404dc6d0dfee7abfe8b34aa88a7ff3aaeaad77a3d415a6501f26fd31",
         "a9a3399381a9ed68544961e78e76d6a14cd493a926295e26f26fd65b257afb99",
     ),
 }
@@ -617,7 +640,8 @@ _TRIANGLE_DIGESTS = {
 @pytest.mark.parametrize("name,kind", sorted(_TRIANGLE_DIGESTS))
 def test_constructive_triangles_are_pinned(name, kind, capsys):
     code, *digests = _TRIANGLE_DIGESTS[(name, kind)]
-    for mode, digest in zip(("derived", "paper"), digests):
+    codes = code if isinstance(code, tuple) else (code, code)
+    for mode, code, digest in zip(("derived", "paper"), codes, digests):
         argv = ["triangle", "--seq", _TRIANGLE_SEQS[name], "--kind", kind, "--mode", mode,
                 "--format", "csv", "--rows", "7"]
         got, out, err = run(argv, capsys)
@@ -904,6 +928,39 @@ def test_zero_level_is_semantic_error(capsys):
     code, _, err = run(["tile", "--seq", spec, "--k", "1", "--n", "3"], capsys)
     assert code == 1
     assert "zero" in err
+
+
+def _readme_examples():
+    """(argv, tail, expected lines) for each `cobweb ...` example in the
+    README's "Command line" block; tail is the N of a `| tail -N` or None."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *expected = chunk.split("\n")
+        command, _, tail = command.partition(" | tail -")
+        argv = shlex.split(command)
+        assert argv[0] == "cobweb", command
+        examples.append(
+            pytest.param(argv[1:], int(tail) if tail else None, expected, id=argv[1]))
+    return examples
+
+
+@pytest.mark.parametrize("argv,tail,expected", _readme_examples())
+def test_readme_examples(argv, tail, expected, capsys):
+    _, out, err = run(argv, capsys)
+    lines = out.splitlines()
+    assert (lines[-tail:] if tail else lines) == expected
+    assert err == ""
+
+
+def test_tile_auto_reads_every_level_before_the_identity_scans(capsys):
+    # both identities fail at (2, 1) inside the list, but level 4 lies past it
+    spec = '{"kind": "explicit", "terms": ["1", "1", "3", "5"]}'
+    code, out, err = run(["tile", "--seq", spec, "--k", "2", "--n", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: explicit sequence has 3 terms past index 0; index 4 is out of range\n"
 
 
 def test_module_entrypoint():

@@ -20,6 +20,11 @@ def test_policy_validation():
         tiling.TilePolicy(mode="nope")
     with pytest.raises(ValueError):
         tiling.TilePolicy("enumerate-all")
+    # a seedless generator would seed itself from the OS: a different
+    # tiling on every run
+    with pytest.raises(ValueError, match="needs a seed"):
+        tiling.TilePolicy("seeded-random")
+    assert tiling.TilePolicy("seeded-random", 0).seed == 0
 
 
 def test_tile_additive_smallest_split():
@@ -126,13 +131,17 @@ def test_chain_cap_respected():
 
 
 # ---------------------------------------------------------------------------
-# choice streams
+# choice streams: every tiling a recursion reaches, the counters' oracle
+
+def _stream(seq, k, n, which):
+    return tiling._layer_tilings(seq, k, n, which, tiling._all_families, None)
+
 
 def test_additive_stream_counts_match_counter():
     nat = fseq.natural()
     for n in range(1, 6):
         for k in range(1, n + 1):
-            got = sum(1 for _ in tiling.iter_tiling_choices_additive(nat, k, n))
+            got = len(_stream(nat, k, n, 1))
             assert got == tiling.count_tilings_additive(nat, n, k), (k, n)
 
 
@@ -140,15 +149,43 @@ def test_fibonacci_stream_counts_match_derived_counter():
     fib = fseq.fibonacci()
     expected = {(2, 4): 3, (2, 5): 30, (3, 5): 45}
     for (k, n), want in expected.items():
-        stream = list(tiling.iter_tiling_choices_fibonacci(fib, k, n))
+        stream = _stream(fib, k, n, 2)
         assert len(stream) == want
         assert len(stream) == tiling.count_tilings_fibonacci(fib, n, k, mode="derived")
         for t in stream:
             assert tiling.verify_tiling(t) is None
 
 
+@pytest.mark.parametrize("seq,k,n,which,want", [
+    (fseq.rec2(1, 2), 2, 3, 2, 15),
+    (fseq.rec2(1, 3), 2, 3, 2, 2800),
+    (fseq.constant(2), 2, 4, 1, 1),
+    (fseq.constant(2), 2, 4, 2, 1),
+    (fseq.fibonacci(), 2, 3, 1, 1),
+])
+def test_stream_counts_match_derived_counter_beyond_natural_and_fibonacci(seq, k, n, which, want):
+    counter = tiling.count_tilings_additive if which == 1 else tiling.count_tilings_fibonacci
+    stream = _stream(seq, k, n, which)
+    assert len(stream) == counter(seq, n, k) == want
+    for t in stream:
+        assert tiling.verify_tiling(t) is None
+
+
+@pytest.mark.parametrize("seq", [fseq.natural(), fseq.rec2(2, 1)])
+def test_stream_and_counter_refuse_a_layer_without_the_identity(seq):
+    with pytest.raises(errors.IdentityError):
+        _stream(seq, 2, 3, 2)
+    with pytest.raises(errors.IdentityError):
+        tiling.count_tilings_fibonacci(seq, 3, 2)
+
+
+def test_derived_counter_pinned_past_the_stream():
+    # streaming these 1,871,100 tilings takes minutes
+    assert tiling.count_tilings_fibonacci(fseq.rec2(1, 2), 4, 2) == 1871100
+
+
 def test_streams_yield_distinct_sorted_tilings():
-    stream = list(tiling.iter_tiling_choices_additive(fseq.natural(), 2, 4))
+    stream = _stream(fseq.natural(), 2, 4, 1)
     raw = [_blocks(t) for t in stream]
     assert raw == sorted(raw)
     assert len(set(raw)) == len(raw)
@@ -156,7 +193,7 @@ def test_streams_yield_distinct_sorted_tilings():
 
 def test_stream_identity_precondition():
     with pytest.raises(errors.IdentityError):
-        list(tiling.iter_tiling_choices_additive(fseq.fibonacci(), 2, 4))
+        _stream(fseq.fibonacci(), 2, 4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +639,8 @@ def test_triangle_text_alignment():
 def test_triangle_shared_memo_matches_single_cells(seq):
     counters = {
         ("additive", "derived"): lambda n, k: tiling.count_tilings_additive(seq, n, k),
-        ("additive", "paper"): lambda n, k: tiling.count_tilings_additive(seq, n, k),
+        # no public single-cell additive count takes the printed base cases
+        ("additive", "paper"): lambda n, k: tiling._constructive_counter(seq, 1, "paper")(n, k),
         ("fibonacci", "derived"): lambda n, k: tiling.count_tilings_fibonacci(seq, n, k),
         ("fibonacci", "paper"): lambda n, k: tiling.count_tilings_fibonacci(
             seq, n, k, mode="paper"),
