@@ -192,11 +192,9 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
         return EXIT_NEGATIVE
     violation = verify_tiling(result)
     if violation is not None:
-        _emit_json(
-            {"error": "verification failed", "clause": violation.clause,
-             "detail": violation.detail},
-            ns.output,
-        )
+        clause, detail = violation.clause, violation.detail
+        obj = {"error": "verification failed", "clause": clause, "detail": detail}
+        _report(ns, obj, f"verification failed: {clause}: {detail}\n")
         return EXIT_NEGATIVE
     if ns.format == "dot":
         _emit(to_dot(result.layer, result), ns.output)

@@ -1,36 +1,36 @@
 """Layer tilings: constructive recursion, verification, exhaustive search.
 
-The constructive tilers recurse on the shape of the layer over levels k..n,
-the tuple of its m = n - k + 1 level sizes, which fully determines the
-sub-problems.  One recursion serves both identities.  It splits the top
-level's term(n) slots into count_a groups of size_a slots and count_b groups
-of size_b slots.  Each a-group tops a tiling of the shape without its top
-level.  Each b-group is the bottom level of a tiling of the shape
-(size_b,) + shape[:-1], whose slots are renamed into the group.
+The constructive tilers recurse on cells (n, k), the layer over levels k..n
+with m = n - k + 1 levels, one recursion for both identities.  A cell cuts
+its term(n) top slots into a-groups of term(m) slots, each topping a tiling
+of cell (n - 1, k), and b-groups of term(k - 1) slots, each taking the place
+of level k - 1 in a tiling of cell (n - 1, k - 1).  The convolution split
+term(n) = term(k) * term(m) + term(m - 1) * term(k - 1) takes term(k) and
+term(m - 1) of them, the additive split term(n) = term(m) + term(k - 1) one
+of each, and none of the b side when term(k - 1) = 0.  Two rules on a cell
+serve the tilers, detect_variant and the derived counter:
 
-* The convolution split term(n) = term(k) * term(m) + term(m - 1) * term(k - 1)
-  takes term(k) groups of term(m) slots and term(m - 1) groups of
-  term(k - 1) slots.
-* The additive split term(n) = term(m) + term(k - 1) is the same split with
-  one group of each kind.
+* _refuse: a layer with a zero level, a zero prime size term(1..m), or one
+  level that term(1) does not divide has no tiling; it is refused before
+  any identity is checked.
+* base case (not needs_identity): one level, prime-shaped, or all prime
+  sizes 1; its one tiling cuts each level into runs of its prime size and
+  makes a block of each choice of one run per level.
 
-Prime-shaped and one-level shapes are the base cases, and the tilings of
-each shape are memoized.  A choice source offers the group families a split
-may use: first-slots cuts the top level's slots in order, and seeded-random
-shuffles them, from its required seed, once per split before cutting.  The
-private _all_families offers every unordered family; over it the recursion
-yields every tiling it can reach, the oracle the counters are tested
-against.  Role-symmetric choices can give the same tiling, so the tilings
-of a shape are deduplicated.
+Every other cell needs its identity.  The tilings of each cell are memoized
+and deduplicated.  A choice source offers the group families a split may
+use: first-slots cuts the top slots in order, seeded-random shuffles them
+once per split from its required seed, and the private _all_families offers
+every unordered family, the counters' oracle.
 
-Both choice counts are one recursion over cells (n, k), the split's
-multinomial times the sub-counts.  Its derived mode counts the tiler's
-choice tree: the tiler's base cases, plus layers whose prime sizes are all
-1, count one tiling each, and every other cell counts the unordered group
-families of its split.  paper mode is the printed closed form taken
-verbatim: ordered, with the printed base cases k = 1 and m <= 1 (additive)
-or m <= 2 (convolution).  A triangle shares one memo across its cells and
-checks its identity once per row.
+The counters recurse over the same cells.  derived mode counts the tiler's
+choice tree by its rules: unordered families, none with an empty group, so
+the multinomial is exact.  Two leaves can be one tiling where both kinds of
+group have one size (levels 2..3 of 1, 2, 2, 4, additive: 6 leaves, 3
+tilings).  paper mode is the printed closed form verbatim: ordered, base
+cases k = 1 and m <= 1 (additive) or m <= 2 (convolution), no refusal.  A
+triangle shares one memo, checks its identity once per row, and notes the
+cells an identity or a refusal rules out.
 
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
@@ -63,6 +63,7 @@ from .errors import (
     IdentityError,
     NonIntegralError,
     TilingError,
+    ZeroTermError,
     check_cap,
 )
 from .fseq import FSeq
@@ -129,73 +130,36 @@ class TilePolicy:
 # ---------------------------------------------------------------------------
 # constructive recursion
 
-def _single_level_blocks(seq: FSeq, size: int) -> tuple:
-    one = seq.term(1)
-    if one < 1 or size % one:
-        raise TilingError(
-            f"one-level layer of size {size} cannot split into blocks of size {one}"
-        )
-    return tuple((tuple(range(i, i + one)),) for i in range(0, size, one))
+def _refuse(seq: FSeq, k: int, n: int) -> None:
+    """Raise when levels k..n have no tiling at all: a zero level, a zero
+    prime size, or one level whose size term(1) does not divide."""
+    build_layer(seq, k, n)  # a zero level
+    for j in range(1, n - k + 2):
+        if not seq.term(j):
+            raise ZeroTermError(f"prime size term({j}) of {seq.label()} is zero; "
+                                f"no block fits levels {k}..{n}")
+    if k == n and seq.term(n) % seq.term(1):
+        raise TilingError(f"one-level layer of size {seq.term(n)} cannot split "
+                          f"into blocks of size {seq.term(1)}")
 
 
-def _group_counts(seq: FSeq, bottom: int, m: int, which: int) -> tuple[int, int]:
-    """(count_a, count_b) of a top-level split of m levels whose bottom level
-    has `bottom` slots: one group of each kind under the additive identity
-    (1), term(k) = bottom and term(m - 1) under the convolution identity (2)."""
-    return (1, 1) if which == 1 else (bottom, seq.term(m - 1))
-
-
-def _split(seq: FSeq, shape: tuple[int, ...], which: int) -> tuple[int, int, int, int]:
-    """(size_a, count_a, size_b, count_b): count_a groups of term(m) top slots
-    and count_b groups sharing the rest, dropped when they would be empty."""
-    m = len(shape)
-    count_a, count_b = _group_counts(seq, shape[0], m, which)
-    size_a = seq.term(m)
-    rest = shape[-1] - count_a * size_a
-    if rest < 0 or count_b < 1 or rest % count_b:
-        raise TilingError(
-            f"top level of shape {shape} does not split as {count_a}*{size_a} + {count_b}*q"
-        )
-    size_b = rest // count_b
+def _groups(seq: FSeq, n: int, k: int, which: int) -> tuple[int, int, int, int]:
+    """(size_a, count_a, size_b, count_b) of cell (n, k)'s split under
+    identity `which`, count_b 0 when size_b = term(k - 1) is 0."""
+    m = n - k + 1
+    size_a, size_b = seq.term(m), seq.term(k - 1)
+    count_a, count_b = (1, 1) if which == 1 else (seq.term(k), seq.term(m - 1))
     return size_a, count_a, size_b, count_b if size_b else 0
 
 
-def _shape_tilings(seq: FSeq, shape: tuple[int, ...], which: int, choose, memo: dict) -> list:
-    """Sorted distinct raw tilings of a shape over the group families offered.
-
-    choose offers (groups_a, groups_b) families of the groups that identity
-    `which`'s split asks for.
-    """
-    cached = memo.get(shape)
-    if cached is not None:
-        return cached
-    m = len(shape)
-    if m == 1:
-        result = [_single_level_blocks(seq, shape[0])]
-    elif shape == prime_level_sizes(seq, m):
-        result = [(tuple(tuple(range(size)) for size in shape),)]
-    else:
-        size_a, count_a, size_b, count_b = _split(seq, shape, which)
-        families = choose(shape[-1], size_a, count_a, size_b, count_b)
-        subs_top = _shape_tilings(seq, shape[:-1], which, choose, memo)
-        subs_moved = (
-            _shape_tilings(seq, (size_b,) + shape[:-1], which, choose, memo)
-            if count_b else []
-        )
-        seen = set()
-        for groups_a, groups_b in families:
-            for picks_a in iproduct(subs_top, repeat=count_a):
-                capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
-                for picks_b in iproduct(subs_moved, repeat=count_b):
-                    moved = [
-                        b[1:] + (tuple(g[i] for i in b[0]),)
-                        for g, t in zip(groups_b, picks_b)
-                        for b in t
-                    ]
-                    seen.add(tuple(sorted(capped + moved)))
-        result = sorted(seen)
-    memo[shape] = result
-    return result
+def _base_tiling(seq: FSeq, k: int, n: int) -> tuple:
+    """The one tiling of a base case: each level cut into runs of its prime
+    size, and a block for every choice of one run per level."""
+    runs = [
+        [tuple(range(i, i + size)) for i in range(0, seq.term(j), size)]
+        for j, size in zip(range(k, n + 1), prime_level_sizes(seq, n - k + 1))
+    ]
+    return tuple(iproduct(*runs))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +212,16 @@ def _choice_source(policy: TilePolicy):
 
 
 def needs_identity(seq: FSeq, k: int, n: int) -> bool:
-    """Whether tiling levels k..n ever splits a level (prime-shaped and
-    one-level layers are pure base cases and need no identity).  Levels are
-    compared bottom up and the first difference answers."""
-    if k < 2 or n <= k:
-        return False
-    return any(seq.term(j) != seq.term(j - k + 1) for j in range(k, n + 1))
+    """Whether tiling levels k..n splits a level and needs an identity: not
+    on one level, a prime-shaped layer, or all prime sizes 1 (single chains
+    tile it).  The first term that differs answers."""
+    return not _prime_or_one_level(seq, k, n) and any(
+        seq.term(j) != 1 for j in range(1, n - k + 2)
+    )
+
+
+def _prime_or_one_level(seq: FSeq, k: int, n: int) -> bool:
+    return k < 2 or n <= k or all(seq.term(j) == seq.term(j - k + 1) for j in range(k, n + 1))
 
 
 def _witness(seq: FSeq, which: int, n: int):
@@ -264,8 +232,10 @@ def _witness(seq: FSeq, which: int, n: int):
 
 def detect_variant(seq: FSeq, k: int, n: int):
     """Recursion variant for the layer: ("additive" | "fibonacci", None, None),
-    or (None, witness1, witness2) when neither identity holds."""
-    if not needs_identity(seq, k, n):
+    or (None, witness1, witness2) when neither identity holds on a layer
+    that is no base case.  A prime-shaped or one-level layer is "additive"
+    without a scan."""
+    if _prime_or_one_level(seq, k, n):
         return "additive", None, None
     # read every level before the scans, so that a sequence too short for
     # the layer fails here as it does in the tilers
@@ -277,6 +247,8 @@ def detect_variant(seq: FSeq, k: int, n: int):
     w2 = _witness(seq, 2, n)
     if w2 is None:
         return "fibonacci", None, None
+    if not needs_identity(seq, k, n):
+        return "additive", None, None
     return None, w1, w2
 
 
@@ -286,10 +258,41 @@ def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
     policy's choice source, every reachable one from _all_families."""
     layer = build_layer(seq, k, n)
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
-    witness = needs_identity(seq, k, n) and _witness(seq, which, n)
-    if witness:
-        raise IdentityError(which, witness)
-    raws = _shape_tilings(seq, layer.sizes, which, choose, {})
+    memo: dict[tuple[int, int], list] = {}
+
+    def tilings(n: int, k: int, asked: bool = False) -> list:
+        """Sorted distinct raw tilings of cell (n, k); the identity check of
+        the asked cell's row covers every split below it."""
+        got = memo.get((n, k))
+        if got is not None:
+            return got
+        _refuse(seq, k, n)
+        if not needs_identity(seq, k, n):
+            got = [_base_tiling(seq, k, n)]
+        else:
+            witness = asked and _witness(seq, which, n)
+            if witness:
+                raise IdentityError(which, witness)
+            size_a, count_a, size_b, count_b = _groups(seq, n, k, which)
+            families = choose(seq.term(n), size_a, count_a, size_b, count_b)
+            subs_top = tilings(n - 1, k)
+            subs_moved = tilings(n - 1, k - 1) if count_b else []
+            seen = set()
+            for groups_a, groups_b in families:
+                for picks_a in iproduct(subs_top, repeat=count_a):
+                    capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
+                    for picks_b in iproduct(subs_moved, repeat=count_b):
+                        moved = [
+                            b[1:] + (tuple(g[i] for i in b[0]),)
+                            for g, t in zip(groups_b, picks_b)
+                            for b in t
+                        ]
+                        seen.add(tuple(sorted(capped + moved)))
+            got = sorted(seen)
+        memo[n, k] = got
+        return got
+
+    raws = tilings(n, k, asked=True)
     return [make_tiling(layer, [BlockPlacement(subsets=b) for b in raw]) for raw in raws]
 
 
@@ -576,18 +579,11 @@ def enumerate_tilings(
 
 def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
     """count(n, k) of identity `which`'s recursion for levels k..n, over one
-    memo for every cell it is asked for.
-
-    A cell splits term(n) slots into ga groups of term(m) and gb groups of
-    term(k - 1), (ga, gb) as in the tiler's split, and is the multinomial of
-    that split times count(n - 1, k) ** ga * count(n - 1, k - 1) ** gb.
-    derived mode counts unordered families, dividing by ga! gb!, and its
-    base cases are the tiler's (needs_identity is false) plus the layers
-    whose prime sizes are all 1, which only single chains tile: it counts
-    the tiler's choice tree.  paper mode keeps the ordered multinomial,
-    first powers and the printed base cases k = 1 and m <= which.  The
-    identity is checked once per row n, for a cell that is no base case, and
-    it covers every split below (n, k).
+    memo for every cell it is asked for: a cell's split multinomial (_groups)
+    times count(n - 1, k) ** ga * count(n - 1, k - 1) ** gb.  derived mode
+    divides by ga! gb! and takes the tiler's refusals and base cases; paper
+    mode keeps ordered selections, first powers and the printed base cases
+    k = 1 and m <= which.
     """
     if mode not in ("paper", "derived"):
         raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
@@ -595,44 +591,43 @@ def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
     memo: dict[tuple[int, int], int] = {}
 
     def base(n: int, k: int) -> bool:
-        m = n - k + 1
         if mode == "paper":
-            return k == 1 or m <= which
-        return not needs_identity(seq, k, n) or all(seq.term(j) == 1 for j in range(1, m + 1))
+            return k == 1 or n - k + 1 <= which
+        _refuse(seq, k, n)
+        return not needs_identity(seq, k, n)
 
-    def rec(n: int, k: int) -> int:
-        if base(n, k):
-            return 1
-        if (n, k) in memo:
-            return memo[n, k]
-        m = n - k + 1
-        total, a, b = seq.term(n), seq.term(m), seq.term(k - 1)
-        ga, gb = _group_counts(seq, seq.term(k), m, which)
+    def split(n: int, k: int, asked: bool) -> int:
+        witness = asked and check(n)
+        if witness:
+            raise IdentityError(which, witness)
+        total = seq.term(n)
+        a, ga, b, gb = _groups(seq, n, k, which)
         if ga == gb == 1:
             got = comb(total, a)  # two groups: a binomial
         else:
             denom = factorial(a) ** ga * factorial(b) ** gb
             if mode == "derived":
                 denom *= factorial(ga) * factorial(gb)
-            got, remainder = divmod(factorial(total), denom)
-            # an integer unless a zero-size group kind has a repeat factor
-            if remainder:
-                raise NonIntegralError(
-                    f"multinomial {to_decimal(total)}! / {to_decimal(denom)} "
-                    f"is not an integer at (n, k) = ({n}, {k})"
-                )
+            # exact: paper's selections are ordered, and derived mode has
+            # no empty group left (its refusals and the dropped b side)
+            got = factorial(total) // denom
             if mode == "paper":
                 ga = gb = 1  # the printed form takes each sub-count once
-        memo[n, k] = got * rec(n - 1, k) ** ga * rec(n - 1, k - 1) ** gb
-        return memo[n, k]
+        got *= rec(n - 1, k) ** ga
+        return got * rec(n - 1, k - 1) ** gb if gb else got
+
+    def rec(n: int, k: int, asked: bool = False) -> int:
+        """Count of cell (n, k); the identity check of the asked cell's row
+        covers every split below it."""
+        got = memo.get((n, k))
+        if got is None:
+            got = memo[n, k] = 1 if base(n, k) else split(n, k, asked)
+        return got
 
     def count(n: int, k: int) -> int:
         if k < 1 or n < k:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-        witness = not base(n, k) and check(n)
-        if witness:
-            raise IdentityError(which, witness)
-        return rec(n, k)
+        return rec(n, k, asked=True)
 
     return count
 
@@ -646,8 +641,8 @@ def count_tilings_fibonacci(seq: FSeq, n: int, k: int, mode: str = "derived") ->
     """Choice count of the convolution recursion for levels k..n.
 
     paper mode evaluates the printed closed form verbatim.  derived mode
-    counts the tiler's choice tree: unordered group families under the
-    tiler's own base cases, with a layer of all-1 prime sizes counting once.
+    counts the tiler's choice tree by the tiler's rules: its refusals raise,
+    a base case counts once, any other cell counts unordered group families.
     """
     return _constructive_counter(seq, 2, mode)(n, k)
 
@@ -700,10 +695,13 @@ def equal_block_bound(seq: FSeq, n: int, k: int) -> int:
 
 
 def check_count_upper_bound(seq: FSeq, n: int, k: int) -> UpperBoundCheck:
-    """Check count <= equal-block partition bound for the layer over k..n."""
+    """Check count <= equal-block partition bound for the layer over k..n,
+    counted by the recursion detect_variant picks (additive by default)."""
     eta, kappa, lam = _bound_parameters(seq, n, k)
     rhs = stirling_lambda(eta, kappa, lam)
-    lhs = count_tilings_additive(seq, n, k)
+    variant, _, _ = detect_variant(seq, k, n)
+    counter = count_tilings_fibonacci if variant == "fibonacci" else count_tilings_additive
+    lhs = counter(seq, n, k)
     return UpperBoundCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs, eta=eta, kappa=kappa, lam=lam)
 
 
@@ -772,8 +770,10 @@ def triangle(
     notes: dict = {}
     if kind in ("additive", "fibonacci"):
         cell = _constructive_counter(seq, 1 if kind == "additive" else 2, mode)
+        noted = (IdentityError, ZeroTermError, TilingError)  # the tiler's refusals too
     else:
         cell = partial(equal_block_bound, seq)
+        noted = (NonIntegralError,)
     for n in range(1, rows + 1):
         if kind == "fnomial":
             # One lazy row per n; its zero-term and range errors propagate.
@@ -788,7 +788,7 @@ def triangle(
         for k in range(1, n + 1):
             try:
                 cells[(n, k)] = cell(n, k)
-            except (IdentityError, NonIntegralError) as exc:
+            except noted as exc:
                 notes[(n, k)] = str(exc)
     return Triangle(
         kind=kind, rows=rows, include_zero=include_zero, cells=cells, notes=notes

@@ -193,6 +193,43 @@ def test_tile_auto_picks_fibonacci(capsys):
     assert obj["block_count"] == "6"
 
 
+def test_tile_additive_on_all_ones_prime_sizes(capsys):
+    # levels 3..4 have prime sizes (1, 1): only single chains tile them,
+    # whether or not the additive identity holds
+    code, out, _ = run(
+        ["tile", "--seq", "fibonacci", "--k", "3", "--n", "4", "--variant", "additive",
+         "--format", "text"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"block {3 * i + j}: {i} | {j}" for i in range(2) for j in range(3)
+    ]
+
+
+def test_tile_auto_tiles_all_ones_prime_sizes_without_an_identity(capsys):
+    spec = '{"kind": "explicit", "terms": ["1", "1", "1", "5", "7"]}'
+    code, out, _ = run(["tile", "--seq", spec, "--k", "3", "--n", "4"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["variant"], obj["block_count"], obj["verified"]) == ("additive", "35", True)
+    assert obj["blocks"] == [[[i], [j]] for i in range(5) for j in range(7)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_tile_reports_a_failed_verification_in_its_format(fmt, capsys, monkeypatch):
+    violation = tiling.TilingViolation("block-count", "1 blocks, law requires 2", 1)
+    monkeypatch.setattr(cli, "verify_tiling", lambda t: violation)
+    argv = ["tile", "--seq", "natural", "--k", "2", "--n", "3", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        assert json.loads(out) == {"error": "verification failed", "clause": "block-count",
+                                   "detail": "1 blocks, law requires 2"}
+    else:
+        assert out == "verification failed: block-count: 1 blocks, law requires 2\n"
+
+
 def test_tile_text(capsys):
     code, out, _ = run(
         ["tile", "--seq", "natural", "--k", "2", "--n", "3", "--format", "text"],
@@ -566,8 +603,8 @@ _TRIANGLE_SEQS = {
     "even": '{"kind": "explicit", "terms": ["1", "2", "4", "6", "8", "10", "12", "14"]}',
     "zero": '{"kind": "explicit", "terms": ["1", "0", "0", "0", "0", "0", "0", "0"]}',
     "short": '{"kind": "explicit", "terms": ["1", "1", "2", "3", "4"]}',
-    # the additive identity holds through n = 4, the convolution one through
-    # n = 4 with a non-integral family count at (4, 2)
+    # the additive identity holds through n = 4; the convolution one fails
+    # at (m, k) = (2, 1)
     "bent": '{"kind": "explicit", "terms": ["1", "1", "2", "3", "4", "6", "7", "8"]}',
     "zero-first": '{"kind": "explicit", "terms": ["1", "0", "2", "4", "8", "16", "32", "64"]}',
 }
@@ -579,6 +616,8 @@ _NO_CONVOLUTION_DERIVED = "f5365798ad52f6211e56307dad4cad4b01b73cdf476a4ef7c181f
 _NO_ADDITIVE = "cab8b540515af30fdaddd0741c2063297fc733d193e88175b7f5f4c71d9dc3d7"
 _SHORT_ERROR = "error: explicit sequence has 4 terms past index 0; index 5 is out of range\n"
 _ONES = "ad1fa8456ca6116aa686e062e492545c9b48e9312e2e7afd4e76903508ba9f0d"
+_ZERO_REFUSED = "dbd0be8482e03fb714a7494f07018fea7410253acae7b7f00ecb9a2aafa18636"
+_ZERO_FIRST_REFUSED = "429d7d2ef859872d516bd089c4deeb9c031bb03eb9a5348e8127c992bd18d9bc"
 _TRIANGLE_DIGESTS = {
     ("natural", "additive"): (
         0,
@@ -614,8 +653,10 @@ _TRIANGLE_DIGESTS = {
         "b48e32857db5c48f55e22674c71b1fa352bf52b907761a7758b1afe306a7fa86",
     ),
     ("even", "fibonacci"): (1, _NO_CONVOLUTION_DERIVED, _NO_CONVOLUTION),
-    ("zero", "additive"): (0, _ONES, _ONES),
-    ("zero", "fibonacci"): (0, _ONES, _ONES),
+    # derived mode refuses every cell, as the tiler does: a zero level, or
+    # (zero-first, k >= 2) the zero prime size term(1)
+    ("zero", "additive"): ((1, 0), _ZERO_REFUSED, _ONES),
+    ("zero", "fibonacci"): ((1, 0), _ZERO_REFUSED, _ONES),
     # row 5 reads term 5, past the list: _SHORT_ERROR.  Under the convolution
     # identity, paper mode notes every cell past its index base cases before
     # reading a term past 4; derived mode reads term 5 to test whether levels
@@ -628,10 +669,10 @@ _TRIANGLE_DIGESTS = {
         "2da634387943bc6883679e69ce52f97a101c57be016d5e01069c9725028a7c83",
     ),
     ("bent", "fibonacci"): (1, _NO_CONVOLUTION_DERIVED, _NO_CONVOLUTION),
-    ("zero-first", "additive"): (1, _NO_ADDITIVE, _NO_ADDITIVE),
+    ("zero-first", "additive"): (1, _ZERO_FIRST_REFUSED, _NO_ADDITIVE),
     ("zero-first", "fibonacci"): (
         1,
-        "59a69704404dc6d0dfee7abfe8b34aa88a7ff3aaeaad77a3d415a6501f26fd31",
+        _ZERO_FIRST_REFUSED,
         "a9a3399381a9ed68544961e78e76d6a14cd493a926295e26f26fd65b257afb99",
     ),
 }

@@ -179,6 +179,37 @@ def test_stream_and_counter_refuse_a_layer_without_the_identity(seq):
         tiling.count_tilings_fibonacci(seq, 3, 2)
 
 
+def _outcome(count):
+    """("count", value), or the error's type and text."""
+    try:
+        return "count", count()
+    except errors.CobwebError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=4))
+def test_derived_counter_counts_the_choice_stream(later):
+    # zeros included: a refused layer raises the same error in both
+    seq = fseq.explicit([1, 1] + later)
+    counters = {1: tiling.count_tilings_additive, 2: tiling.count_tilings_fibonacci}
+    for which, counter in counters.items():
+        for n in range(1, len(later) + 2):
+            for k in range(1, n + 1):
+                want = _outcome(lambda: len(_stream(seq, k, n, which)))
+                assert _outcome(lambda: counter(seq, n, k)) == want, (which, n, k)
+
+
+def test_derived_counter_counts_choices_not_distinct_tilings():
+    # levels 2..3 of 1, 2, 2, 4 split 4 top slots into an a-group and a
+    # b-group of 2 each; swapping their roles gives the same tiling, so the
+    # 6 leaves of the choice tree are 3 distinct tilings
+    seq = fseq.explicit([1, 2, 2, 4])
+    assert tiling.count_tilings_additive(seq, 3, 2) == 6
+    assert len(_stream(seq, 2, 3, 1)) == 3
+    assert tiling.enumerate_tilings(poset.build_layer(seq, 2, 3)).count == 3
+
+
 def test_derived_counter_pinned_past_the_stream():
     # streaming these 1,871,100 tilings takes minutes
     assert tiling.count_tilings_fibonacci(fseq.rec2(1, 2), 4, 2) == 1871100
@@ -530,22 +561,30 @@ def test_count_fibonacci_modes():
 
 
 def test_count_fibonacci_flags_a_non_integral_family_count():
-    # term(1) = 0 passes the convolution identity through n = 4, but (4, 2)
-    # splits 8 slots into 2 groups of 4 and 2 empty groups: 8! / (4!^2 2! 2!)
-    # unordered families is not an integer, while the ordered count is
+    # term(1) = 0 passes the convolution identity through n = 4, and (4, 2)
+    # would split 8 slots into 2 groups of 4 and 2 empty groups, whose
+    # 8! / (4!^2 2! 2!) unordered families is not an integer.  No block has
+    # an empty level, so derived mode refuses the layer as the tiler does;
+    # the printed closed form still takes its ordered count
     seq = fseq.explicit([1, 0, 2, 4, 8])
     assert fseq.check_identity_2(seq, 4) is None
-    with pytest.raises(errors.NonIntegralError, match=r"multinomial 8! / 2304 .* \(4, 2\)"):
+    with pytest.raises(errors.ZeroTermError, match=r"prime size term\(1\) .* levels 2\.\.4"):
         tiling.count_tilings_fibonacci(seq, 4, 2)
     assert tiling.count_tilings_fibonacci(seq, 4, 2, mode="paper") == 70
+    # levels 2..3 have a zero prime size too: enumerate counts no tiling
+    seq = fseq.explicit([1, 0, 2, 4, 8, 16, 32, 64])
+    with pytest.raises(errors.ZeroTermError, match=r"prime size term\(1\) .* levels 2\.\.3"):
+        tiling.count_tilings_fibonacci(seq, 3, 2)
+    assert tiling.enumerate_tilings(poset.build_layer(seq, 2, 3)).count == 0
 
 
 def test_counters_reach_deep_cells():
-    # every cell of an all-zero sequence counts one tiling; the recursion
-    # still goes about n calls deep
+    # a deep cell of an all-zero sequence is refused for its zero levels
+    # before any recursion, with a typed error and no RecursionError
     zero = fseq.explicit([1] + [0] * 800)
-    assert tiling.count_tilings_additive(zero, 800, 400) == 1
-    assert tiling.count_tilings_fibonacci(zero, 800, 400) == 1
+    for counter in (tiling.count_tilings_additive, tiling.count_tilings_fibonacci):
+        with pytest.raises(errors.ZeroTermError, match="level 400 of .* has zero slots"):
+            counter(zero, 800, 400)
 
 
 def test_stirling_lambda():
@@ -575,6 +614,14 @@ def test_upper_bound_check():
     for n in range(1, 7):
         for k in range(1, n + 1):
             chk = tiling.check_count_upper_bound(nat, n, k)
+            assert chk.holds, (n, k)
+            assert chk.eta == chk.kappa * chk.lam
+    # the convolution layers take the convolution counter
+    fib = fseq.fibonacci()
+    assert tiling.check_count_upper_bound(fib, 5, 3).lhs == 45
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            chk = tiling.check_count_upper_bound(fib, n, k)
             assert chk.holds, (n, k)
             assert chk.eta == chk.kappa * chk.lam
 
@@ -651,7 +698,8 @@ def test_triangle_shared_memo_matches_single_cells(seq):
             for k in range(1, n + 1):
                 try:
                     want = ("cell", count(n, k))
-                except (errors.IdentityError, errors.NonIntegralError) as exc:
+                except (errors.IdentityError, errors.NonIntegralError, errors.ZeroTermError,
+                        errors.TilingError) as exc:
                     want = ("note", str(exc))
                 got = ("cell", table.cells[(n, k)]) if (n, k) in table.cells else (
                     "note", table.notes[(n, k)])
