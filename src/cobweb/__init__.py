@@ -77,6 +77,7 @@ from .tiling import (
     tile_fibonacci,
     triangle,
     verify_tiling,
+    verify_tilings,
 )
 
 __version__ = "0.1.0"

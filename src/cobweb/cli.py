@@ -38,6 +38,7 @@ from .tiling import (
     tile_fibonacci,
     triangle,
     verify_tiling,
+    verify_tilings,
 )
 
 __all__ = ["main", "entry", "load_sequence"]
@@ -269,8 +270,7 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     count = to_decimal(result.count)
     obj = {"count": count, "complete": True, "truncated": result.truncated}
     if result.tilings is not None:
-        for t in result.tilings:
-            violation = verify_tiling(t)
+        for violation in verify_tilings(result.tilings):
             if violation is not None:
                 raise TilingError(f"enumerated tiling failed verification: {violation.detail}")
         obj["layer"] = {

@@ -8,6 +8,11 @@ multiset of prime sizes {term(1), ..., term(m)}; its chain set is the
 Cartesian product of the subsets.  A tiling partitions the chain universe
 into such blocks.
 
+A chain's id is its index in the lexicographic order enumerate_chains
+yields: its slots read as one mixed-radix number, level k most significant.
+chain_ids numbers a placement's chains so, and chain_at reads a chain back;
+the exact cover and the verifier both count chains by these ids.
+
 Enumeration here is brute force and capped: exceeding a cap raises a named
 error rather than truncating output.
 """
@@ -32,6 +37,8 @@ __all__ = [
     "build_layer",
     "prime_level_sizes",
     "enumerate_chains",
+    "chain_ids",
+    "chain_at",
     "placement_count",
     "enumerate_placements",
     "make_tiling",
@@ -134,6 +141,23 @@ def enumerate_chains(layer: Layer, cap: Optional[int] = None) -> Iterator[Chain]
     """All maximal chains in lexicographic order; errors if over the cap."""
     check_cap("chains", layer.chain_count, cap, DEFAULT_CHAIN_CAP)
     return iproduct(*(range(size) for size in layer.sizes))
+
+
+def chain_ids(layer: Layer, subsets: Sequence[Sequence[int]]) -> list[int]:
+    """Ids of the chains of one slot subset per level, in iproduct order."""
+    ids = [0]
+    for subset, size in zip(subsets, layer.sizes):
+        ids = [i * size + s for i in ids for s in subset]
+    return ids
+
+
+def chain_at(layer: Layer, cid: int) -> Chain:
+    """The chain whose id is cid."""
+    slots = []
+    for size in reversed(layer.sizes):
+        cid, slot = divmod(cid, size)
+        slots.append(slot)
+    return tuple(reversed(slots))
 
 
 def _fitting_assignments(layer: Layer) -> list[tuple[int, ...]]:

@@ -10,9 +10,10 @@ term(m - 1) of them, the additive split term(n) = term(m) + term(k - 1) one
 of each, and none of the b side when term(k - 1) = 0.  Two rules on a cell
 serve the tilers, detect_variant and the derived counter:
 
-* _refuse: a layer with a zero level, a zero prime size term(1..m), or one
+* _refusal: a layer with a zero level, a zero prime size term(1..m), or one
   level that term(1) does not divide has no tiling; it is refused before
-  any identity is checked.
+  any identity is checked, from the zero positions each tiler or counter
+  keeps of the terms it has read.
 * base case (not needs_identity): one level, prime-shaped, or all prime
   sizes 1; its one tiling cuts each level into runs of its prime size and
   makes a block of each choice of one run per level.
@@ -32,6 +33,15 @@ cases k = 1 and m <= 1 (additive) or m <= 2 (convolution), no refusal.  A
 triangle shares one memo, checks its identity once per row, and notes the
 cells an identity or a refusal rules out.
 
+verify_tiling checks a tiling clause by clause, by chain ids
+(poset.chain_ids): the blocks partition the chains when their chain counts
+sum to the layer's chain count and their ids are that many distinct
+numbers, and only when that test fails does a second pass look for the
+first shared or uncovered chain.  One verifier serves every tiling of one
+Layer object (verify_tilings, the listing of enumerate): it computes the
+prime-size multiset and the law once, and checks each distinct level subset
+and each distinct placement, and numbers the placement's chains, once.
+
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
@@ -48,13 +58,14 @@ workers.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import combinations, groupby, product as iproduct
+from itertools import chain, combinations, groupby, product as iproduct
 from math import comb, factorial
 from operator import attrgetter, itemgetter, or_
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import fseq
 from .digits import to_decimal
@@ -73,7 +84,8 @@ from .poset import (
     Layer,
     Tiling,
     build_layer,
-    enumerate_chains,
+    chain_at,
+    chain_ids,
     enumerate_placements,
     make_tiling,
     prime_level_sizes,
@@ -92,6 +104,7 @@ __all__ = [
     "needs_identity",
     "detect_variant",
     "verify_tiling",
+    "verify_tilings",
     "enumerate_tilings",
     "count_tilings_additive",
     "count_tilings_fibonacci",
@@ -130,17 +143,31 @@ class TilePolicy:
 # ---------------------------------------------------------------------------
 # constructive recursion
 
-def _refuse(seq: FSeq, k: int, n: int) -> None:
-    """Raise when levels k..n have no tiling at all: a zero level, a zero
-    prime size, or one level whose size term(1) does not divide."""
-    build_layer(seq, k, n)  # a zero level
-    for j in range(1, n - k + 2):
-        if not seq.term(j):
-            raise ZeroTermError(f"prime size term({j}) of {seq.label()} is zero; "
+def _refusal(seq: FSeq):
+    """refuse(k, n), which raises when levels k..n have no tiling at all: a
+    zero level, a zero prime size, or one level whose size term(1) does not
+    divide.  It reads the terms up to the highest level asked for once, in
+    the order a layer reads them, and keeps their zero positions."""
+    zeros: list[int] = []
+    top = 0
+
+    def refuse(k: int, n: int) -> None:
+        nonlocal top
+        if n > top:
+            build_layer(seq, k, n)  # a zero level or an unreadable term
+            zeros.extend(j for j in range(top + 1, n + 1) if not seq.term(j))
+            top = n
+        i = bisect_left(zeros, k)
+        if i < len(zeros) and zeros[i] <= n:
+            build_layer(seq, zeros[i], zeros[i])  # the first zero level's error
+        if zeros and zeros[0] <= n - k + 1:
+            raise ZeroTermError(f"prime size term({zeros[0]}) of {seq.label()} is zero; "
                                 f"no block fits levels {k}..{n}")
-    if k == n and seq.term(n) % seq.term(1):
-        raise TilingError(f"one-level layer of size {seq.term(n)} cannot split "
-                          f"into blocks of size {seq.term(1)}")
+        if k == n and seq.term(n) % seq.term(1):
+            raise TilingError(f"one-level layer of size {seq.term(n)} cannot split "
+                              f"into blocks of size {seq.term(1)}")
+
+    return refuse
 
 
 def _groups(seq: FSeq, n: int, k: int, which: int) -> tuple[int, int, int, int]:
@@ -258,6 +285,7 @@ def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
     policy's choice source, every reachable one from _all_families."""
     layer = build_layer(seq, k, n)
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
+    refuse = _refusal(seq)
     memo: dict[tuple[int, int], list] = {}
 
     def tilings(n: int, k: int, asked: bool = False) -> list:
@@ -266,7 +294,7 @@ def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
         got = memo.get((n, k))
         if got is not None:
             return got
-        _refuse(seq, k, n)
+        refuse(k, n)
         if not needs_identity(seq, k, n):
             got = [_base_tiling(seq, k, n)]
         else:
@@ -345,6 +373,98 @@ class TilingViolation:
     witness: object = None
 
 
+class _Verifier:
+    """verify_tiling for the tilings of one Layer object.
+
+    The expected size multiset and the law are computed once, each distinct
+    level subset is checked once, and each distinct placement's chain ids
+    once.  A tiling whose chain count and number of distinct ids both equal
+    the layer's chain count is a partition; only when that test fails does
+    a second pass find the first shared or uncovered chain.
+    """
+
+    def __init__(self, layer: Layer):
+        self.layer = layer
+        self.expected = sorted(prime_level_sizes(layer.seq, layer.m))
+        self.valid = [set() for _ in layer.sizes]  # checked subsets per level
+        self.ids: dict[tuple, list[int]] = {}  # checked placements' chain ids
+        self.law = None
+
+    def __call__(self, tiling: Tiling) -> Optional[TilingViolation]:
+        layer = self.layer
+        if tiling.layer is not layer:
+            raise ValueError("a verifier checks the tilings of its own layer only")
+        ids = self.ids
+        blocks = []
+        for bi, block in enumerate(tiling.blocks):
+            subsets = block.subsets
+            got = ids.get(subsets)
+            if got is None:
+                fault = self._fault(bi, subsets)
+                if fault:
+                    return fault
+                got = ids[subsets] = chain_ids(layer, subsets)
+            blocks.append(got)
+        chains = layer.chain_count
+        if sum(map(len, blocks)) != chains or len(set(chain.from_iterable(blocks))) != chains:
+            return self._misplaced(blocks)
+        if self.law is None:
+            # computed here, not up front: fnomial raises on a zero prime
+            # size, where every tiling fails an earlier clause
+            self.law = fseq.fnomial(layer.seq, layer.n, layer.m)
+        if not self.law.is_integer or len(blocks) != self.law.value:
+            return TilingViolation(
+                "block-count",
+                f"{len(blocks)} blocks, law requires {self.law.value}",
+                len(blocks),
+            )
+        return None
+
+    def _fault(self, bi: int, subsets: tuple) -> Optional[TilingViolation]:
+        """The block-sizes violation of block bi, or None."""
+        layer = self.layer
+        if len(subsets) != layer.m:
+            return TilingViolation(
+                "block-sizes", f"block {bi} has {len(subsets)} levels, layer has {layer.m}", bi
+            )
+        for li, (subset, valid) in enumerate(zip(subsets, self.valid)):
+            if subset in valid:
+                continue
+            size = layer.sizes[li]
+            if not (subset and tuple(sorted(set(subset))) == subset
+                    and 0 <= subset[0] and subset[-1] < size):
+                return TilingViolation(
+                    "block-sizes",
+                    f"block {bi} level {layer.k + li} subset {subset} is not a sorted "
+                    f"set of slots below {size}",
+                    (bi, li),
+                )
+            valid.add(subset)
+        got = sorted(map(len, subsets))
+        if got != self.expected:
+            return TilingViolation(
+                "block-sizes", f"block {bi} has size multiset {got}, expected {self.expected}", bi
+            )
+        return None
+
+    def _misplaced(self, blocks: list[list[int]]) -> TilingViolation:
+        """The first chain, in block order, that an earlier block holds, else
+        the least chain no block holds."""
+        layer = self.layer
+        owner: dict[int, int] = {}
+        for bi, ids in enumerate(blocks):
+            for cid in ids:
+                other = owner.setdefault(cid, bi)
+                if other != bi:
+                    c = chain_at(layer, cid)
+                    return TilingViolation(
+                        "shared-chain", f"chain {c} lies in blocks {other} and {bi}", (c, other, bi)
+                    )
+        cid = next(i for i in range(layer.chain_count) if i not in owner)
+        c = chain_at(layer, cid)
+        return TilingViolation("uncovered-chain", f"chain {c} is covered by no block", c)
+
+
 def verify_tiling(tiling: Tiling) -> Optional[TilingViolation]:
     """None when valid, else the first violated clause.
 
@@ -352,59 +472,16 @@ def verify_tiling(tiling: Tiling) -> Optional[TilingViolation]:
     sizes; blocks are pairwise chain-disjoint; the blocks cover the chain
     universe; the block count equals the layer's generalized binomial.
     """
-    layer = tiling.layer
-    m = layer.m
-    expected = sorted(prime_level_sizes(layer.seq, m))
-    for bi, block in enumerate(tiling.blocks):
-        if len(block.subsets) != m:
-            return TilingViolation(
-                "block-sizes", f"block {bi} has {len(block.subsets)} levels, layer has {m}", bi
-            )
-        for li, subset in enumerate(block.subsets):
-            ok = (
-                len(subset) > 0
-                and all(0 <= s < layer.sizes[li] for s in subset)
-                and tuple(sorted(set(subset))) == tuple(subset)
-            )
-            if not ok:
-                return TilingViolation(
-                    "block-sizes",
-                    f"block {bi} level {layer.k + li} subset {subset} is not a sorted "
-                    f"set of slots below {layer.sizes[li]}",
-                    (bi, li),
-                )
-        got = sorted(len(s) for s in block.subsets)
-        if got != expected:
-            return TilingViolation(
-                "block-sizes",
-                f"block {bi} has size multiset {got}, expected {expected}",
-                bi,
-            )
-    seen: dict[tuple, int] = {}
-    for bi, block in enumerate(tiling.blocks):
-        for chain in block.chains():
-            other = seen.get(chain)
-            if other is not None:
-                return TilingViolation(
-                    "shared-chain",
-                    f"chain {chain} lies in blocks {other} and {bi}",
-                    (chain, other, bi),
-                )
-            seen[chain] = bi
-    if len(seen) != layer.chain_count:
-        for chain in iproduct(*(range(size) for size in layer.sizes)):
-            if chain not in seen:
-                return TilingViolation(
-                    "uncovered-chain", f"chain {chain} is covered by no block", chain
-                )
-    law = fseq.fnomial(layer.seq, layer.n, m)
-    if not law.is_integer or len(tiling.blocks) != law.value:
-        return TilingViolation(
-            "block-count",
-            f"{len(tiling.blocks)} blocks, law requires {law.value}",
-            len(tiling.blocks),
-        )
-    return None
+    return _Verifier(tiling.layer)(tiling)
+
+
+def verify_tilings(tilings: Iterable[Tiling]) -> Iterator[Optional[TilingViolation]]:
+    """verify_tiling's verdict on each tiling, in order, from one verifier
+    for tilings that share one Layer object (ValueError otherwise)."""
+    verifier = None
+    for t in tilings:
+        verifier = verifier or _Verifier(t.layer)
+        yield verifier(t)
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +633,10 @@ def enumerate_tilings(
         raise ValueError(f"workers must be positive, got {workers}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    chain_ids = {c: i for i, c in enumerate(enumerate_chains(layer, cap=chain_cap))}
+    check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
     placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
-    rows = [[chain_ids[c] for c in placement.chains()] for placement in placements]
-    search = _Search(len(chain_ids), rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
+    rows = [chain_ids(layer, placement.subsets) for placement in placements]
+    search = _Search(layer.chain_count, rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
     count = search.count(record=bool(limit))
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
@@ -588,12 +665,13 @@ def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
     if mode not in ("paper", "derived"):
         raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
     check = cache(partial(_witness, seq, which))
+    refuse = _refusal(seq)
     memo: dict[tuple[int, int], int] = {}
 
     def base(n: int, k: int) -> bool:
         if mode == "paper":
             return k == 1 or n - k + 1 <= which
-        _refuse(seq, k, n)
+        refuse(k, n)
         return not needs_identity(seq, k, n)
 
     def split(n: int, k: int, asked: bool) -> int:

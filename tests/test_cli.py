@@ -451,10 +451,22 @@ def test_enumerate_text_limit_lists_nothing(capsys, monkeypatch):
         raise AssertionError("text report verified a tiling")
 
     monkeypatch.setattr(cli, "verify_tiling", fail)
+    monkeypatch.setattr(cli, "verify_tilings", lambda tilings: map(fail, tilings))
     argv = ["enumerate", "--seq", "natural", "--k", "4", "--n", "5", "--format", "text"]
     assert run(argv + ["--limit", "1000"], capsys) == (0, "count 44928\n", "")
     code, out, err = run(argv + ["--limit", "-1"], capsys)
     assert code == 2 and out == "" and "limit" in err
+
+
+def test_enumerate_json_listing_verifies_through_one_verifier(capsys, monkeypatch):
+    # the name the text-report test patches is the one the listing calls
+    violation = tiling.TilingViolation("block-count", "1 blocks, law requires 2", 1)
+    seen = []
+    monkeypatch.setattr(cli, "verify_tilings", lambda ts: seen.append(len(ts)) or [violation])
+    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "7"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, seen) == (1, "", [7])
+    assert "enumerated tiling failed verification: 1 blocks, law requires 2" in err
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,14 @@ def test_enumerate_chains_lexicographic():
     assert chains == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
+def test_chain_ids_are_indices_in_enumerate_chains():
+    layer = poset.build_layer(fseq.natural(), 2, 4)
+    chains = list(poset.enumerate_chains(layer))
+    assert [poset.chain_at(layer, i) for i in range(len(chains))] == chains
+    for p in poset.enumerate_placements(layer):
+        assert poset.chain_ids(layer, p.subsets) == [chains.index(c) for c in p.chains()]
+
+
 def test_enumerate_chains_cap():
     layer = poset.build_layer(fseq.natural(), 2, 5)
     with pytest.raises(errors.CapExceeded) as err:

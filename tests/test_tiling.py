@@ -1,8 +1,9 @@
 """Tilers, verifier, exhaustive enumeration, counters, triangles."""
+from functools import cache
 from itertools import combinations, permutations, product as iproduct
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset, tiling
@@ -179,6 +180,33 @@ def test_stream_and_counter_refuse_a_layer_without_the_identity(seq):
         tiling.count_tilings_fibonacci(seq, 3, 2)
 
 
+def _plain_refusal(seq, k, n):
+    """The refusal read cell by cell: levels k..n as a layer reads them,
+    then term(1..m), then one level's divisibility."""
+    poset.build_layer(seq, k, n)
+    for j in range(1, n - k + 2):
+        if not seq.term(j):
+            raise errors.ZeroTermError(f"prime size term({j}) of {seq.label()} is zero; "
+                                       f"no block fits levels {k}..{n}")
+    if k == n and seq.term(n) % seq.term(1):
+        raise errors.TilingError(f"one-level layer of size {seq.term(n)} cannot split "
+                                 f"into blocks of size {seq.term(1)}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4)), min_size=1, max_size=15))
+@example([0, 2], 1, [(3, 0), (2, 1)])  # a zero level below the highest level read
+def test_refusal_from_zero_positions_matches_the_plain_reads(terms, term1, cells):
+    # one refusal per counter, asked in any order, cells past the end of the
+    # sequence included: the same first error as reading every term anew
+    seq = fseq.explicit([1, term1] + terms)
+    refuse = tiling._refusal(seq)
+    for k, extra in cells:
+        want = _outcome(lambda: _plain_refusal(seq, k, k + extra))
+        assert _outcome(lambda: refuse(k, k + extra)) == want, (k, k + extra)
+
+
 def _outcome(count):
     """("count", value), or the error's type and text."""
     try:
@@ -272,6 +300,172 @@ def test_verify_uncovered_chain_clause():
     v = tiling.verify_tiling(poset.make_tiling(layer, _natural_23_blocks()[:2]))
     assert v is not None and v.clause == "uncovered-chain"
     assert v.witness == (0, 2)
+
+
+def _oracle_verify(t):
+    """verify_tiling as one pass over chain tuples, every block checked anew:
+    the reference the chain-id verifier must match clause for clause."""
+    layer = t.layer
+    m = layer.m
+    expected = sorted(poset.prime_level_sizes(layer.seq, m))
+    for bi, block in enumerate(t.blocks):
+        if len(block.subsets) != m:
+            return tiling.TilingViolation(
+                "block-sizes", f"block {bi} has {len(block.subsets)} levels, layer has {m}", bi
+            )
+        for li, subset in enumerate(block.subsets):
+            ok = (
+                len(subset) > 0
+                and all(0 <= s < layer.sizes[li] for s in subset)
+                and tuple(sorted(set(subset))) == tuple(subset)
+            )
+            if not ok:
+                return tiling.TilingViolation(
+                    "block-sizes",
+                    f"block {bi} level {layer.k + li} subset {subset} is not a sorted "
+                    f"set of slots below {layer.sizes[li]}",
+                    (bi, li),
+                )
+        got = sorted(len(s) for s in block.subsets)
+        if got != expected:
+            return tiling.TilingViolation(
+                "block-sizes", f"block {bi} has size multiset {got}, expected {expected}", bi
+            )
+    seen = {}
+    for bi, block in enumerate(t.blocks):
+        for chain in block.chains():
+            other = seen.get(chain)
+            if other is not None:
+                return tiling.TilingViolation(
+                    "shared-chain", f"chain {chain} lies in blocks {other} and {bi}",
+                    (chain, other, bi),
+                )
+            seen[chain] = bi
+    if len(seen) != layer.chain_count:
+        for chain in iproduct(*(range(size) for size in layer.sizes)):
+            if chain not in seen:
+                return tiling.TilingViolation(
+                    "uncovered-chain", f"chain {chain} is covered by no block", chain
+                )
+    law = fseq.fnomial(layer.seq, layer.n, m)
+    if not law.is_integer or len(t.blocks) != law.value:
+        return tiling.TilingViolation(
+            "block-count", f"{len(t.blocks)} blocks, law requires {law.value}", len(t.blocks)
+        )
+    return None
+
+
+_LISTED = [
+    (fseq.natural(), 3, 4), (fseq.natural(), 2, 4), (fseq.fibonacci(), 2, 5),
+    (fseq.explicit([1, 1, 2, 2, 4]), 3, 4), (fseq.explicit([1, 1, 1, 2, 3, 5]), 2, 4),
+]
+
+
+@cache
+def _valid_tilings(source):
+    """The listed tilings of one _LISTED layer (all sharing its Layer object),
+    or one constructive tile."""
+    if source < len(_LISTED):
+        return tiling.enumerate_tilings(poset.build_layer(*_LISTED[source]), 60).tilings
+    seeded = tiling.TilePolicy("seeded-random", 7)
+    tiles = [
+        tiling.tile_additive(fseq.natural(), 2, 5), tiling.tile_additive(fseq.natural(), 3, 5, seeded),
+        tiling.tile_fibonacci(fseq.fibonacci(), 3, 6),
+        tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, seeded),
+    ]
+    return (tiles[source - len(_LISTED)],)
+
+
+_SOURCES = len(_LISTED) + 4
+_CORRUPTIONS = ("drop", "duplicate", "reorder", "replace", "move-slot", "resize", "unsort",
+                "add-level")
+
+
+def _corrupt(blocks, how, layer, draw):
+    """blocks (a list of subset tuples) with one corruption applied."""
+    if not blocks:
+        return blocks
+    i = draw(st.integers(0, len(blocks) - 1))
+    j = draw(st.integers(0, len(blocks)))
+    block = list(blocks[i])
+    li = draw(st.integers(0, len(block) - 1))
+    subset, size = block[li], layer.sizes[min(li, layer.m - 1)]
+    if how == "drop":
+        return blocks[:i] + blocks[i + 1:]
+    if how == "duplicate":
+        return blocks[:j] + [blocks[i]] + blocks[j:]
+    if how == "reorder":
+        rest = blocks[:i] + blocks[i + 1:]
+        return rest[:j] + [blocks[i]] + rest[j:]
+    if how == "replace":
+        placements = list(poset.enumerate_placements(layer))
+        block = list(placements[draw(st.integers(0, len(placements) - 1))].subsets)
+    elif how == "move-slot" and subset:
+        moved = list(subset)
+        moved[draw(st.integers(0, len(moved) - 1))] = draw(st.integers(-1, size))
+        block[li] = tuple(sorted(set(moved))) if draw(st.booleans()) else tuple(moved)
+    elif how == "resize":
+        free = sorted(set(range(size)) - set(subset))
+        if free and draw(st.booleans()):
+            block[li] = tuple(sorted(subset + (draw(st.sampled_from(free)),)))
+        else:
+            block[li] = subset[:-1]
+    elif how == "unsort" and subset:
+        block[li] = subset[::-1] if len(subset) > 1 else subset * 2
+    elif how == "add-level":
+        block.insert(draw(st.integers(0, len(block))), (0,))
+    return blocks[:i] + [tuple(block)] + blocks[i + 1:]
+
+
+@st.composite
+def _tilings_of_one_layer(draw):
+    """Valid tilings of one layer, some corrupted, all on its Layer object."""
+    valid = _valid_tilings(draw(st.integers(0, _SOURCES - 1)))
+    layer = valid[0].layer
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        blocks = [b.subsets for b in draw(st.sampled_from(valid)).blocks]
+        for how in draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
+            blocks = _corrupt(blocks, how, layer, draw)
+        out.append(poset.Tiling(layer, tuple(poset.BlockPlacement(b) for b in blocks)))
+    return out + draw(st.lists(st.sampled_from(out), max_size=3))  # faults met again
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tilings_of_one_layer())
+def test_verifier_matches_the_oracle_on_corrupted_tilings(tilings):
+    # one verifier for the whole mix: a placement it cached from one tiling
+    # must not hide a fault in the next
+    want = [_oracle_verify(t) for t in tilings]
+    assert list(tiling.verify_tilings(tilings)) == want
+    assert [tiling.verify_tiling(t) for t in tilings] == want
+
+
+def test_verifier_reports_a_clause_where_the_law_would_raise():
+    # prime sizes (1, 0): fnomial raises, but every tiling fails a clause first
+    layer = poset.build_layer(fseq.explicit([1, 1, 0, 2, 2, 2]), 4, 5)
+    for blocks in [(), (poset.BlockPlacement(((0,), (0, 1))),)]:
+        t = poset.Tiling(layer, blocks)
+        assert tiling.verify_tiling(t) == _oracle_verify(t) is not None
+
+
+def test_verifier_state_belongs_to_one_layer_object():
+    # equal Layers, sizes (3, 4), but prime sizes (1, 2) and (1, 1)
+    natural = poset.build_layer(fseq.natural(), 3, 4)
+    ones = poset.build_layer(fseq.explicit([1, 1, 1, 3, 4]), 3, 4)
+    assert natural == ones
+    pairs = [(natural, tiling.tile_additive(fseq.natural(), 3, 4).blocks),
+             (ones, tiling.enumerate_tilings(ones, 1).tilings[0].blocks)]
+    for order in (pairs, pairs[::-1]):
+        for layer, blocks in order:
+            t = poset.Tiling(layer, blocks)
+            assert tiling.verify_tiling(t) is None
+            assert list(tiling.verify_tilings([t, t])) == [None, None]
+            other = poset.Tiling(ones if layer is natural else natural, blocks)
+            assert tiling.verify_tiling(other) == _oracle_verify(other)
+            assert tiling.verify_tiling(other).clause == "block-sizes"
+        with pytest.raises(ValueError, match="its own layer"):
+            list(tiling.verify_tilings([poset.Tiling(layer, b) for layer, b in order]))
 
 
 # ---------------------------------------------------------------------------
