@@ -87,8 +87,39 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, output: Optional[str]) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
+def _emit_json(obj, output: Optional[str], *, blocks=(), tilings=()) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2).  blocks (one tiling's)
+    or tilings (a list of tilings) take the place of the empty list that
+    obj holds under that key, which must be the first '"key": []' of the
+    dump.  json.dumps encodes indent in pure Python before 3.13, so their
+    block arrays are written with joins, byte for byte alike, and under
+    tilings each distinct placement is rendered once."""
+    doc = json.dumps(obj, sort_keys=True, indent=2)
+    if blocks:
+        array = _json_array(list(map(_block_renderer(2), blocks)), 1)
+        doc = doc.replace('"blocks": []', '"blocks": ' + array, 1)
+    if tilings:
+        render = functools.cache(_block_renderer(3))
+        arrays = [_json_array(list(map(render, t.blocks)), 2) for t in tilings]
+        doc = doc.replace('"tilings": []', '"tilings": ' + _json_array(arrays, 1), 1)
+    _emit(doc + "\n", output)
+
+
+def _json_array(items: list, depth: int) -> str:
+    """Rendered items as json.dumps(..., indent=2) writes an array depth levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _block_renderer(depth: int):
+    """Function writing one block depth levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+    return lambda block: _json_array(
+        [head + sep.join(map(str, s)) + tail if s else "[]" for s in block.subsets], depth
+    )
 
 
 def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:
@@ -202,51 +233,14 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
     elif ns.format == "text":
         _emit(_render_tiling_text(result), ns.output)
     else:
-        # "blocks": [] is a placeholder for the array written below; "blocks"
-        # sorts before "layer", the only other nested value, so the first
-        # occurrence is the placeholder
+        # "blocks" sorts before "layer", the only other nested value, so the
+        # first '"blocks": []' is the placeholder
         obj = tiling_to_dict(Tiling(result.layer, ()))
         obj["variant"] = variant
         obj["block_count"] = str(len(result.blocks))
         obj["verified"] = True
-        doc = json.dumps(obj, sort_keys=True, indent=2)
-        doc = doc.replace('"blocks": []', '"blocks": ' + _blocks_json(result.blocks, 1), 1)
-        _emit(doc + "\n", ns.output)
+        _emit_json(obj, ns.output, blocks=result.blocks)
     return EXIT_OK
-
-
-# json.dumps(indent=2) encodes in pure Python before 3.13; the block arrays
-# of tile and enumerate are written here with joins, byte for byte alike.
-
-def _json_array(items: list, depth: int) -> str:
-    """Rendered items as json.dumps(..., indent=2) writes an array depth levels deep."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _block_renderer(depth: int):
-    """Function writing one block depth levels deep."""
-    inner = "\n" + "  " * (depth + 1)
-    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-    return lambda block: _json_array(
-        [head + sep.join(map(str, s)) + tail if s else "[]" for s in block.subsets], depth
-    )
-
-
-def _blocks_json(blocks, depth: int, render_block=None) -> str:
-    """A block list depth levels deep; render_block, if given, writes each
-    block (one level deeper)."""
-    render_block = render_block or _block_renderer(depth + 1)
-    return _json_array(list(map(render_block, blocks)), depth)
-
-
-def _tilings_json(tilings) -> str:
-    """The tilings' block arrays one key deep, each distinct placement
-    rendered once and reused."""
-    render_block = functools.cache(_block_renderer(3))
-    return _json_array([_blocks_json(t.blocks, 2, render_block) for t in tilings], 1)
 
 
 def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -279,14 +273,12 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
             "sizes": [str(s) for s in layer.sizes],
         }
         obj["tilings"] = []
-    if ns.format == "json" and result.tilings:
+    if ns.format == "json":
         # obj's other values are numbers, booleans, decimal strings and
         # nonempty lists, so the placeholder occurs once
-        doc = json.dumps(obj, sort_keys=True, indent=2)
-        doc = doc.replace('"tilings": []', '"tilings": ' + _tilings_json(result.tilings), 1)
-        _emit(doc + "\n", ns.output)
+        _emit_json(obj, ns.output, tilings=result.tilings)
     else:
-        _report(ns, obj, f"count {count}\n")
+        _emit(f"count {count}\n", ns.output)
     return EXIT_OK if result.count > 0 else EXIT_NEGATIVE
 
 

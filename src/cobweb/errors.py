@@ -25,12 +25,10 @@ class ZeroTermError(CobwebError):
 class IdentityError(CobwebError):
     """A required term identity fails; carries the first witness."""
 
-    def __init__(self, which: int, witness: tuple[int, int], message: str | None = None):
+    def __init__(self, which: int, witness: tuple[int, int]):
         self.which = which
         self.witness = witness
-        super().__init__(
-            message or f"identity-{which} fails at (m, k) = {witness}"
-        )
+        super().__init__(f"identity-{which} fails at (m, k) = {witness}")
 
 
 class TilingError(CobwebError):

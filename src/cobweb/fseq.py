@@ -59,7 +59,6 @@ __all__ = [
     "explicit",
     "shifted",
     "product",
-    "term",
     "prefix",
     "f_factorial",
     "falling",
@@ -389,11 +388,6 @@ def from_json(text: str) -> FSeq:
 
 # ---------------------------------------------------------------------------
 # term arithmetic
-
-def term(seq: FSeq, n: int) -> int:
-    """The n-th term; term(seq, 0) == 1 for every descriptor."""
-    return seq.term(n)
-
 
 def prefix(seq: FSeq, count: int) -> list[int]:
     """Terms 1..count as a list."""

@@ -98,17 +98,6 @@ class BlockPlacement:
 
     subsets: tuple[tuple[int, ...], ...]
 
-    @property
-    def size_assignment(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.subsets)
-
-    @property
-    def chain_count(self) -> int:
-        return math.prod(len(s) for s in self.subsets)
-
-    def chains(self) -> Iterator[Chain]:
-        return iproduct(*self.subsets)
-
 
 @dataclass(frozen=True)
 class Tiling:

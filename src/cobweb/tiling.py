@@ -1,14 +1,16 @@
 """Layer tilings: constructive recursion, verification, exhaustive search.
 
-The constructive tilers recurse on cells (n, k), the layer over levels k..n
-with m = n - k + 1 levels, one recursion for both identities.  A cell cuts
-its term(n) top slots into a-groups of term(m) slots, each topping a tiling
-of cell (n - 1, k), and b-groups of term(k - 1) slots, each taking the place
-of level k - 1 in a tiling of cell (n - 1, k - 1).  The convolution split
-term(n) = term(k) * term(m) + term(m - 1) * term(k - 1) takes term(k) and
-term(m - 1) of them, the additive split term(n) = term(m) + term(k - 1) one
-of each, and none of the b side when term(k - 1) = 0.  Two rules on a cell
-serve the tilers, detect_variant and the derived counter:
+The constructive tilers and counters run one driver (_cells) over cells
+(n, k), the layer over levels k..n with m = n - k + 1 levels, for both
+identities.  It runs on an explicit stack in the recursion's own order, so
+a cell has no depth limit.  A cell cuts its term(n) top slots into
+a-groups of term(m) slots, each topping a tiling of cell (n - 1, k), and
+b-groups of term(k - 1) slots, each taking the place of level k - 1 in a
+tiling of cell (n - 1, k - 1).  The convolution split term(n) = term(k) *
+term(m) + term(m - 1) * term(k - 1) takes term(k) and term(m - 1) of them,
+the additive split term(n) = term(m) + term(k - 1) one of each, and none of
+the b side when term(k - 1) = 0.  Two rules on a cell serve the tilers,
+detect_variant and the derived counter:
 
 * _refusal: a layer with a zero level, a zero prime size term(1..m), or one
   level that term(1) does not divide has no tiling; it is refused before
@@ -18,20 +20,20 @@ serve the tilers, detect_variant and the derived counter:
   sizes 1; its one tiling cuts each level into runs of its prime size and
   makes a block of each choice of one run per level.
 
-Every other cell needs its identity.  The tilings of each cell are memoized
-and deduplicated.  A choice source offers the group families a split may
-use: first-slots cuts the top slots in order, seeded-random shuffles them
-once per split from its required seed, and the private _all_families offers
-every unordered family, the counters' oracle.
+Every other cell needs its identity.  The driver memoizes every cell, a
+tiler's cell as its sorted distinct tilings.  A choice source offers the
+group families a split may use: first-slots cuts the top slots in order,
+seeded-random shuffles them once per split from its required seed, and the
+private _all_families offers every unordered family, the counters' oracle.
 
-The counters recurse over the same cells.  derived mode counts the tiler's
-choice tree by its rules: unordered families, none with an empty group, so
-the multinomial is exact.  Two leaves can be one tiling where both kinds of
-group have one size (levels 2..3 of 1, 2, 2, 4, additive: 6 leaves, 3
-tilings).  paper mode is the printed closed form verbatim: ordered, base
-cases k = 1 and m <= 1 (additive) or m <= 2 (convolution), no refusal.  A
-triangle shares one memo, checks its identity once per row, and notes the
-cells an identity or a refusal rules out.
+The counters give the same driver their own leaf and split.  derived mode
+counts the tiler's choice tree by its rules: unordered families, none with
+an empty group, so the multinomial is exact.  Two leaves can be one tiling
+where both kinds of group have one size (levels 2..3 of 1, 2, 2, 4,
+additive: 6 leaves, 3 tilings).  paper mode is the printed closed form
+verbatim: ordered, base cases k = 1 and m <= 1 (additive) or m <= 2
+(convolution), no refusal.  A triangle shares one memo, checks its identity
+once per row, and notes the cells an identity or a refusal rules out.
 
 verify_tiling checks a tiling clause by clause, by chain ids
 (poset.chain_ids): the blocks partition the chains when their chain counts
@@ -87,7 +89,6 @@ from .poset import (
     chain_at,
     chain_ids,
     enumerate_placements,
-    make_tiling,
     prime_level_sizes,
 )
 
@@ -279,49 +280,88 @@ def detect_variant(seq: FSeq, k: int, n: int):
     return None, w1, w2
 
 
+def _cells(seq: FSeq, which: int, leaf, split, mode: str = "derived"):
+    """value(n, k): identity `which`'s recursion over cells (n, k), run on an
+    explicit stack, with one memo for every cell it is asked for.
+
+    A base cell's value is leaf(n, k).  In derived mode the refusals
+    (_refusal) raise first and the base cells are those that need no
+    identity; in paper mode they are the printed k = 1 and m <= which.  Any
+    other cell checks its identity if it is the asked one (that row's check
+    covers every split below it), then calls split(term(n), *_groups(...)),
+    which does its pre-order work and returns (visit_b, join).  Cell
+    (n - 1, k) is visited next, then (n - 1, k - 1) if visit_b, and the
+    cell's value is join(value(n - 1, k), value(n - 1, k - 1) or None).
+    That is the recursion's own order, so every draw, value and first error
+    stays the same, with no depth limit.
+    """
+    if mode not in ("paper", "derived"):
+        raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
+    check = cache(partial(_witness, seq, which))
+    refuse = _refusal(seq)
+    memo: dict[tuple[int, int], object] = {}
+
+    def base(n: int, k: int) -> bool:
+        if mode == "paper":
+            return k == 1 or n - k + 1 <= which
+        refuse(k, n)
+        return not needs_identity(seq, k, n)
+
+    def value(n: int, k: int):
+        asked = (n, k)
+        stack = [(n, k, None, False)]  # a pending cell, or one to join
+        while stack:
+            n, k, join, visit_b = stack.pop()
+            if join:
+                memo[n, k] = join(memo[n - 1, k], memo[n - 1, k - 1] if visit_b else None)
+            elif (n, k) in memo:
+                continue
+            elif base(n, k):
+                memo[n, k] = leaf(n, k)
+            else:
+                witness = (n, k) == asked and check(n)
+                if witness:
+                    raise IdentityError(which, witness)
+                visit_b, join = split(seq.term(n), *_groups(seq, n, k, which))
+                stack.append((n, k, join, visit_b))
+                if visit_b:
+                    stack.append((n - 1, k - 1, None, False))
+                stack.append((n - 1, k, None, False))
+        return memo[asked]
+
+    return value
+
+
 def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
     """The sorted distinct tilings of levels k..n under identity `which`'s
     recursion, over the group families that choose offers: one from a
     policy's choice source, every reachable one from _all_families."""
     layer = build_layer(seq, k, n)
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
-    refuse = _refusal(seq)
-    memo: dict[tuple[int, int], list] = {}
 
-    def tilings(n: int, k: int, asked: bool = False) -> list:
-        """Sorted distinct raw tilings of cell (n, k); the identity check of
-        the asked cell's row covers every split below it."""
-        got = memo.get((n, k))
-        if got is not None:
-            return got
-        refuse(k, n)
-        if not needs_identity(seq, k, n):
-            got = [_base_tiling(seq, k, n)]
-        else:
-            witness = asked and _witness(seq, which, n)
-            if witness:
-                raise IdentityError(which, witness)
-            size_a, count_a, size_b, count_b = _groups(seq, n, k, which)
-            families = choose(seq.term(n), size_a, count_a, size_b, count_b)
-            subs_top = tilings(n - 1, k)
-            subs_moved = tilings(n - 1, k - 1) if count_b else []
+    def split(top, size_a, count_a, size_b, count_b):
+        families = choose(top, size_a, count_a, size_b, count_b)
+
+        def join(subs_top: list, subs_moved: Optional[list]) -> list:
+            """Sorted distinct raw tilings of the cell from its sub-cells'."""
             seen = set()
             for groups_a, groups_b in families:
                 for picks_a in iproduct(subs_top, repeat=count_a):
                     capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
-                    for picks_b in iproduct(subs_moved, repeat=count_b):
+                    for picks_b in iproduct(subs_moved or (), repeat=count_b):
                         moved = [
                             b[1:] + (tuple(g[i] for i in b[0]),)
                             for g, t in zip(groups_b, picks_b)
                             for b in t
                         ]
                         seen.add(tuple(sorted(capped + moved)))
-            got = sorted(seen)
-        memo[n, k] = got
-        return got
+            return sorted(seen)
 
-    raws = tilings(n, k, asked=True)
-    return [make_tiling(layer, [BlockPlacement(subsets=b) for b in raw]) for raw in raws]
+        return bool(count_b), join
+
+    raws = _cells(seq, which, lambda n, k: [_base_tiling(seq, k, n)], split)(n, k)
+    # a raw tiling's blocks are sorted already (a base case's iproduct too)
+    return [Tiling(layer, tuple(map(BlockPlacement, raw))) for raw in raws]
 
 
 def _tile(seq, k, n, which, policy, chain_cap) -> Tiling:
@@ -643,8 +683,9 @@ def enumerate_tilings(
     if limit is not None:
         truncated = count > limit
         solutions = search.listing(limit) if count and limit else []
+        # ascending row ids over placements sorted by subsets: canonical order
         tilings = tuple(
-            make_tiling(layer, [placements[r] for r in solution]) for solution in solutions
+            Tiling(layer, tuple(placements[r] for r in solution)) for solution in solutions
         )
     return TilingEnumeration(
         count=count, truncated=truncated, tilings=tilings, nodes=search.nodes
@@ -655,31 +696,13 @@ def enumerate_tilings(
 # counting recurrences
 
 def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
-    """count(n, k) of identity `which`'s recursion for levels k..n, over one
-    memo for every cell it is asked for: a cell's split multinomial (_groups)
-    times count(n - 1, k) ** ga * count(n - 1, k - 1) ** gb.  derived mode
-    divides by ga! gb! and takes the tiler's refusals and base cases; paper
-    mode keeps ordered selections, first powers and the printed base cases
-    k = 1 and m <= which.
+    """count(n, k) of identity `which`'s recursion for levels k..n (_cells):
+    a cell's split multinomial (_groups) times count(n - 1, k) ** ga *
+    count(n - 1, k - 1) ** gb.  derived mode divides by ga! gb!; paper mode
+    keeps ordered selections and first powers.
     """
-    if mode not in ("paper", "derived"):
-        raise ValueError(f"mode must be 'paper' or 'derived', got {mode!r}")
-    check = cache(partial(_witness, seq, which))
-    refuse = _refusal(seq)
-    memo: dict[tuple[int, int], int] = {}
 
-    def base(n: int, k: int) -> bool:
-        if mode == "paper":
-            return k == 1 or n - k + 1 <= which
-        refuse(k, n)
-        return not needs_identity(seq, k, n)
-
-    def split(n: int, k: int, asked: bool) -> int:
-        witness = asked and check(n)
-        if witness:
-            raise IdentityError(which, witness)
-        total = seq.term(n)
-        a, ga, b, gb = _groups(seq, n, k, which)
+    def split(total, a, ga, b, gb):
         if ga == gb == 1:
             got = comb(total, a)  # two groups: a binomial
         else:
@@ -691,21 +714,14 @@ def _constructive_counter(seq: FSeq, which: int, mode: str = "derived"):
             got = factorial(total) // denom
             if mode == "paper":
                 ga = gb = 1  # the printed form takes each sub-count once
-        got *= rec(n - 1, k) ** ga
-        return got * rec(n - 1, k - 1) ** gb if gb else got
+        return bool(gb), lambda top, moved: got * top ** ga * (moved ** gb if gb else 1)
 
-    def rec(n: int, k: int, asked: bool = False) -> int:
-        """Count of cell (n, k); the identity check of the asked cell's row
-        covers every split below it."""
-        got = memo.get((n, k))
-        if got is None:
-            got = memo[n, k] = 1 if base(n, k) else split(n, k, asked)
-        return got
+    value = _cells(seq, which, lambda n, k: 1, split, mode)
 
     def count(n: int, k: int) -> int:
         if k < 1 or n < k:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-        return rec(n, k, asked=True)
+        return value(n, k)
 
     return count
 

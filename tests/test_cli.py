@@ -181,8 +181,9 @@ def test_block_arrays_match_json_dumps_at_any_depth():
     blocks = [poset.BlockPlacement(((0, 1), (), (3,))), poset.BlockPlacement(((2,),))]
     for depth in range(4):
         want = json.dumps([[list(s) for s in b.subsets] for b in blocks], indent=2)
-        assert cli._blocks_json(blocks, depth) == want.replace("\n", "\n" + "  " * depth)
-        assert cli._blocks_json([], depth) == "[]"
+        got = cli._json_array(list(map(cli._block_renderer(depth + 1), blocks)), depth)
+        assert got == want.replace("\n", "\n" + "  " * depth)
+        assert cli._json_array([], depth) == "[]"
 
 
 def test_tile_auto_picks_fibonacci(capsys):

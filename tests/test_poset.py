@@ -1,4 +1,6 @@
 """Layer model: levels, chains, block placements, DOT rendering."""
+from itertools import product as iproduct
+
 import pytest
 
 from cobweb import errors, fseq, poset
@@ -37,7 +39,7 @@ def test_chain_ids_are_indices_in_enumerate_chains():
     chains = list(poset.enumerate_chains(layer))
     assert [poset.chain_at(layer, i) for i in range(len(chains))] == chains
     for p in poset.enumerate_placements(layer):
-        assert poset.chain_ids(layer, p.subsets) == [chains.index(c) for c in p.chains()]
+        assert poset.chain_ids(layer, p.subsets) == [chains.index(c) for c in iproduct(*p.subsets)]
 
 
 def test_enumerate_chains_cap():
@@ -46,13 +48,6 @@ def test_enumerate_chains_cap():
         list(poset.enumerate_chains(layer, cap=10))
     assert err.value.cap_name == "chains"
     assert err.value.needed == 120
-
-
-def test_block_placement_chains():
-    block = poset.BlockPlacement(subsets=((0,), (1, 2)))
-    assert list(block.chains()) == [(0, 1), (0, 2)]
-    assert block.size_assignment == (1, 2)
-    assert block.chain_count == 2
 
 
 def test_placement_count_and_enumeration():

@@ -1,6 +1,8 @@
 """Tilers, verifier, exhaustive enumeration, counters, triangles."""
+import sys
 from functools import cache
 from itertools import combinations, permutations, product as iproduct
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -333,7 +335,7 @@ def _oracle_verify(t):
             )
     seen = {}
     for bi, block in enumerate(t.blocks):
-        for chain in block.chains():
+        for chain in iproduct(*block.subsets):
             other = seen.get(chain)
             if other is not None:
                 return tiling.TilingViolation(
@@ -607,7 +609,7 @@ def _listing_oracle(layer):
     solution of the search pruned by the count memo, sorted by block subsets."""
     chain_ids = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
     placements = list(poset.enumerate_placements(layer))
-    rows = [[chain_ids[c] for c in p.chains()] for p in placements]
+    rows = [[chain_ids[c] for c in iproduct(*p.subsets)] for p in placements]
     search = tiling._Search(len(chain_ids), rows, tiling.DEFAULT_NODE_CAP)
     search.count()
     solutions, stack = [], [((), *search.root)]
@@ -779,6 +781,158 @@ def test_counters_reach_deep_cells():
     for counter in (tiling.count_tilings_additive, tiling.count_tilings_fibonacci):
         with pytest.raises(errors.ZeroTermError, match="level 400 of .* has zero slots"):
             counter(zero, 800, 400)
+
+
+# hypothesis raises the recursion limit while a test runs; the deep-cell pins
+# run under the limit found at import
+_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def _under_import_recursion_limit(run):
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(_RECURSION_LIMIT)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(raised)
+
+
+def test_counters_have_no_depth_limit():
+    # one cell per row below (1200, 1199): (n, n - 1) splits into (n - 1, n - 1)
+    # and (n - 1, n - 2), a binomial comb(n, 2) each
+    got = _under_import_recursion_limit(
+        lambda: tiling.count_tilings_additive(fseq.natural(), 1200, 1199))
+    assert got == prod(comb(j, 2) for j in range(3, 1201))
+    # paper mode has no refusal: every cell of this zero sequence counts 1
+    zero = fseq.explicit([1] + [0] * 1300)
+    assert _under_import_recursion_limit(
+        lambda: tiling.count_tilings_fibonacci(zero, 1100, 550, mode="paper")) == 1
+
+
+# the tilers' and the counters' cell recursions as written before they shared
+# one driver on an explicit stack, kept as the driver's reference
+
+def _reference_layer_tilings(seq, k, n, which, choose, chain_cap):
+    layer = poset.build_layer(seq, k, n)
+    errors.check_cap("chains", layer.chain_count, chain_cap, poset.DEFAULT_CHAIN_CAP)
+    refuse = tiling._refusal(seq)
+    memo = {}
+
+    def tilings(n, k, asked=False):
+        got = memo.get((n, k))
+        if got is not None:
+            return got
+        refuse(k, n)
+        if not tiling.needs_identity(seq, k, n):
+            got = [tiling._base_tiling(seq, k, n)]
+        else:
+            witness = asked and tiling._witness(seq, which, n)
+            if witness:
+                raise errors.IdentityError(which, witness)
+            size_a, count_a, size_b, count_b = tiling._groups(seq, n, k, which)
+            families = choose(seq.term(n), size_a, count_a, size_b, count_b)
+            subs_top = tilings(n - 1, k)
+            subs_moved = tilings(n - 1, k - 1) if count_b else []
+            seen = set()
+            for groups_a, groups_b in families:
+                for picks_a in iproduct(subs_top, repeat=count_a):
+                    capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
+                    for picks_b in iproduct(subs_moved, repeat=count_b):
+                        moved = [
+                            b[1:] + (tuple(g[i] for i in b[0]),)
+                            for g, t in zip(groups_b, picks_b)
+                            for b in t
+                        ]
+                        seen.add(tuple(sorted(capped + moved)))
+            got = sorted(seen)
+        memo[n, k] = got
+        return got
+
+    return tilings(n, k, asked=True)
+
+
+def _reference_counter(seq, which, mode):
+    check = cache(lambda n: tiling._witness(seq, which, n))
+    refuse = tiling._refusal(seq)
+    memo = {}
+
+    def base(n, k):
+        if mode == "paper":
+            return k == 1 or n - k + 1 <= which
+        refuse(k, n)
+        return not tiling.needs_identity(seq, k, n)
+
+    def split(n, k, asked):
+        witness = asked and check(n)
+        if witness:
+            raise errors.IdentityError(which, witness)
+        total = seq.term(n)
+        a, ga, b, gb = tiling._groups(seq, n, k, which)
+        if ga == gb == 1:
+            got = comb(total, a)
+        else:
+            denom = factorial(a) ** ga * factorial(b) ** gb
+            if mode == "derived":
+                denom *= factorial(ga) * factorial(gb)
+            got = factorial(total) // denom
+            if mode == "paper":
+                ga = gb = 1
+        got *= rec(n - 1, k) ** ga
+        return got * rec(n - 1, k - 1) ** gb if gb else got
+
+    def rec(n, k, asked=False):
+        got = memo.get((n, k))
+        if got is None:
+            got = memo[n, k] = 1 if base(n, k) else split(n, k, asked)
+        return got
+
+    return lambda n, k: rec(n, k, asked=True)
+
+
+# terms 1..7 that keep an identity, cut short at random
+_IDENTITY_PREFIXES = st.tuples(st.sampled_from([
+    [1, 2, 3, 4, 5, 6, 7],
+    [1, 1, 2, 3, 5, 8, 13],
+    [1, 2, 5, 12, 29, 70, 169],
+    [2, 2, 2, 2, 2, 2, 2],
+    [0, 2, 4, 8, 16, 32, 64],
+]), st.integers(0, 7)).map(lambda p: p[0][:p[1]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 3), max_size=7), _IDENTITY_PREFIXES),
+       st.integers(0, 10_000))
+@example([], 0)
+@example([0, 2, 4, 8], 0)  # paper mode's (n - 1, k - 1) with no b-group
+@example([1, 2, 3, 4, 5, 6, 7], 7)
+@example([1, 1, 2, 3, 5, 8, 13], 7)
+def test_cell_driver_matches_the_reference_recursions(terms, seed):
+    # every cell with 1 <= k <= n <= 7, short lists and zeros included: the
+    # same count, tiling list or first error, asked one cell per counter and
+    # row by row of one shared counter
+    seq = fseq.explicit([1] + terms)
+    cells = [(n, k) for n in range(1, 8) for k in range(1, n + 1)]
+    for which in (1, 2):
+        for mode in ("derived", "paper"):
+            shared = tiling._constructive_counter(seq, which, mode)
+            reference = _reference_counter(seq, which, mode)
+            for n, k in cells:
+                want = _outcome(lambda: _reference_counter(seq, which, mode)(n, k))
+                got = _outcome(lambda: tiling._constructive_counter(seq, which, mode)(n, k))
+                assert got == want, (which, mode, n, k)
+                assert _outcome(lambda: shared(n, k)) == _outcome(lambda: reference(n, k))
+        # (choice source, chain cap): every family only on small layers
+        sources = [
+            (lambda: tiling._choice_source(tiling.TilePolicy()), 5040),
+            (lambda: tiling._choice_source(tiling.TilePolicy("seeded-random", seed)), 5040),
+            (lambda: tiling._all_families, 24),
+        ]
+        for source, cap in sources:
+            for n, k in cells:
+                want = _outcome(lambda: _reference_layer_tilings(seq, k, n, which, source(), cap))
+                got = _outcome(lambda: list(map(_blocks, tiling._layer_tilings(
+                    seq, k, n, which, source(), cap))))
+                assert got == want, (which, n, k)
 
 
 def test_stirling_lambda():
