@@ -17,10 +17,10 @@ plus two combinators (shift, product).  Descriptors round-trip through
 JSON with term values rendered as decimal strings, since terms exceed
 64-bit range for modest indices in the geometric and rec2 families; an
 int parameter of more than 640 digits is rendered as a string too.
-Integers convert at any number of digits (cobweb.digits).  A descriptor
-nests at most MAX_DESCRIPTOR_DEPTH = 256 levels, a bare kind counting as
-one: deeper nesting is a DescriptorError, because term() recurses once per
-shift level and per right-nested product level.
+Integers convert at any number of digits (cobweb.digits).  Every sequence,
+however built, nests at most MAX_DESCRIPTOR_DEPTH = 256 levels, a bare kind
+counting as one: building a deeper one is a DescriptorError, because term(),
+label() and the descriptor walks recurse once per level.
 
 fnomial evaluates one cell by itself: two k-term products and a
 Fraction.  Scans over whole rows (the admissibility check, the fnomial
@@ -113,21 +113,6 @@ def _rec2_rule(p: dict, n: int, memo: dict) -> int:
 _FIBONACCI = {"f1": 1, "f2": 1}
 
 
-def _product_rule(p: dict, n: int, memo: dict) -> int:
-    # A left-nested chain product(product(a, b), c) is walked in a loop, so
-    # its depth is not bounded by the recursion limit.  Factors are read
-    # left to right (a, b, c), as the nested calls would read them.
-    rights = [p["right"]]
-    left = p["left"]
-    while left.kind == "product":
-        rights.append(left.params["right"])
-        left = left.params["left"]
-    out = left.term(n)
-    for right in reversed(rights):
-        out *= right.term(n)
-    return out
-
-
 def _explicit_rule(p: dict, n: int, memo: dict) -> int:
     terms = p["terms"]
     if n >= len(terms):
@@ -168,7 +153,11 @@ KINDS: dict[str, Kind] = {
         lambda p, n, memo: 1 if n <= p["s"] else p["inner"].term(n - p["s"]),
         "shift({inner}, s={s})",
     ),
-    "product": Kind({"left": _SEQ, "right": _SEQ}, _product_rule, "product({left}, {right})"),
+    "product": Kind(
+        {"left": _SEQ, "right": _SEQ},
+        lambda p, n, memo: p["left"].term(n) * p["right"].term(n),
+        "product({left}, {right})",
+    ),
     "explicit": Kind({"terms": _TERMS}, _explicit_rule, "explicit[{terms} terms]"),
 }
 
@@ -181,11 +170,12 @@ class FSeq:
     final value, so repeated queries agree regardless of schedule.
     """
 
-    __slots__ = ("kind", "params", "_memo")
+    __slots__ = ("kind", "params", "_depth", "_memo")
 
-    def __init__(self, kind: str, params: dict):
+    def __init__(self, kind: str, params: dict, depth: int):
         self.kind = kind
         self.params = params
+        self._depth = depth
         self._memo: dict[int, int] = {0: 1}
 
     def term(self, n: int) -> int:
@@ -201,8 +191,6 @@ class FSeq:
                     start -= 1
                 for j in range(start, n):
                     memo[j] = kind.rule(self.params, j, memo)
-            # Keyed by the caller's n: a nested product chain then shares
-            # one key object across all its memos.
             got = memo[n] = kind.rule(self.params, n, memo)
         return got
 
@@ -259,17 +247,21 @@ def _parse_terms(terms) -> tuple[int, ...]:
 
 
 def _make(kind: str, **params) -> FSeq:
-    """Sequence of a kind, with each parameter checked against its field."""
+    """Sequence of a kind, its parameters checked and its depth bounded."""
+    depth = 1
     for name, spec in KINDS[kind].fields.items():
         value = params[name]
         if spec == _SEQ:
             if not isinstance(value, FSeq):
                 raise DescriptorError(f"{kind} needs a sequence for {name!r}")
+            depth = max(depth, value._depth + 1)
         elif spec == _TERMS:
             params[name] = _parse_terms(value)
         else:
             params[name] = _check_int(value, name, spec)
-    return FSeq(kind, params)
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise DescriptorError(_TOO_DEEP)
+    return FSeq(kind, params, depth)
 
 
 def natural() -> FSeq:
@@ -348,6 +340,7 @@ def from_descriptor(d: dict) -> FSeq:
 
 
 def _from_descriptor(d: dict, depth: int) -> FSeq:
+    # checked before any sequence is built: this recursion walks outside input
     if depth > MAX_DESCRIPTOR_DEPTH:
         raise DescriptorError(_TOO_DEEP)
     if not isinstance(d, dict):
@@ -486,15 +479,19 @@ def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _first_violation(N: int, least: int, holds) -> Optional[tuple[int, int]]:
+def _first_violation(seq: FSeq, N: int, least: int, holds) -> Optional[tuple[int, int]]:
     """First (m, k) with m >= 2, k >= 1, m + k <= N, in lexicographic order,
-    at which holds(m, k) is false, else None; N must be at least `least`."""
+    at which holds(t, m, k) is false, t reading terms, else None; N must be at
+    least `least`."""
     if N < least:
         raise ValueError(f"N must be at least {least}, got {N}")
+    t = seq.term
     for m in range(2, N):
         for k in range(1, N - m + 1):
-            if not holds(m, k):
+            if not holds(t, m, k):
                 return (m, k)
+        if m == 2:  # row 2 has read every term up to N, in the identity's order
+            t = [seq.term(j) for j in range(N + 1)].__getitem__
     return None
 
 
@@ -506,8 +503,7 @@ def check_identity_1(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     whose value is pinned by the side condition term(1) = 1 rather than by
     the identity.
     """
-    t = seq.term
-    return _first_violation(N, 2, lambda m, k: t(m + k) == t(m) + t(k))
+    return _first_violation(seq, N, 2, lambda t, m, k: t(m + k) == t(m) + t(k))
 
 
 def check_identity_2(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
@@ -516,5 +512,6 @@ def check_identity_2(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     Checks term(m + k) == term(k + 1) * term(m) + term(m - 1) * term(k) for
     m > 1, k >= 1, m + k <= N, in lexicographic order.
     """
-    t = seq.term
-    return _first_violation(N, 3, lambda m, k: t(m + k) == t(k + 1) * t(m) + t(m - 1) * t(k))
+    return _first_violation(
+        seq, N, 3, lambda t, m, k: t(m + k) == t(k + 1) * t(m) + t(m - 1) * t(k)
+    )

@@ -19,8 +19,9 @@ error rather than truncating output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from . import fseq
@@ -150,31 +151,32 @@ def chain_at(layer: Layer, cid: int) -> Chain:
 
 
 def _fitting_assignments(layer: Layer) -> list[tuple[int, ...]]:
-    base = prime_level_sizes(layer.seq, layer.m)
-    fits = []
-    for assignment in sorted(set(permutations(base))):
-        if all(0 < a <= size for a, size in zip(assignment, layer.sizes)):
-            fits.append(assignment)
-    return fits
+    """Distinct fitting orderings of the prime sizes, in lexicographic order."""
+    partial = [((), tuple(sorted(Counter(prime_level_sizes(layer.seq, layer.m)).items())))]
+    for size in layer.sizes:
+        partial = [
+            (assignment + (a,), left[:i] + ((a, c - 1),) * (c > 1) + left[i + 1:])
+            for assignment, left in partial
+            for i, (a, c) in enumerate(left)
+            if 0 < a <= size
+        ]
+    return [assignment for assignment, _ in partial]
 
 
 def placement_count(layer: Layer) -> int:
     """Number of distinct block placements, counted without materializing."""
-    total = 0
-    for assignment in _fitting_assignments(layer):
-        total += math.prod(
-            math.comb(size, a) for size, a in zip(layer.sizes, assignment)
-        )
-    return total
+    return sum(
+        math.prod(math.comb(size, a) for size, a in zip(layer.sizes, assignment))
+        for assignment in _fitting_assignments(layer)
+    )
 
 
 def enumerate_placements(layer: Layer, cap: Optional[int] = None) -> Iterator[BlockPlacement]:
     """All distinct block placements in deterministic order.
 
-    Placements are identified by their subset families: two size assignments
-    that agree as sequences are the same placement family, so assignments are
-    deduplicated before expansion.  Order is by size assignment, then by the
-    lexicographic order of each level's subset.
+    Each fitting ordering of the prime sizes is one size assignment, and
+    expands to its own subset families.  Order is by size assignment, then by
+    the lexicographic order of each level's subset.
     """
     check_cap("placements", placement_count(layer), cap, DEFAULT_PLACEMENT_CAP)
 

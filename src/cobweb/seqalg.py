@@ -7,9 +7,9 @@ each h(j) with j >= 2 through a component equal to h(j) at multiples of j and
 the proper divisors of n; when that division fails the sequence has no such
 factorization and the failing index is returned as a witness.
 
-reconstruct multiplies the components back as a nested product sequence,
-one product level per factor h(j) != 1; reconstruct_prefix gives the same
-terms on 1..s as a list, by a sieve over multiples that reads no term().
+reconstruct multiplies the components back as a balanced product tree, about
+log2 of the number of factors h(j) != 1 levels deep; reconstruct_prefix gives
+the same terms on 1..s as a list, by a sieve over multiples that reads no term().
 """
 from __future__ import annotations
 
@@ -113,12 +113,12 @@ def reconstruct(h: HSequence, s: int) -> FSeq:
     periodically past s.
     """
     _check_depth(h, s)
-    out = fseq.constant(h.terms[0])
-    for j in range(2, s + 1):
-        factor = h.terms[j - 1]
-        if factor != 1:
-            out = fseq.product(out, fseq.periodic(factor, j))
-    return out
+    layer = [fseq.constant(h.terms[0])]
+    layer += [fseq.periodic(f, j) for j, f in enumerate(h.terms[1:s], 2) if f != 1]
+    while len(layer) > 1:  # multiply neighbours, keeping the factors in order
+        pairs = zip(layer[::2], layer[1::2])
+        layer = [fseq.product(a, b) for a, b in pairs] + layer[len(layer) // 2 * 2:]
+    return layer[0]
 
 
 def reconstruct_prefix(h: HSequence, s: int) -> list[int]:
@@ -126,8 +126,8 @@ def reconstruct_prefix(h: HSequence, s: int) -> list[int]:
 
     A sieve over multiples, as in h_general: every term starts at h(1), and
     each h(j) != 1 is multiplied into the terms at j, 2j, ..., s.  That is
-    one multiplication per multiple, where the nested product costs one
-    term() call and one multiplication per factor and index.
+    one multiplication per multiple, where the product tree costs a term()
+    call per node and index.
     """
     _check_depth(h, s)
     out = [h.terms[0]] * s

@@ -512,6 +512,13 @@ def test_enumerate_deep_search_does_not_recurse(capsys):
     assert err == ""
 
 
+def test_enumerate_all_one_levels_are_cheap(capsys):
+    # one chain and one placement; the size assignments are built level by
+    # level, not as 40! permutations of the prime sizes
+    argv = ["enumerate", "--seq", '{"kind": "constant", "t": 1}', "--k", "1", "--n", "40"]
+    assert run(argv + ["--format", "text"], capsys) == (0, "count 1\n", "")
+
+
 # (name, argv, cap): each argv needs more than cap of the named resource
 CAP_CASES = [
     ("chains", ["tile", "--seq", "natural", "--k", "2", "--n", "5"], 100),

@@ -1,5 +1,6 @@
 """Sequence kernel: terms, factorials, generalized binomials, identities."""
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,52 @@ def test_identity_1():
         fseq.check_identity_1(fseq.natural(), 1)
 
 
+def _first_violation_oracle(N, least, holds):
+    """The scan as written before it read terms into a list: every pair
+    reads its terms through seq.term."""
+    if N < least:
+        raise ValueError(f"N must be at least {least}, got {N}")
+    for m in range(2, N):
+        for k in range(1, N - m + 1):
+            if not holds(m, k):
+                return (m, k)
+    return None
+
+
+def _identity_oracle(seq, N, which):
+    t = seq.term
+    if which == 1:
+        return _first_violation_oracle(N, 2, lambda m, k: t(m + k) == t(m) + t(k))
+    return _first_violation_oracle(
+        N, 3, lambda m, k: t(m + k) == t(k + 1) * t(m) + t(m - 1) * t(k)
+    )
+
+
+# prefixes of sequences that satisfy an identity, one term bumped, so that
+# violations (and the end of the list) also fall in rows past m = 2
+_near_identity = st.builds(
+    lambda base, size, at, bump: fseq.explicit(
+        [1] + [t + bump * (j == at) for j, t in enumerate(fseq.prefix(base, size), 1)]
+    ),
+    st.sampled_from([fseq.natural(), fseq.fibonacci()]),
+    st.integers(0, 12),
+    st.integers(1, 12),
+    st.integers(0, 2),
+)
+
+
+@given(
+    st.lists(st.integers(0, 6), max_size=9).map(lambda ts: fseq.explicit([1] + ts))
+    | _near_identity,
+    st.integers(-1, 13),
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=300, deadline=None)
+def test_identity_scans_match_the_term_by_term_oracle(seq, N, which):
+    got = _outcome(lambda: getattr(fseq, f"check_identity_{which}")(seq, N))
+    assert got == _outcome(lambda: _identity_oracle(seq, N, which))
+
+
 def test_identity_2():
     assert fseq.check_identity_2(fseq.fibonacci(), 15) is None
     assert fseq.check_identity_2(fseq.rec2(1, 2), 15) is None
@@ -334,7 +381,7 @@ def _outcome(fn):
     """("value", v) or ("error", type, message) of calling fn."""
     try:
         return ("value", fn())
-    except (errors.ZeroTermError, errors.SequenceRangeError) as exc:
+    except (errors.ZeroTermError, errors.SequenceRangeError, ValueError) as exc:
         return ("error", type(exc), str(exc))
 
 
@@ -430,14 +477,129 @@ def test_fnomial_row_natural_is_pascal():
     assert list(fseq.fnomial_row(fseq.natural(), 6)) == [1, 6, 15, 20, 15, 6, 1]
 
 
-def test_deep_left_nested_product_does_not_recurse():
-    # far more levels than the interpreter's default recursion limit
-    seq = fseq.constant(1)
-    for j in range(2, 3002):
-        seq = fseq.product(seq, fseq.periodic(2, j))
-    assert seq.term(12) == 2 ** 5
-    assert seq.term(3001) == 2  # 3001 is prime
-    assert fseq.product(fseq.natural(), seq).term(6) == 6 * 2 ** 3
+# hypothesis raises the recursion limit while a test runs, which would hide
+# a recursion-depth defect, so the depth checks run under the limit found at
+# import
+_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def _under_import_recursion_limit(run):
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(_RECURSION_LIMIT)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(raised)
+
+
+def _fold(seq, leaf, node):
+    """Fold a sequence tree bottom-up on an explicit stack: leaf(s) for a
+    primitive, node(s, folded sub-sequences) for a shift or a product."""
+    done = {}
+    stack = [seq]
+    while stack:
+        top = stack[-1]
+        subs = [v for v in top.params.values() if isinstance(v, fseq.FSeq)]
+        waiting = [sub for sub in subs if id(sub) not in done]
+        if waiting:
+            stack += waiting
+        else:
+            stack.pop()
+            done[id(top)] = node(top, [done[id(sub)] for sub in subs]) if subs else leaf(top)
+    return done[id(seq)]
+
+
+def _tree_term(seq, n):
+    """term(n) of a shift/product tree, walked on an explicit stack."""
+    out = 1
+    stack = [(seq, n)]
+    while stack:
+        top, i = stack.pop()
+        if top.kind == "product":
+            stack += [(top.params["left"], i), (top.params["right"], i)]
+        elif top.kind == "shift":
+            if i > top.params["s"]:
+                stack.append((top.params["inner"], i - top.params["s"]))
+        else:
+            out *= top.term(i)
+    return out
+
+
+def _tree_label(seq):
+    return _fold(seq, fseq.FSeq.label, lambda top, subs: (
+        f"product({subs[0]}, {subs[1]})" if top.kind == "product"
+        else f"shift({subs[0]}, s={top.params['s']})"
+    ))
+
+
+def _tree_descriptor(seq):
+    return _fold(seq, fseq.to_descriptor, lambda top, subs: (
+        {"kind": "product", "left": subs[0], "right": subs[1]} if top.kind == "product"
+        else {"kind": "shift", "inner": subs[0], "s": top.params["s"]}
+    ))
+
+
+_LEAVES = [
+    fseq.natural(),
+    fseq.fibonacci(),
+    fseq.constant(2),
+    fseq.periodic(3, 2),
+    fseq.explicit(range(1, 13)),
+]
+# sub-sequences hung off the chain: leaves, and trees one level above them
+_SIDES = _LEAVES + [
+    fseq.product(_LEAVES[0], _LEAVES[1]),
+    fseq.product(_LEAVES[4], _LEAVES[3]),
+    fseq.shifted(_LEAVES[2], 2),
+    fseq.shifted(_LEAVES[4], 1),
+]
+# one step up the chain, a single draw each: the chain as a product's left
+# or right factor, or shifted by s
+_STEPS = (
+    [("left", side) for side in _SIDES]
+    + [("right", side) for side in _SIDES]
+    + [("shift", s) for s in range(4)]
+)
+_BOUND = fseq.MAX_DESCRIPTOR_DEPTH
+
+
+@given(st.integers(_BOUND - 2, _BOUND + 1).flatmap(
+    lambda d: st.lists(st.sampled_from(_STEPS), min_size=d - 1, max_size=d - 1)))
+@settings(max_examples=40, deadline=None)
+def test_sequence_trees_obey_one_depth_bound(steps):
+    # a chain of products (the chain on either side) and shifts, from two
+    # levels under the bound to two past it
+    seq, depth = fseq.natural(), 1
+    for how, arg in steps:
+        if how == "shift":
+            depth += 1
+        else:
+            depth = max(depth, 2 if arg.kind in ("product", "shift") else 1) + 1
+        build = {
+            "left": lambda: fseq.product(seq, arg),
+            "right": lambda: fseq.product(arg, seq),
+            "shift": lambda: fseq.shifted(seq, arg),
+        }[how]
+        if depth > _BOUND:
+            with pytest.raises(errors.DescriptorError) as exc:
+                build()
+            assert str(exc.value) == f"descriptor nests deeper than {_BOUND} levels"
+            return
+        seq = build()
+
+    def walks():
+        terms = [_tree_term(seq, n) for n in range(9)]
+        assert [seq.term(n) for n in range(9)] == terms
+        label = _tree_label(seq)
+        assert seq.label() == label
+        assert repr(seq) == f"FSeq({label})"
+        text = fseq.to_json(seq)
+        assert json.loads(text) == _tree_descriptor(seq)
+        back = fseq.from_json(text)
+        assert [back.term(n) for n in range(9)] == terms
+        assert fseq.to_json(back) == text
+
+    _under_import_recursion_limit(walks)
 
 
 def test_product_reads_factors_left_to_right():

@@ -1,7 +1,9 @@
 """Layer model: levels, chains, block placements, DOT rendering."""
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset
 
@@ -68,6 +70,46 @@ def test_zero_prime_size_fits_no_placement():
     assert layer.sizes == (2, 2)
     assert poset.placement_count(layer) == 0
     assert list(poset.enumerate_placements(layer)) == []
+
+
+def _fitting_assignments_oracle(layer):
+    """Size assignments as found before they were built level by level:
+    every distinct permutation of the prime sizes, filtered."""
+    base = poset.prime_level_sizes(layer.seq, layer.m)
+    fits = []
+    for assignment in sorted(set(permutations(base))):
+        if all(0 < a <= size for a, size in zip(assignment, layer.sizes)):
+            fits.append(assignment)
+    return fits
+
+
+def _any_outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+# level sizes and prime sizes both with zeros; a term list shorter than the
+# layer makes reading the prime sizes fail
+@given(
+    st.lists(st.integers(0, 4), max_size=7),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_fitting_assignments_match_the_permutation_oracle(terms, sizes):
+    layer = poset.Layer(k=1, n=len(sizes), sizes=tuple(sizes), seq=fseq.explicit([1] + terms))
+    got = _any_outcome(lambda: poset._fitting_assignments(layer))
+    assert got == _any_outcome(lambda: _fitting_assignments_oracle(layer))
+
+
+def test_all_one_layer_has_one_placement_at_any_height():
+    # each level takes the one remaining size; no m! permutations are built
+    layer = poset.build_layer(fseq.constant(1), 1, 3000)
+    assert poset.placement_count(layer) == 1
+    assert list(poset.enumerate_placements(layer)) == [
+        poset.BlockPlacement(subsets=((0,),) * 3000)
+    ]
 
 
 def test_enumerate_placements_cap():

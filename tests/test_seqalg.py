@@ -145,6 +145,16 @@ def test_reconstruct_can_disagree_beyond_its_guarantee():
     assert seq.term(6) == 8
 
 
+def test_reconstruct_round_trips_at_3000_factors():
+    # one product per factor h(j) != 1 would nest 467 levels, past the
+    # descriptor bound; the balanced tree nests ten
+    h = seqalg.h_general(fseq.natural(), 3000)
+    text = fseq.to_json(seqalg.reconstruct(h, 3000))
+    back = fseq.from_json(text)
+    assert fseq.to_json(back) == text
+    assert fseq.prefix(back, 3000) == seqalg.reconstruct_prefix(h, 3000) == list(range(1, 3001))
+
+
 def test_reconstruct_validates_depth():
     h = seqalg.h_general(fseq.natural(), 5)
     with pytest.raises(ValueError):
