@@ -12,13 +12,13 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
+from decimal import Decimal
 from typing import Optional, Sequence
 
 from . import fseq, seqalg
-from .digits import to_decimal
+from .digits import EXACT, to_decimal
 from .errors import (
     CapExceeded,
     CobwebError,
@@ -87,22 +87,21 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, output: Optional[str], *, blocks=(), tilings=()) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2).  blocks (one tiling's)
-    or tilings (a list of tilings) take the place of the empty list that
-    obj holds under that key, which must be the first '"key": []' of the
-    dump.  json.dumps encodes indent in pure Python before 3.13, so their
-    block arrays are written with joins, byte for byte alike, and under
-    tilings each distinct placement is rendered once."""
-    doc = json.dumps(obj, sort_keys=True, indent=2)
-    if blocks:
-        array = _json_array(list(map(_block_renderer(2), blocks)), 1)
-        doc = doc.replace('"blocks": []', '"blocks": ' + array, 1)
-    if tilings:
-        render = functools.cache(_block_renderer(3))
-        arrays = [_json_array(list(map(render, t.blocks)), 2) for t in tilings]
-        doc = doc.replace('"tilings": []', '"tilings": ' + _json_array(arrays, 1), 1)
-    _emit(doc + "\n", output)
+def _emit_json(
+    obj, output: Optional[str], key: Optional[str] = None, array: str = "[]"
+) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2), with array in place
+    of the empty list that obj holds under key, if it has that key, whose
+    '"key": []' must be the first of the dump.  json.dumps encodes indent in
+    pure Python before 3.13, so the long arrays (a triangle's cells, one
+    tiling's blocks, a list of tilings) are written with joins (_json_array),
+    byte for byte alike."""
+    doc = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if key in obj:
+        # one join, so that no second copy of a long array is alive
+        head, _, tail = doc.partition(f'"{key}": []')
+        doc = "".join((head, f'"{key}": ', array, tail))
+    _emit(doc, output)
 
 
 def _json_array(items: list, depth: int) -> str:
@@ -141,18 +140,18 @@ def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
     if ns.fnomials:
         table = triangle(seq, "fnomial", max(count, 1), include_zero=True)
         if ns.format == "json":
-            _emit_json(_triangle_obj(seq, table), ns.output)
+            _emit_triangle_json(seq, table, ns.output)
         else:
             _emit(table.to_text(), ns.output)
         return EXIT_OK
+    # Decimal integers print in linear time (cobweb.digits)
+    values = map(Decimal, fseq.prefix(seq, count))
+    key = "terms"
     if ns.factorials:
         # f_factorial(seq, i) for i = 1..count, as one running product
-        values = itertools.accumulate(fseq.prefix(seq, count), operator.mul)
+        values = itertools.accumulate(values, EXACT.multiply)
         key = "factorials"
-    else:
-        values = fseq.prefix(seq, count)
-        key = "terms"
-    texts = [to_decimal(v) for v in values]
+    texts = list(map(str, values))
     if ns.format == "json":
         _emit_json({"seq": fseq.to_descriptor(seq), key: texts}, ns.output)
     else:
@@ -239,7 +238,8 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
         obj["variant"] = variant
         obj["block_count"] = str(len(result.blocks))
         obj["verified"] = True
-        _emit_json(obj, ns.output, blocks=result.blocks)
+        array = _json_array(list(map(_block_renderer(2), result.blocks)), 1)
+        _emit_json(obj, ns.output, "blocks", array)
     return EXIT_OK
 
 
@@ -275,28 +275,34 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
         obj["tilings"] = []
     if ns.format == "json":
         # obj's other values are numbers, booleans, decimal strings and
-        # nonempty lists, so the placeholder occurs once
-        _emit_json(obj, ns.output, tilings=result.tilings)
+        # nonempty lists, so the placeholder occurs once; each distinct
+        # placement is rendered once
+        render = functools.cache(_block_renderer(3))
+        arrays = (_json_array(list(map(render, t.blocks)), 2) for t in result.tilings or ())
+        _emit_json(obj, ns.output, "tilings", _json_array(list(arrays), 1))
     else:
         _emit(f"count {count}\n", ns.output)
     return EXIT_OK if result.count > 0 else EXIT_NEGATIVE
 
 
-def _triangle_obj(seq: FSeq, table) -> dict:
-    cells = [
-        {"n": n, "k": k, "value": to_decimal(v)}
-        for (n, k), v in sorted(table.cells.items())
-    ]
+def _emit_triangle_json(seq: FSeq, table, output: Optional[str]) -> None:
     notes = [
         {"n": n, "k": k, "note": text} for (n, k), text in sorted(table.notes.items())
     ]
-    return {
+    obj = {
         "kind": table.kind,
         "rows": table.rows,
         "seq": fseq.to_descriptor(seq),
-        "cells": cells,
+        "cells": [],
         "notes": notes,
     }
+    # "cells" sorts first, so its '"cells": []' is the placeholder; a cell
+    # text is digits only and needs no escaping
+    cells = (
+        f'{{\n      "k": {k},\n      "n": {n},\n      "value": "{text}"\n    }}'
+        for n, k, text in table.cell_texts()
+    )
+    _emit_json(obj, output, "cells", _json_array(list(cells), 1))
 
 
 def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -308,7 +314,7 @@ def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
     elif ns.format == "text":
         _emit(table.to_text(), ns.output)
     else:
-        _emit_json(_triangle_obj(seq, table), ns.output)
+        _emit_triangle_json(seq, table, ns.output)
     return EXIT_NEGATIVE if table.notes else EXIT_OK
 
 

@@ -33,16 +33,22 @@ int while the cells are integral: a step is one divmod, and only a nonzero
 remainder makes it a Fraction, which turns back into an int once a later
 cell is integral again.  The row raises the same error at the same cell as
 the per-cell code, because step k reads term(k) and then term(n-k+1), the
-only terms the cell (n, k) reads that (n, k-1) did not.
+only terms the cell (n, k) reads that (n, k-1) did not.  A caller that
+prints every cell (the fnomial triangle) asks for the row in exact decimal
+arithmetic instead (cobweb.digits.EXACT): the same steps on Decimal
+integers, whose str() is linear where converting an int is quadratic.
+Scans that print nothing (admissibility) keep ints, which are faster there.
 """
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
-from .digits import parse_decimal, to_decimal
+from .digits import EXACT, parse_decimal, to_decimal
 from .errors import DescriptorError, SequenceRangeError, ZeroTermError
 
 __all__ = [
@@ -440,27 +446,39 @@ def _denominator_term(seq: FSeq, j: int) -> int:
     return t
 
 
-def fnomial_row(seq: FSeq, n: int) -> Iterator[Union[int, Fraction]]:
+def fnomial_row(
+    seq: FSeq, n: int, decimal: bool = False
+) -> Iterator[Union[int, Decimal, Fraction]]:
     """Lazily yield fnomial(seq, n, k).value for k = 0..n, as an int when
-    the cell is integral and as a Fraction otherwise.
+    the cell is integral and as a Fraction otherwise; with decimal=True an
+    integral cell is an integral Decimal instead, for callers that print it.
 
     Uses {n, k} = {n, k-1} * term(n-k+1) / term(k).  Errors surface at the
     same k, with the same exception, as the per-cell fnomial.
     """
     if n < 0:
         raise ValueError(f"fnomial row needs n >= 0, got {n}")
-    value = 1
+    # The steps use EXACT's methods, which take int terms exactly, and never
+    # the caller's context, which a suspended row must not change.
+    num, mul, split = (
+        (Decimal, EXACT.multiply, EXACT.divmod) if decimal else (int, operator.mul, divmod)
+    )
+    value = num(1)
     yield value
     for k in range(1, n + 1):
         den = _denominator_term(seq, k)
-        if type(value) is int:
-            value, rest = divmod(value * seq.term(n - k + 1), den)
-            if rest:
-                value = Fraction(value * den + rest, den)
-        else:
-            value *= Fraction(seq.term(n - k + 1), den)
+        top = seq.term(n - k + 1)
+        if type(value) is Fraction:
+            value *= Fraction(top, den)
             if value.denominator == 1:
-                value = value.numerator
+                value = num(value.numerator)
+        else:
+            # Decimal's divmod truncates where int's floors; they agree here,
+            # since terms, and so the running value, are nonnegative.
+            whole = mul(value, top)
+            value, rest = split(whole, den)
+            if rest:
+                value = Fraction(int(whole), den)
         yield value
 
 

@@ -62,7 +62,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import chain, combinations, groupby, product as iproduct
 from math import comb, factorial
@@ -805,15 +807,53 @@ def check_count_upper_bound(seq: FSeq, n: int, k: int) -> UpperBoundCheck:
 TRIANGLE_KINDS = ("fnomial", "additive", "fibonacci", "equal-blocks")
 
 
+class _IntCells(Mapping):
+    """Read-only view of a triangle's cells as ints.
+
+    It holds each value as an int or an integral Decimal (the fnomial
+    kind's rows, computed in decimal so that printing them is linear) and
+    converts one only when it is looked up; len, iteration and membership
+    convert nothing.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: dict):
+        self._raw = raw
+
+    def __getitem__(self, key) -> int:
+        return int(self._raw[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._raw
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class Triangle:
-    """Lower-triangular table of exact integers with per-cell error notes."""
+    """Lower-triangular table of exact integers with per-cell error notes.
+
+    cells maps (n, k) to an int; a cell with a note has no value.
+    """
 
     kind: str
     rows: int
     include_zero: bool
-    cells: dict
+    cells: _IntCells
     notes: dict
+
+    def cell_texts(self) -> Iterator[tuple[int, int, str]]:
+        """(n, k, decimal text) for each cell with a value, in row order."""
+        for (n, k), value in sorted(self.cells._raw.items()):
+            yield n, k, to_decimal(value)
 
     def _walk(self) -> Iterator[tuple[int, int, str]]:
         """(n, k, text) for each cell in row order, a note's text led by "!".
@@ -821,9 +861,10 @@ class Triangle:
         A generator, so a caller holds no more cell strings than it keeps.
         """
         start = 0 if self.include_zero and self.kind == "fnomial" else 1
+        raw = self.cells._raw
         for n in range(1, self.rows + 1):
             for k in range(start, n + 1):
-                value = self.cells.get((n, k))
+                value = raw.get((n, k))
                 text = "!" + self.notes[(n, k)] if value is None else to_decimal(value)
                 yield n, k, text
 
@@ -871,13 +912,13 @@ def triangle(
     for n in range(1, rows + 1):
         if kind == "fnomial":
             # One lazy row per n; its zero-term and range errors propagate.
-            for k, value in enumerate(fseq.fnomial_row(seq, n)):
+            for k, value in enumerate(fseq.fnomial_row(seq, n, decimal=True)):
                 if k == 0 and not include_zero:
                     continue
-                if value.denominator != 1:
+                if type(value) is Fraction:
                     notes[(n, k)] = f"non-integer {to_decimal(value)}"
                 else:
-                    cells[(n, k)] = value.numerator
+                    cells[(n, k)] = value
             continue
         for k in range(1, n + 1):
             try:
@@ -885,5 +926,5 @@ def triangle(
             except noted as exc:
                 notes[(n, k)] = str(exc)
     return Triangle(
-        kind=kind, rows=rows, include_zero=include_zero, cells=cells, notes=notes
+        kind=kind, rows=rows, include_zero=include_zero, cells=_IntCells(cells), notes=notes
     )

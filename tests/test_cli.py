@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, caps."""
 import contextlib
+import decimal
 import hashlib
 import io
 import itertools
@@ -12,10 +13,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobweb import cli, errors, fseq, poset, tiling
+from cobweb.digits import to_decimal
 
 REC2 = '{"kind": "rec2", "f1": 1, "f2": 2}'
 NON_ADMISSIBLE = '{"kind": "explicit", "terms": ["1", "3", "2"]}'
@@ -792,6 +794,117 @@ def test_seq_factorials_past_digit_limit(capsys):
     terms = fseq.prefix(fseq.fibonacci(), 220)
     assert got == list(itertools.accumulate(terms, operator.mul))
     assert len(json.loads(out)["factorials"][-1]) > 5000
+
+
+# ---------------------------------------------------------------------------
+# printed F-nomials and factorials against the int kernel
+
+def capture(argv):
+    """(exit code, stdout, stderr) of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def int_kernel_cells(seq, rows, include_zero):
+    """([(n, k, text)], error): each printed cell of the fnomial triangle as
+    the int kernel's value prints, a note's text led by "!", or the error a
+    row raises."""
+    cells = []
+    try:
+        for n in range(1, rows + 1):
+            for k, value in enumerate(fseq.fnomial_row(seq, n)):
+                if k or include_zero:
+                    text = to_decimal(value)
+                    cells.append((n, k, text if type(value) is int else "!non-integer " + text))
+    except errors.CobwebError as exc:
+        return None, exc
+    return cells, None
+
+
+def expected_triangle(seq, rows, include_zero, fmt):
+    """The triangle's printed form, from int_kernel_cells alone."""
+    cells, _ = int_kernel_cells(seq, rows, include_zero)
+    if fmt == "csv":
+        return "n,k,value\n" + "".join(f"{n},{k},{text}\n" for n, k, text in cells)
+    if fmt == "text":
+        width = max(len(text) for _, _, text in cells)
+        lines = [
+            f"{n:>3} | " + " ".join(text.rjust(width) for m, _, text in cells if m == n)
+            for n in range(1, rows + 1)
+        ]
+        return "\n".join(lines) + "\n"
+    obj = {
+        "kind": "fnomial",
+        "rows": rows,
+        "seq": fseq.to_descriptor(seq),
+        "cells": [{"n": n, "k": k, "value": t} for n, k, t in cells if t[0] != "!"],
+        "notes": [{"n": n, "k": k, "note": t[1:]} for n, k, t in cells if t[0] == "!"],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# small terms, zeros among them, and one past the 4,300-digit limit
+_TERM_TEXTS = st.lists(st.sampled_from(["0", "1", "2", "3", "4", "6", HUGE_TERM]), max_size=7)
+
+
+@given(_TERM_TEXTS, st.integers(1, 8), st.booleans(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+@example([], 1, False, 0)
+@example(["3", "2"], 2, True, 2)  # row 2 leaves the integers and comes back
+@example(["2", "0", "3"], 3, False, 3)  # a zero term in the running product
+@example([HUGE_TERM, "2", HUGE_TERM], 3, True, 3)
+def test_printed_fnomials_and_factorials_match_the_int_kernel(terms, rows, include_zero, count):
+    spec = json.dumps({"kind": "explicit", "terms": ["1"] + terms})
+    seq = fseq.from_json(spec)
+    cells, error = int_kernel_cells(seq, rows, include_zero)
+    zero = ["--include-zero"] if include_zero else []
+    for fmt in ("csv", "text", "json"):
+        got = capture(["triangle", "--seq", spec, "--rows", str(rows), "--format", fmt] + zero)
+        if error is not None:
+            code = 2 if isinstance(error, errors.SequenceRangeError) else 1
+            assert got == (code, "", f"error: {error}\n")
+        else:
+            notes = any(text[0] == "!" for _, _, text in cells)
+            assert got == (int(notes), expected_triangle(seq, rows, include_zero, fmt), "")
+    rows = max(count, 1)
+    cells, error = int_kernel_cells(seq, rows, True)
+    for fmt in ("json", "text"):
+        got = capture(["seq", "--seq", spec, "--count", str(count), "--fnomials", "--format", fmt])
+        if error is not None:
+            code = 2 if isinstance(error, errors.SequenceRangeError) else 1
+            assert got == (code, "", f"error: {error}\n")
+        else:
+            assert got == (0, expected_triangle(seq, rows, True, fmt), "")
+    code, out, err = capture(["seq", "--seq", spec, "--count", str(count), "--factorials"])
+    if count > len(terms):
+        assert (code, out) == (2, "")
+    else:
+        products = itertools.accumulate(fseq.prefix(seq, count), operator.mul)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["factorials"] == [to_decimal(v) for v in products]
+
+
+def test_printed_values_neither_read_nor_change_the_decimal_context():
+    ctx = decimal.getcontext()
+    before = (ctx, ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+    argvs = [
+        ["seq", "--seq", "fibonacci", "--count", "120", "--factorials"],
+        ["seq", "--seq", "fibonacci", "--count", "120", "--fnomials", "--format", "text"],
+        ["triangle", "--seq", "fibonacci", "--rows", "120", "--format", "json"],
+    ]
+    with decimal.localcontext() as low:
+        low.prec = 5  # a Decimal operator would round every value to 5 digits
+        got = [capture(argv) for argv in argvs]
+    ctx = decimal.getcontext()
+    assert (ctx, ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags)) == before
+    products = itertools.accumulate(fseq.prefix(fseq.fibonacci(), 120), operator.mul)
+    assert json.loads(got[0][1])["factorials"] == [to_decimal(v) for v in products]
+    # lines, not whole texts: pytest's diff of two long texts is quadratic
+    fib = fseq.fibonacci()
+    assert got[1][1].splitlines() == expected_triangle(fib, 120, True, "text").splitlines()
+    assert got[2][1].splitlines() == expected_triangle(fib, 120, False, "json").splitlines()
 
 
 def test_explicit_term_past_digit_limit_round_trips(capsys):

@@ -1,6 +1,8 @@
 """Sequence kernel: terms, factorials, generalized binomials, identities."""
+import decimal
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -475,6 +477,41 @@ def test_fnomial_row_rejects_negative_row():
 
 def test_fnomial_row_natural_is_pascal():
     assert list(fseq.fnomial_row(fseq.natural(), 6)) == [1, 6, 15, 20, 15, 6, 1]
+
+
+@given(_explicit_terms, st.integers(0, 11))
+@settings(max_examples=150, deadline=None)
+def test_decimal_row_matches_int_row(seq, n):
+    ints = fseq.fnomial_row(seq, n)
+    decimals = fseq.fnomial_row(seq, n, decimal=True)
+    for _ in range(n + 1):
+        want = _outcome(lambda: next(ints))
+        got = _outcome(lambda: next(decimals))
+        assert got == want
+        if want[0] == "error":
+            return
+        assert type(got[1]) is (Decimal if type(want[1]) is int else Fraction)
+    assert next(decimals, None) is None
+
+
+def decimal_context_state():
+    """The current decimal context and every setting it holds."""
+    ctx = decimal.getcontext()
+    settings = (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp)
+    return ctx, settings, dict(ctx.traps), dict(ctx.flags)
+
+
+def test_decimal_row_neither_reads_nor_changes_the_callers_context():
+    before = decimal_context_state()
+    row = fseq.fnomial_row(fseq.fibonacci(), 120, decimal=True)
+    head = [next(row) for _ in range(60)]
+    assert decimal_context_state() == before  # suspended mid-row
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5  # a Decimal operator would round every cell to 5 digits
+        rest = list(row)
+    assert decimal_context_state() == before
+    assert head + rest == list(fseq.fnomial_row(fseq.fibonacci(), 120))
+    assert max(rest) > 10**500
 
 
 # hypothesis raises the recursion limit while a test runs, which would hide

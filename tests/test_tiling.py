@@ -987,6 +987,25 @@ def test_triangle_fnomial_is_pascal_for_natural():
     assert not table.notes
 
 
+@pytest.mark.parametrize("kind", tiling.TRIANGLE_KINDS)
+def test_triangle_cells_are_ints_converted_on_lookup(kind, monkeypatch):
+    table = tiling.triangle(fseq.natural(), kind, 6, include_zero=True)
+    converted = []
+
+    def counting_int(value):
+        converted.append(value)
+        return int(value)
+
+    monkeypatch.setattr(tiling, "int", counting_int, raising=False)
+    keys = list(table.cells)
+    assert len(table.cells) == len(keys) > 0
+    assert all(key in table.cells for key in keys)
+    assert (0, 0) not in table.cells
+    assert converted == []
+    assert all(type(table.cells[key]) is int for key in keys)
+    assert len(converted) == len(keys)
+
+
 def test_triangle_additive_boundaries():
     table = tiling.triangle(fseq.natural(), "additive", 4)
     for n in range(1, 5):
