@@ -113,12 +113,16 @@ def _json_array(items: list, depth: int) -> str:
 
 
 def _block_renderer(depth: int):
-    """Function writing one block depth levels deep."""
+    """Function writing one block depth levels deep; each distinct level
+    subset is rendered once, whatever its level."""
     inner = "\n" + "  " * (depth + 1)
     head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-    return lambda block: _json_array(
-        [head + sep.join(map(str, s)) + tail if s else "[]" for s in block.subsets], depth
-    )
+
+    @functools.cache
+    def subset(s: tuple) -> str:
+        return head + sep.join(map(str, s)) + tail if s else "[]"
+
+    return lambda block: _json_array(list(map(subset, block.subsets)), depth)
 
 
 def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:

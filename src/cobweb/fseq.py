@@ -31,13 +31,17 @@ a row costs O(n) small-by-big operations and a scan of N rows O(N^2),
 against O(N^3) big multiplications cell by cell.  The running value is an
 int while the cells are integral: a step is one divmod, and only a nonzero
 remainder makes it a Fraction, which turns back into an int once a later
-cell is integral again.  The row raises the same error at the same cell as
-the per-cell code, because step k reads term(k) and then term(n-k+1), the
-only terms the cell (n, k) reads that (n, k-1) did not.  A caller that
-prints every cell (the fnomial triangle) asks for the row in exact decimal
-arithmetic instead (cobweb.digits.EXACT): the same steps on Decimal
-integers, whose str() is linear where converting an int is quadratic.
-Scans that print nothing (admissibility) keep ints, which are faster there.
+cell is integral again.  Only the cells k <= n/2 are computed: a cell past
+the midpoint is its mirror {n, n-k}, the same object, since once term(1..k)
+are nonzero the terms n-k+1..k cancel from {n, k}.  The row raises the same
+error at the same cell as the per-cell code, because step k reads term(k)
+and then, up to the midpoint, term(n-k+1): the only terms the cell (n, k)
+reads that (n, k-1) did not (past the midpoint, term(n-k+1) was read at
+step n-k+1).  A caller that prints every cell (the fnomial triangle) asks
+for the row in exact decimal arithmetic instead (cobweb.digits.EXACT): the
+same steps on Decimal integers, whose str() is linear where converting an
+int is quadratic.  Scans that print nothing (admissibility) keep ints,
+which are faster there.
 """
 from __future__ import annotations
 
@@ -453,8 +457,10 @@ def fnomial_row(
     the cell is integral and as a Fraction otherwise; with decimal=True an
     integral cell is an integral Decimal instead, for callers that print it.
 
-    Uses {n, k} = {n, k-1} * term(n-k+1) / term(k).  Errors surface at the
-    same k, with the same exception, as the per-cell fnomial.
+    Uses {n, k} = {n, k-1} * term(n-k+1) / term(k) for k <= n/2, and yields
+    the stored cell n - k, the same object, for each k past the midpoint,
+    after reading term(k) and checking that it is nonzero.  Errors surface at
+    the same k, with the same exception, as the per-cell fnomial.
     """
     if n < 0:
         raise ValueError(f"fnomial row needs n >= 0, got {n}")
@@ -464,9 +470,15 @@ def fnomial_row(
         (Decimal, EXACT.multiply, EXACT.divmod) if decimal else (int, operator.mul, divmod)
     )
     value = num(1)
+    row = [value]
     yield value
     for k in range(1, n + 1):
         den = _denominator_term(seq, k)
+        if 2 * k > n:
+            # term(1..k) are nonzero, so the terms n-k+1..k cancel and
+            # {n, k} = {n, n-k}, the same rational and so the same type.
+            yield row[n - k]
+            continue
         top = seq.term(n - k + 1)
         if type(value) is Fraction:
             value *= Fraction(top, den)
@@ -479,6 +491,7 @@ def fnomial_row(
             value, rest = split(whole, den)
             if rest:
                 value = Fraction(int(whole), den)
+        row.append(value)
         yield value
 
 

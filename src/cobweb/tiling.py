@@ -420,9 +420,15 @@ class _Verifier:
 
     The expected size multiset and the law are computed once, each distinct
     level subset is checked once, and each distinct placement's chain ids
-    once.  A tiling whose chain count and number of distinct ids both equal
-    the layer's chain count is a partition; only when that test fails does
-    a second pass find the first shared or uncovered chain.
+    once.  Blocks share a few prefixes (their first m - 1 subsets), and each
+    distinct prefix of a checked placement is cached with its chain ids and
+    the size its last level must have.  A new placement behind a cached
+    prefix is checked on its last level alone, and its ids extend the
+    prefix's by that level in one pass over its own chains; any doubt sends
+    it through the full check, which finds the same fault.  A tiling whose
+    chain count and number of distinct ids both equal the layer's chain
+    count is a partition; only when that test fails does a second pass find
+    the first shared or uncovered chain.
     """
 
     def __init__(self, layer: Layer):
@@ -430,22 +436,31 @@ class _Verifier:
         self.expected = sorted(prime_level_sizes(layer.seq, layer.m))
         self.valid = [set() for _ in layer.sizes]  # checked subsets per level
         self.ids: dict[tuple, list[int]] = {}  # checked placements' chain ids
+        # checked prefixes' chain ids and last-level size
+        self.prefixes: dict[tuple, tuple[list[int], int]] = {}
         self.law = None
 
     def __call__(self, tiling: Tiling) -> Optional[TilingViolation]:
         layer = self.layer
         if tiling.layer is not layer:
             raise ValueError("a verifier checks the tilings of its own layer only")
-        ids = self.ids
+        ids, prefixes, m = self.ids, self.prefixes, layer.m
+        top, valid_top = layer.sizes[-1], self.valid[-1]
         blocks = []
         for bi, block in enumerate(tiling.blocks):
             subsets = block.subsets
             got = ids.get(subsets)
             if got is None:
-                fault = self._fault(bi, subsets)
-                if fault:
-                    return fault
-                got = ids[subsets] = chain_ids(layer, subsets)
+                head = subsets[:-1]
+                prefix = prefixes.get(head)
+                if (prefix is None or len(subsets) != m or subsets[-1] not in valid_top
+                        or len(subsets[-1]) != prefix[1]):
+                    fault = self._fault(bi, subsets)
+                    if fault:
+                        return fault
+                    if prefix is None:
+                        prefix = prefixes[head] = (chain_ids(layer, head), len(subsets[-1]))
+                got = ids[subsets] = [i * top + s for i in prefix[0] for s in subsets[-1]]
             blocks.append(got)
         chains = layer.chain_count
         if sum(map(len, blocks)) != chains or len(set(chain.from_iterable(blocks))) != chains:
@@ -852,26 +867,38 @@ class Triangle:
 
     def cell_texts(self) -> Iterator[tuple[int, int, str]]:
         """(n, k, decimal text) for each cell with a value, in row order."""
-        for (n, k), value in sorted(self.cells._raw.items()):
-            yield n, k, to_decimal(value)
+        notes = self.notes
+        return ((n, k, text) for n, k, text in self._walk() if (n, k) not in notes)
 
     def _walk(self) -> Iterator[tuple[int, int, str]]:
         """(n, k, text) for each cell in row order, a note's text led by "!".
 
-        A generator, so a caller holds no more cell strings than it keeps.
+        A cell that holds the same object as its mirror (n, n - k), as an
+        fnomial row's second half does, reuses the mirror's text.  A
+        generator, so a caller holds no more cell strings than it keeps.
         """
         start = 0 if self.include_zero and self.kind == "fnomial" else 1
         raw = self.cells._raw
         for n in range(1, self.rows + 1):
+            texts = []  # this row's texts, from k = start
             for k in range(start, n + 1):
                 value = raw.get((n, k))
-                text = "!" + self.notes[(n, k)] if value is None else to_decimal(value)
+                if value is None:
+                    text = "!" + self.notes[(n, k)]
+                elif start <= n - k < k and raw.get((n, n - k)) is value:
+                    text = texts[n - k - start]
+                else:
+                    text = to_decimal(value)
+                texts.append(text)
                 yield n, k, text
 
     def to_csv(self) -> str:
-        # only notes hold commas
+        # only notes, led by "!", hold commas
         lines = ["n,k,value"]
-        lines += [f"{n},{k},{text.replace(',', ';')}" for n, k, text in self._walk()]
+        lines += [
+            f"{n},{k},{text.replace(',', ';') if text[0] == '!' else text}"
+            for n, k, text in self._walk()
+        ]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

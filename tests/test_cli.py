@@ -33,6 +33,18 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_same_text(got, want, note=None):
+    """got == want, failing in seconds on long texts: pytest's diff of two
+    long strings is quadratic, so unequal texts are compared by length,
+    then by lines, and else at their first differing character."""
+    if got == want:
+        return
+    assert len(got) == len(want), note
+    assert got.splitlines() == want.splitlines(), note
+    at = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    pytest.fail(f"{note}: texts differ at {at}: {got[at:at + 20]!r} != {want[at:at + 20]!r}")
+
+
 def shift_chain(depth):
     """A descriptor of depth nested levels: depth - 1 shifts around natural."""
     shifts = depth - 1
@@ -162,21 +174,33 @@ def _tile_document(seq, k, n, variant, policy):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _check_tile_json(kind, variant, seed, k, n, tmp_path, capsys):
+    argv = ["tile", "--seq", kind, "--k", str(k), "--n", str(n), "--format", "json"]
+    policy = tiling.TilePolicy()
+    if seed is not None:
+        argv += ["--policy", "seeded-random", "--seed", str(seed)]
+        policy = tiling.TilePolicy(mode="seeded-random", seed=seed)
+    want = _tile_document(cli.load_sequence(kind), k, n, variant, policy)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert_same_text(out, want)
+    target = tmp_path / "tile.json"
+    assert run(argv + ["--output", str(target)], capsys) == (0, "", "")
+    assert_same_text(target.read_text(encoding="utf-8"), want)
+
+
 @pytest.mark.parametrize("kind,variant,seed", [
     ("fibonacci", "fibonacci", None), ("natural", "additive", None),
     ("fibonacci", "fibonacci", 7), ("natural", "additive", 11),
 ])
 def test_tile_json_is_byte_identical(kind, variant, seed, tmp_path, capsys):
-    argv = ["tile", "--seq", kind, "--k", "2", "--n", "5", "--format", "json"]
-    policy = tiling.TilePolicy()
-    if seed is not None:
-        argv += ["--policy", "seeded-random", "--seed", str(seed)]
-        policy = tiling.TilePolicy(mode="seeded-random", seed=seed)
-    want = _tile_document(cli.load_sequence(kind), 2, 5, variant, policy)
-    assert run(argv, capsys) == (0, want, "")
-    target = tmp_path / "tile.json"
-    assert run(argv + ["--output", str(target)], capsys) == (0, "", "")
-    assert target.read_text(encoding="utf-8") == want
+    _check_tile_json(kind, variant, seed, 2, 5, tmp_path, capsys)
+
+
+def test_tile_json_is_byte_identical_where_subsets_recur_across_levels(tmp_path, capsys):
+    # subsets such as (0,) lie at several levels of fibonacci 4..8, and the
+    # renderer caches each subset's text whatever its level
+    _check_tile_json("fibonacci", "fibonacci", None, 4, 8, tmp_path, capsys)
 
 
 def test_block_arrays_match_json_dumps_at_any_depth():
@@ -343,6 +367,33 @@ def _listing_document(seq, k, n, limit):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _listing_reference(seq, k, n):
+    """(count, document): document(limit) is _listing_document(seq, k, n,
+    limit), cut from the full listing's document, which is dumped once, so
+    a listing must be the head of the full one.  json.dumps encodes indent
+    in pure Python before 3.13, and one dump of a long listing takes
+    seconds."""
+    count = tiling.enumerate_tilings(poset.build_layer(seq, k, n)).count
+    full = _listing_document(seq, k, n, count)
+    start = full.index('\n  "tilings": [')
+    # each tiling is an array two levels deep, so past "tilings" its last
+    # line is the only one indented by 4 that closes an array
+    end = "\n    ]"
+    assert full.count(end, start) == count and full.endswith('\n  "truncated": false\n}\n')
+
+    def document(limit):
+        if limit >= count:
+            return full
+        if not limit:
+            return full[:start] + '\n  "tilings": [],\n  "truncated": true\n}\n'
+        cut = start
+        for _ in range(limit):
+            cut = full.index(end, cut + 1)
+        return full[:cut] + end + '\n  ],\n  "truncated": true\n}\n'
+
+    return count, document
+
+
 GAP = '{"kind": "explicit", "terms": ["1", "1", "2", "4", "3", "5"]}'
 
 
@@ -352,13 +403,21 @@ GAP = '{"kind": "explicit", "terms": ["1", "1", "2", "4", "3", "5"]}'
 ])
 def test_enumerate_listing_json_is_byte_identical(spec, k, n, capsys):
     seq = cli.load_sequence(spec)
-    count = tiling.enumerate_tilings(poset.build_layer(seq, k, n)).count
+    count, document = _listing_reference(seq, k, n)
     for limit in (0, 1, 7, count + 1):
         argv = ["enumerate", "--seq", spec, "--k", str(k), "--n", str(n), "--limit", str(limit)]
         code, out, err = run(argv, capsys)
         assert (code, err) == (0 if count else 1, ""), limit
-        assert out == _listing_document(seq, k, n, limit), limit
+        assert_same_text(out, document(limit), limit)
     assert (count == 0) == (spec == GAP)
+
+
+@pytest.mark.parametrize("spec,k,n", [("natural", 3, 4), (GAP, 3, 5)])
+def test_listing_reference_cuts_match_one_dump_per_limit(spec, k, n):
+    seq = cli.load_sequence(spec)
+    count, document = _listing_reference(seq, k, n)
+    for limit in (0, 1, 7, count, count + 1):
+        assert document(limit) == _listing_document(seq, k, n, limit), limit
 
 
 def test_enumerate_listing_json_to_file(tmp_path, capsys):
@@ -366,7 +425,8 @@ def test_enumerate_listing_json_to_file(tmp_path, capsys):
     argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "7"]
     code, out, _ = run(argv + ["--output", str(target)], capsys)
     assert (code, out) == (0, "")
-    assert target.read_text(encoding="utf-8") == _listing_document(fseq.natural(), 3, 4, 7)
+    want = _listing_document(fseq.natural(), 3, 4, 7)
+    assert_same_text(target.read_text(encoding="utf-8"), want)
 
 
 def test_enumerate_zero_is_negative(capsys):
@@ -867,7 +927,8 @@ def test_printed_fnomials_and_factorials_match_the_int_kernel(terms, rows, inclu
             assert got == (code, "", f"error: {error}\n")
         else:
             notes = any(text[0] == "!" for _, _, text in cells)
-            assert got == (int(notes), expected_triangle(seq, rows, include_zero, fmt), "")
+            assert (got[0], got[2]) == (int(notes), "")
+            assert_same_text(got[1], expected_triangle(seq, rows, include_zero, fmt), fmt)
     rows = max(count, 1)
     cells, error = int_kernel_cells(seq, rows, True)
     for fmt in ("json", "text"):
@@ -876,7 +937,8 @@ def test_printed_fnomials_and_factorials_match_the_int_kernel(terms, rows, inclu
             code = 2 if isinstance(error, errors.SequenceRangeError) else 1
             assert got == (code, "", f"error: {error}\n")
         else:
-            assert got == (0, expected_triangle(seq, rows, True, fmt), "")
+            assert (got[0], got[2]) == (0, "")
+            assert_same_text(got[1], expected_triangle(seq, rows, True, fmt), fmt)
     code, out, err = capture(["seq", "--seq", spec, "--count", str(count), "--factorials"])
     if count > len(terms):
         assert (code, out) == (2, "")
@@ -901,10 +963,9 @@ def test_printed_values_neither_read_nor_change_the_decimal_context():
     assert (ctx, ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags)) == before
     products = itertools.accumulate(fseq.prefix(fseq.fibonacci(), 120), operator.mul)
     assert json.loads(got[0][1])["factorials"] == [to_decimal(v) for v in products]
-    # lines, not whole texts: pytest's diff of two long texts is quadratic
     fib = fseq.fibonacci()
-    assert got[1][1].splitlines() == expected_triangle(fib, 120, True, "text").splitlines()
-    assert got[2][1].splitlines() == expected_triangle(fib, 120, False, "json").splitlines()
+    assert_same_text(got[1][1], expected_triangle(fib, 120, True, "text"))
+    assert_same_text(got[2][1], expected_triangle(fib, 120, False, "json"))
 
 
 def test_explicit_term_past_digit_limit_round_trips(capsys):
@@ -954,7 +1015,7 @@ def test_output_does_not_depend_on_the_digit_limit():
             [sys.executable, "-m", "cobweb.cli", *argv], capture_output=True, text=True, env=env
         )
         assert (proc.returncode, proc.stderr) == (code, ""), argv
-        assert proc.stdout == expected.getvalue(), argv
+        assert_same_text(proc.stdout, expected.getvalue(), argv)
         assert max(map(len, expected.getvalue().split('"'))) > 640, argv
 
 

@@ -470,6 +470,34 @@ def test_fnomial_row_stays_int_on_admissible_rows(seq, n):
     assert row == [fseq.fnomial(seq, n, k).value for k in range(n + 1)]
 
 
+def test_mirrored_half_raises_past_the_midpoint_with_the_per_cell_message():
+    # term 5 is zero: cells 2..4 are 0, and cell 5 divides by it
+    seq = fseq.explicit([1, 1, 2, 3, 4, 0, 5])
+    row = fseq.fnomial_row(seq, 6)
+    assert [next(row) for _ in range(5)] == [1, 5, 0, 0, 0]
+    want = _outcome(lambda: fseq.fnomial(seq, 6, 5))
+    assert want[:2] == ("error", errors.ZeroTermError)
+    assert _outcome(lambda: next(row)) == want
+
+
+def test_mirrored_half_keeps_fractions():
+    row = list(fseq.fnomial_row(fseq.explicit([1, 1, 2, 4, 3, 5]), 5))
+    assert row == [1, 5, Fraction(15, 2), Fraction(15, 2), 5, 1]
+    assert [type(v) for v in row] == [int, int, Fraction, Fraction, int, int]
+
+
+@pytest.mark.parametrize("seq,n", [
+    (fseq.fibonacci(), 41), (fseq.natural(), 40), (fseq.explicit([1, 1, 2, 4, 3, 5]), 5),
+])
+def test_mirrored_decimal_cells_equal_the_int_row(seq, n):
+    decimals = list(fseq.fnomial_row(seq, n, decimal=True))
+    ints = list(fseq.fnomial_row(seq, n))
+    assert decimals == ints
+    for k in range(n // 2 + 1, n + 1):
+        assert type(decimals[k]) is (Decimal if type(ints[k]) is int else Fraction)
+        assert decimals[k] is decimals[n - k]  # the mirror, not a recomputed cell
+
+
 def test_fnomial_row_rejects_negative_row():
     with pytest.raises(ValueError):
         next(fseq.fnomial_row(fseq.natural(), -1))

@@ -443,6 +443,42 @@ def test_verifier_matches_the_oracle_on_corrupted_tilings(tilings):
     assert [tiling.verify_tiling(t) for t in tilings] == want
 
 
+@pytest.mark.parametrize("fault", ["out-of-range", "overlapping", "resized", "empty", "absent"])
+def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
+    # two blocks share their first m - 1 subsets, which the first one caches;
+    # the second one's last level is faulty
+    valid = tiling.tile_fibonacci(fseq.fibonacci(), 3, 6)
+    layer = valid.layer
+    blocks = [b.subsets for b in valid.blocks]
+    i, j = next((i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))
+                if blocks[i][:-1] == blocks[j][:-1] and len(blocks[j][-1]) > 1)
+    first, second = blocks[i][-1], blocks[j][-1]
+    last = {
+        "out-of-range": second[:-1] + (layer.sizes[-1],),
+        "overlapping": tuple(sorted(second[1:] + first[:1])),
+        # a valid last-level subset, met in another block, of the wrong size
+        "resized": next(b[-1] for b in blocks if len(b[-1]) != len(second)),
+        "empty": (),
+    }.get(fault)
+    blocks[j] = blocks[j][:-1] + ((last,) if last is not None else ())
+    bad = poset.Tiling(layer, tuple(map(poset.BlockPlacement, blocks)))
+    want = _oracle_verify(bad)
+    assert want is not None
+    assert want.clause == ("shared-chain" if fault == "overlapping" else "block-sizes")
+    assert tiling.verify_tiling(bad) == want
+    # and behind prefixes and placements cached from a valid tiling first
+    assert list(tiling.verify_tilings([valid, bad, valid])) == [None, want, None]
+
+
+def test_verifier_reports_a_block_without_levels_behind_the_empty_prefix():
+    # one level: every placement's prefix is (), the prefix of () too
+    layer = poset.build_layer(fseq.natural(), 3, 3)
+    blocks = (poset.BlockPlacement(((0,),)), poset.BlockPlacement(()))
+    t = poset.Tiling(layer, blocks)
+    assert tiling.verify_tiling(t) == _oracle_verify(t)
+    assert tiling.verify_tiling(t).detail == "block 1 has 0 levels, layer has 1"
+
+
 def test_verifier_reports_a_clause_where_the_law_would_raise():
     # prime sizes (1, 0): fnomial raises, but every tiling fails a clause first
     layer = poset.build_layer(fseq.explicit([1, 1, 0, 2, 2, 2]), 4, 5)
