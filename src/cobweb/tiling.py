@@ -49,13 +49,16 @@ placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
 search branches on the uncovered chain with the fewest remaining rows (MRV).
 Its count pass, the only traversal, memoizes the count of each uncovered
-chain set, charges each state it expands to one node cap, and for a listing
+chain set and charges each state it expands to one node cap.  Permuting the
+slots of one level maps tilings to tilings, so a count alone keys its memo
+on a normal form of the set under those permutations and follows forced
+states without a key.  For a listing the pass keys raw sets instead and
 records each solvable state's solvable children, children first.  The
 listing merges that record from the empty state up, each solution one int
 with a bit per row, keeping the first `limit` of each state: canonical order
-without building every solution, and no node beyond the count's.  The
-search is sequential, so its count, listing and cap outcome never depend on
-workers.
+without building every solution, and no node beyond the recorded pass's.
+The search is sequential, so its count, listing and cap outcome never depend
+on workers.
 """
 from __future__ import annotations
 
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import chain, combinations, groupby, product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import attrgetter, itemgetter, or_
 from typing import Iterable, Iterator, Optional
 
@@ -561,10 +564,19 @@ class _Search:
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
     e, and clash[r] the rows sharing a chain with row r.  A state is
     (uncovered, alive); the alive rows are the rows inside the uncovered
-    chains, so the uncovered set alone keys the count memo.
+    chains, so the uncovered set alone decides the count.
+
+    The rows are every placement of the layer of level sizes `sizes`, so
+    they are closed under permuting the slots of one level, and two
+    uncovered sets that such permutations map onto each other have the same
+    count.  The count-only pass keys its memo on _key, one member of that
+    orbit, and charges each key it expands, and each forced state it follows
+    unkeyed, to the node cap.  The recorded pass for a listing keys on the
+    raw set, since the listing reads its record back by raw row ids.
     """
 
-    def __init__(self, n_elems: int, rows: list[list[int]], node_cap: int):
+    def __init__(self, sizes: tuple[int, ...], rows: list[list[int]], node_cap: int):
+        n_elems = prod(sizes)
         self.elem_rows = [0] * n_elems
         for rid, row in enumerate(rows):
             for e in row:
@@ -575,6 +587,40 @@ class _Search:
         self.memo = {0: 1}
         self.nodes = 0
         self.node_cap = node_cap
+        # chain ids are mixed-radix, level 0 most significant (poset.chain_ids):
+        # slot j of a level is a run of `stride` ids at j * stride, repeated
+        # every stride * size ids, built as one geometric-series product
+        self.slots = []
+        stride = n_elems
+        for size in sizes:
+            period, stride = stride, stride // size
+            if size > 1:
+                run = ((1 << stride) - 1) * ((1 << n_elems) - 1) // ((1 << period) - 1)
+                self.slots.append((stride, [run << j * stride for j in range(size)]))
+
+    def _key(self, uncovered: int) -> int:
+        """uncovered with each level's slots put in the order of (uncovered
+        chains through the slot, slot index).  It lies in the set's orbit
+        under slot permutations within levels, so it has the set's count, and
+        its own key is itself.  Where counts tie, two sets of one orbit can
+        keep apart (sound, not complete): that costs states, never exactness."""
+        for stride, slot_masks in self.slots:
+            counts = [(uncovered & mask).bit_count() for mask in slot_masks]
+            if counts != sorted(counts):
+                u, uncovered = uncovered, 0
+                for new, old in enumerate(sorted(range(len(counts)), key=counts.__getitem__)):
+                    part, shift = u & slot_masks[old], (new - old) * stride
+                    uncovered |= part << shift if shift >= 0 else part >> -shift
+        return uncovered
+
+    def _expand(self, uncovered: int, alive: int, key) -> list:
+        """One node against the cap, then the state's children.  Past the cap
+        the proven lower bound is the root's children counted so far."""
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            partial = sum(self.memo.get(key(u), 0) for _, u, _ in self._children(*self.root))
+            raise CapExceeded("nodes", self.node_cap, partial_count=partial)
+        return self._children(uncovered, alive)
 
     def _children(self, uncovered: int, alive: int) -> list:
         """(row, uncovered, alive) after each alive row covering the MRV chain,
@@ -601,30 +647,49 @@ class _Search:
         return out
 
     def count(self, record: bool = False) -> int:
-        """memo[uncovered] = sum of memo[child], filled from an explicit stack.
-        With record, dag[uncovered] holds a solvable state's solvable children
-        as (row, uncovered) pairs, filled as states finish: children first."""
+        """memo[key] = sum of memo[child key], filled from an explicit stack.
+
+        Without record a key is _key of the uncovered set, and a state with
+        one child that is not the empty set is followed to that child without
+        a key of its own.  With record a key is the raw uncovered set, and
+        dag[uncovered] holds a solvable state's solvable children as (row,
+        uncovered) pairs, filled as states finish: children first."""
+        if not record:
+            return self._count_classes()
         memo = self.memo
-        dag = self.dag = {} if record else None
+        dag = self.dag = {}
         stack = [(*self.root, None)]
         while stack:
             uncovered, alive, kids = stack.pop()
             if uncovered in memo:
                 continue
             if kids is None:
-                self.nodes += 1
-                if self.nodes > self.node_cap:
-                    # a proven lower bound: the root's children counted so far
-                    partial = sum(memo.get(u, 0) for _, u, _ in self._children(*self.root))
-                    raise CapExceeded("nodes", self.node_cap, partial_count=partial)
-                kids = self._children(uncovered, alive)
+                kids = self._expand(uncovered, alive, int)  # a raw set keys itself
                 stack.append((uncovered, alive, kids))
                 stack += [(u, a, None) for _, u, a in kids if u not in memo]
             else:
                 total = memo[uncovered] = sum(memo[u] for _, u, _ in kids)
-                if record and total:
+                if total:
                     dag[uncovered] = [(r, u) for r, u, _ in kids if memo[u]]
         return memo[self.root[0]]
+
+    def _count_classes(self) -> int:
+        memo, key = self.memo, self._key
+        uncovered, alive = self.root
+        stack = [(key(uncovered), uncovered, alive, None)]
+        while stack:
+            k, uncovered, alive, kids = stack.pop()
+            if kids is not None:
+                memo[k] = sum(map(memo.__getitem__, kids))
+            elif k not in memo:
+                step = self._expand(uncovered, alive, key)
+                while len(step) == 1 and step[0][1]:  # forced: the child's count
+                    _, uncovered, alive = step[0]
+                    step = self._expand(uncovered, alive, key)
+                kids = [key(u) for _, u, _ in step]
+                stack.append((k, None, None, kids))
+                stack += [(c, u, a, None) for c, (_, u, a) in zip(kids, step) if c not in memo]
+        return memo[key(self.root[0])]
 
     def listing(self, limit: int) -> list[tuple[int, ...]]:
         """The first `limit` solutions as sorted row ids, in lexicographic order.
@@ -676,15 +741,18 @@ def enumerate_tilings(
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
-    The memoized count pass always runs.  A positive limit makes it record
-    the states with a solution, and the listing merges that record into the
-    first `limit` tilings in canonical order, building at most `limit`
-    solutions of any state; a truncation flag tells when the count exceeds
-    the limit.  nodes counts the states the count pass expands, against the
-    node cap; the listing expands none, so it neither adds nodes nor can
-    exceed the cap.  Exceeding a cap raises instead of truncating.  The
-    search is sequential, so nothing depends on workers, which is only
-    validated.
+    The memoized count pass always runs.  Without a positive limit it keys
+    its memo on slot-relabelling classes of uncovered chain sets (_Search),
+    and nodes counts the classes it expands plus the forced states it
+    follows.  A positive limit makes it key raw uncovered sets and record
+    the states with a solution, and nodes counts the raw sets it expands;
+    the listing merges that record into the first `limit` tilings in
+    canonical order, building at most `limit` solutions of any state, and
+    expands none, so it adds no node to the recorded pass's.  A truncation
+    flag tells when the count exceeds the limit.  Either pass raises
+    CapExceeded past the node cap instead of truncating, and a count may
+    fit under a cap that its listing exceeds.  The search is sequential, so
+    nothing depends on workers, which is only validated.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -693,7 +761,7 @@ def enumerate_tilings(
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
     placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
     rows = [chain_ids(layer, placement.subsets) for placement in placements]
-    search = _Search(layer.chain_count, rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
+    search = _Search(layer.sizes, rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
     count = search.count(record=bool(limit))
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False

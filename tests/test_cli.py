@@ -462,8 +462,9 @@ def test_enumerate_text(capsys):
 
 
 def test_enumerate_node_cap_flag(capsys):
+    # the count-only pass expands 82 normal-form classes on natural 4..5
     code, out, _ = run(
-        ["enumerate", "--seq", "natural", "--k", "3", "--n", "4",
+        ["enumerate", "--seq", "natural", "--k", "4", "--n", "5",
          "--cap-nodes", "50"],
         capsys,
     )
@@ -475,7 +476,7 @@ def test_enumerate_node_cap_flag(capsys):
 
 def test_enumerate_node_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COBWEB_CAP_NODES", "50")
-    code, out, _ = run(["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], capsys)
+    code, out, _ = run(["enumerate", "--seq", "natural", "--k", "4", "--n", "5"], capsys)
     assert code == 3
     assert json.loads(out)["complete"] is False
 
@@ -483,12 +484,12 @@ def test_enumerate_node_cap_env(capsys, monkeypatch):
 def test_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("COBWEB_CAP_NODES", "50")
     code, out, _ = run(
-        ["enumerate", "--seq", "natural", "--k", "3", "--n", "4",
+        ["enumerate", "--seq", "natural", "--k", "4", "--n", "5",
          "--cap-nodes", "100000"],
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["count"] == "132"
+    assert json.loads(out)["count"] == "44928"
 
 
 def test_bad_cap_env_is_usage_error(capsys, monkeypatch):
@@ -586,7 +587,7 @@ CAP_CASES = [
     ("chains", ["tile", "--seq", "natural", "--k", "2", "--n", "5"], 100),
     ("chains", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 10),
     ("placements", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 20),
-    ("nodes", ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"], 50),
+    ("nodes", ["enumerate", "--seq", "natural", "--k", "4", "--n", "5"], 50),
 ]
 
 

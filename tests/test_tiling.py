@@ -560,19 +560,26 @@ def test_enumeration_worker_invariance():
 
 
 def test_enumeration_node_cap():
-    layer = poset.build_layer(fseq.natural(), 3, 4)
+    # the count-only pass expands 82 slot-relabelling classes of natural 4..5
+    layer = poset.build_layer(fseq.natural(), 4, 5)
     with pytest.raises(errors.CapExceeded) as err:
         tiling.enumerate_tilings(layer, node_cap=50)
     assert err.value.cap_name == "nodes"
     assert err.value.partial_count is not None
     with pytest.raises(ValueError):
         tiling.enumerate_tilings(layer, workers=0)
-    # partial_count is a lower bound on the 132 tilings wherever the cap bites
-    for cap in range(1, 201):
-        for limit in (None, 5):
-            outcome = _cap_outcome(layer, cap, limit, 1)
-            if outcome[0] == "cap":
-                assert 0 <= outcome[3] <= 132, (cap, limit)
+    # partial_count is a lower bound on the count wherever the cap bites,
+    # in the count-only pass (classes) and the recorded pass (raw sets)
+    for k, n, count in ((3, 4, 132), (4, 5, 44928)):
+        layer = poset.build_layer(fseq.natural(), k, n)
+        seen = set()
+        for cap in range(1, 201):
+            for limit in (None, 5):
+                outcome = _cap_outcome(layer, cap, limit, 1)
+                seen.add((limit, outcome[0]))
+                if outcome[0] == "cap":
+                    assert 0 <= outcome[3] <= count, (k, n, cap, limit)
+        assert {(None, "cap"), (5, "cap")} <= seen, (k, n)
 
 
 def _cap_outcome(layer, cap, limit, workers):
@@ -634,10 +641,86 @@ def test_enumeration_matches_naive_exact_cover():
 
 
 def test_enumeration_natural_3_5_count_and_work():
-    # the count memo keeps this well under the 2.2 M nodes of an unmemoized search
+    # 2.2 M nodes unmemoized, 319,099 raw uncovered sets, about 2,800 classes
     res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 3, 5))
     assert res.count == 411168
-    assert res.nodes < 400_000
+    assert res.nodes < 5_000
+
+
+def test_enumeration_natural_6_7_count_and_work():
+    # 42 chains: a raw-keyed memo passes the default 10^7 node cap here; the
+    # lumped two-level transfer of ROADMAP item 10 gives the same count
+    res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 6, 7))
+    assert res.count == 23_624_926_248_960
+    assert res.nodes < 20_000
+
+
+def _raw_search(layer, node_cap=tiling.DEFAULT_NODE_CAP):
+    """A _Search over the layer's placements, in enumerate_tilings' row order."""
+    placements = sorted(poset.enumerate_placements(layer), key=lambda p: p.subsets)
+    rows = [poset.chain_ids(layer, p.subsets) for p in placements]
+    return tiling._Search(layer.sizes, rows, node_cap)
+
+
+_PRODUCT_22_33 = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
+_GAP = fseq.explicit(["1", "1", "2", "4", "3", "5"])
+
+# the fixed layers that the tier-1 tests and the enumerate bench count by
+# exact cover, but natural 6..7, which a raw-keyed memo cannot count
+_COUNTED_LAYERS = (
+    [(fseq.natural(), k, n) for n in range(1, 6) for k in range(1, n + 1)]
+    + [(fseq.fibonacci(), 2, 4), (fseq.fibonacci(), 2, 5), (fseq.fibonacci(), 10, 11)]
+    + [(_PRODUCT_22_33, 2, 6), (_PRODUCT_22_33, 5, 7), (_GAP, 3, 5)]
+    + [(fseq.explicit(["1", "1", "3", "4", "7", "11"]), 2, 4), (fseq.rec2(1, 2), 2, 3)]
+    + [(fseq.explicit([1, 2, 2, 4]), 2, 3), (fseq.explicit([1, 0, 2, 4, 8, 16, 32, 64]), 2, 3)]
+    + [(fseq.explicit([1, 2, 0, 2, 2, 2]), k, k + 1) for k in (3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "seq, k, n", _COUNTED_LAYERS, ids=[f"{s.label()} {k}..{n}" for s, k, n in _COUNTED_LAYERS]
+)
+def test_count_by_classes_matches_raw_count(seq, k, n):
+    layer = poset.build_layer(seq, k, n)
+    assert tiling.enumerate_tilings(layer).count == _raw_search(layer).count(record=True)
+
+
+def _raw_count(search, uncovered, memo):
+    """The count of one uncovered set by the raw search from that set alone."""
+    if uncovered not in memo:
+        alive = sum(1 << r for r, mask in enumerate(search.masks) if not mask & ~uncovered)
+        kids = search._children(uncovered, alive)
+        memo[uncovered] = sum(_raw_count(search, u, memo) for _, u, _ in kids)
+    return memo[uncovered]
+
+
+def _slot_counts(layer, uncovered):
+    """Per level, the sorted uncovered-chain counts of its slots, read by
+    poset.chain_at (slots with none included)."""
+    chains = [poset.chain_at(layer, c) for c in range(layer.chain_count) if uncovered >> c & 1]
+    return [
+        sorted(sum(chain[i] == slot for chain in chains) for slot in range(size))
+        for i, size in enumerate(layer.sizes)
+    ]
+
+
+@pytest.mark.parametrize("seq, k, n", [
+    (fseq.natural(), 2, 4), (fseq.natural(), 3, 4), (fseq.natural(), 4, 5),
+    (fseq.fibonacci(), 2, 5), (_GAP, 3, 5), (_PRODUCT_22_33, 3, 6),
+])
+def test_slot_key_keeps_slot_counts_and_count(seq, k, n):
+    layer = poset.build_layer(seq, k, n)
+    search = _raw_search(layer)
+    search.count(record=True)
+    raw_counts = {0: 1}
+    moved = 0
+    for uncovered, count in search.memo.items():
+        key = search._key(uncovered)
+        moved += key != uncovered
+        assert search._key(key) == key
+        assert _slot_counts(layer, key) == _slot_counts(layer, uncovered)
+        assert _raw_count(search, key, raw_counts) == count
+    assert moved  # the key relabels some reached state on every layer here
 
 
 def _listing_oracle(layer):
@@ -646,8 +729,8 @@ def _listing_oracle(layer):
     chain_ids = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
     placements = list(poset.enumerate_placements(layer))
     rows = [[chain_ids[c] for c in iproduct(*p.subsets)] for p in placements]
-    search = tiling._Search(len(chain_ids), rows, tiling.DEFAULT_NODE_CAP)
-    search.count()
+    search = tiling._Search(layer.sizes, rows, tiling.DEFAULT_NODE_CAP)
+    search.count(record=True)  # memo keyed by raw uncovered sets
     solutions, stack = [], [((), *search.root)]
     while stack:
         path, uncovered, alive = stack.pop()
@@ -662,6 +745,7 @@ def _listing_oracle(layer):
 def _check_listing_against_oracle(layer, node_cap=None):
     want = _listing_oracle(layer)
     count = len(want)
+    assert tiling.enumerate_tilings(layer).count == count
     for limit in sorted({0, 1, 7, count - 1, count, count + 1} - {-1}):
         res = tiling.enumerate_tilings(layer, limit, node_cap=node_cap)
         assert res.count == count, limit
@@ -691,7 +775,9 @@ def test_enumeration_listing_matches_oracle_on_explicit_sequences(terms, data):
     layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
     assume(layer.chain_count <= 36)
     try:
-        count = tiling.enumerate_tilings(layer, node_cap=2_000).count
+        # a listing's recorded pass keys raw sets: filter on its node count,
+        # since the count-only pass can fit a cap that the listing passes
+        count = tiling.enumerate_tilings(layer, 1, node_cap=2_000).count
     except errors.CapExceeded:
         assume(False)
     assume(count <= 2_000)
@@ -707,10 +793,14 @@ def test_enumeration_listing_expands_each_state_once():
 
 
 def test_enumeration_listing_adds_no_nodes(monkeypatch):
-    # the listing merges what the count pass recorded and expands no state,
-    # so a listing fits under the cap its count fits under
+    # the listing merges what the recorded pass recorded and expands no
+    # state, so a listing fits under the cap its recorded pass fits under;
+    # that pass keys raw sets, so it takes more nodes than the count alone
     layer = poset.build_layer(fseq.natural(), 4, 5)
     counted = tiling.enumerate_tilings(layer).nodes
+    search = _raw_search(layer)
+    search.count(record=True)
+    recorded = search.nodes
     scans = 0
     children = tiling._Search._children
 
@@ -720,11 +810,12 @@ def test_enumeration_listing_adds_no_nodes(monkeypatch):
         return children(self, uncovered, alive)
 
     monkeypatch.setattr(tiling._Search, "_children", counting_children)
-    listed = tiling.enumerate_tilings(layer, 1000, node_cap=counted)
-    assert listed.nodes == counted == scans == 3155
+    listed = tiling.enumerate_tilings(layer, 1000, node_cap=recorded)
+    assert listed.nodes == recorded == scans == 3155
+    assert counted <= listed.nodes
     assert len(listed.tilings) == 1000
     with pytest.raises(errors.CapExceeded):
-        tiling.enumerate_tilings(layer, 1000, node_cap=counted - 1)
+        tiling.enumerate_tilings(layer, 1000, node_cap=recorded - 1)
 
 
 def test_enumeration_rejects_negative_limit():
