@@ -25,15 +25,11 @@ def main() -> None:
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--seed", type=int, default=None,
-                        help="use the seeded-random policy instead of first-slots")
+                        help="shuffle slot choices from this seed "
+                        "instead of taking the first slots")
     args = parser.parse_args()
 
     jobs = [(args.seq, args.k, args.n)] if args.seq else DEFAULT_LAYERS
-    policy = (
-        tiling.TilePolicy("seeded-random", args.seed)
-        if args.seed is not None
-        else tiling.TilePolicy()
-    )
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for spec, k, n in jobs:
@@ -43,7 +39,7 @@ def main() -> None:
             print(f"skip {spec} {k}..{n}: no recursion (witnesses {w1}, {w2})")
             continue
         tiler = tiling.tile_additive if variant == "additive" else tiling.tile_fibonacci
-        result = tiler(seq, k, n, policy)
+        result = tiler(seq, k, n, args.seed)
         assert tiling.verify_tiling(result) is None
         path = outdir / f"{spec.replace(' ', '_')}_{k}_{n}.dot"
         path.write_text(poset.to_dot(result.layer, result), encoding="utf-8")

@@ -60,7 +60,6 @@ from .poset import (
     to_dot,
 )
 from .tiling import (
-    TilePolicy,
     TilingEnumeration,
     TilingViolation,
     Triangle,

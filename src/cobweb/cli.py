@@ -31,7 +31,6 @@ from .fseq import FSeq
 from .poset import Tiling, build_layer, tiling_to_dict, to_dot
 from .tiling import (
     TRIANGLE_KINDS,
-    TilePolicy,
     detect_variant,
     enumerate_tilings,
     tile_additive,
@@ -202,7 +201,10 @@ def _render_tiling_text(tiling) -> str:
 
 def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
     k, n = ns.k, ns.n
-    policy = TilePolicy(mode=ns.policy, seed=ns.seed)
+    if ns.policy == "seeded-random" and ns.seed is None:
+        # an OS-seeded generator would give a different tiling on every run
+        raise ValueError("the seeded-random policy needs a seed")
+    seed = ns.seed if ns.policy == "seeded-random" else None
     variant = ns.variant
     if variant == "auto":
         variant, w1, w2 = detect_variant(seq, k, n)
@@ -220,7 +222,7 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
             return EXIT_NEGATIVE
     tile = tile_additive if variant == "additive" else tile_fibonacci
     try:
-        result = tile(seq, k, n, policy, chain_cap=ns.cap_chains)
+        result = tile(seq, k, n, seed, chain_cap=ns.cap_chains)
     except IdentityError as exc:
         obj = {"error": str(exc), "identity": exc.which, "witness": list(exc.witness)}
         _report(ns, obj, str(exc) + "\n")
@@ -251,11 +253,13 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     layer = build_layer(seq, ns.k, ns.n)
     # only the JSON report lists tilings; min keeps a negative limit an error
     limit = ns.limit if ns.format == "json" or not ns.limit else min(ns.limit, 0)
+    # the search is sequential; --workers is only validated
+    if ns.workers < 1:
+        raise ValueError(f"workers must be positive, got {ns.workers}")
     try:
         result = enumerate_tilings(
             layer,
             limit,
-            workers=ns.workers,
             chain_cap=ns.cap_chains,
             placement_cap=ns.cap_placements,
             node_cap=ns.cap_nodes,

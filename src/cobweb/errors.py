@@ -5,6 +5,18 @@ from typing import Optional
 
 from .digits import to_decimal
 
+__all__ = [
+    "CobwebError",
+    "DescriptorError",
+    "SequenceRangeError",
+    "ZeroTermError",
+    "IdentityError",
+    "TilingError",
+    "NonIntegralError",
+    "CapExceeded",
+    "check_cap",
+]
+
 
 class CobwebError(Exception):
     """Base class for all package-specific errors."""

@@ -22,9 +22,10 @@ detect_variant and the derived counter:
 
 Every other cell needs its identity.  The driver memoizes every cell, a
 tiler's cell as its sorted distinct tilings.  A choice source offers the
-group families a split may use: first-slots cuts the top slots in order,
-seeded-random shuffles them once per split from its required seed, and the
-private _all_families offers every unordered family, the counters' oracle.
+group families a split may use: without a seed it cuts the top slots in
+order, with an int seed it shuffles them once per split from
+random.Random(seed), and the private _all_families offers every unordered
+family, the counters' oracle.
 
 The counters give the same driver their own leaf and split.  derived mode
 counts the tiler's choice tree by its rules: unordered families, none with
@@ -57,8 +58,6 @@ records each solvable state's solvable children, children first.  The
 listing merges that record from the empty state up, each solution one int
 with a bit per row, keeping the first `limit` of each state: canonical order
 without building every solution, and no node beyond the recorded pass's.
-The search is sequential, so its count, listing and cap outcome never depend
-on workers.
 """
 from __future__ import annotations
 
@@ -99,7 +98,6 @@ from .poset import (
 
 __all__ = [
     "DEFAULT_NODE_CAP",
-    "TilePolicy",
     "TilingViolation",
     "TilingEnumeration",
     "UpperBoundCheck",
@@ -123,27 +121,6 @@ __all__ = [
 # The count memo holds about 140 bytes per node, so 10^7 nodes stay near 1.4 GB.
 DEFAULT_NODE_CAP = 10**7
 DEFAULT_ROW_CAP = 200
-
-POLICY_MODES = ("first-slots", "seeded-random")
-
-
-@dataclass(frozen=True)
-class TilePolicy:
-    """Slot-choice policy for the constructive tilers.
-
-    first-slots takes the lexicographically least slots at every split;
-    seeded-random draws them from a generator seeded with `seed`, which it
-    requires, so that every run gives the same tiling.
-    """
-
-    mode: str = "first-slots"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in POLICY_MODES:
-            raise ValueError(f"policy mode must be one of {POLICY_MODES}, got {self.mode!r}")
-        if self.mode == "seeded-random" and self.seed is None:
-            raise ValueError("the seeded-random policy needs a seed")
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +208,12 @@ def _all_families(top, size_a, count_a, size_b, count_b) -> Iterator[tuple]:
                 yield groups_a, groups_b
 
 
-def _choice_source(policy: TilePolicy):
+def _choice_source(seed: Optional[int]):
     """One group family per split, cut in order from the top level's slots,
-    shuffled once per split under seeded-random."""
-    rng = random.Random(policy.seed) if policy.mode == "seeded-random" else None
+    shuffled once per split by random.Random(seed) when a seed is given."""
+    if seed is not None and (type(seed) is bool or not isinstance(seed, int)):
+        raise ValueError(f"seed must be an int or None, got {seed!r}")
+    rng = None if seed is None else random.Random(seed)
 
     def choose(top, size_a, count_a, size_b, count_b):
         order = rng.sample(range(top), top) if rng else list(range(top))
@@ -369,8 +348,8 @@ def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
     return [Tiling(layer, tuple(map(BlockPlacement, raw))) for raw in raws]
 
 
-def _tile(seq, k, n, which, policy, chain_cap) -> Tiling:
-    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(policy or TilePolicy()), chain_cap)
+def _tile(seq, k, n, which, seed, chain_cap) -> Tiling:
+    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(seed), chain_cap)
     return tiling
 
 
@@ -378,7 +357,7 @@ def tile_additive(
     seq: FSeq,
     k: int,
     n: int,
-    policy: Optional[TilePolicy] = None,
+    seed: Optional[int] = None,
     *,
     chain_cap: Optional[int] = None,
 ) -> Tiling:
@@ -386,24 +365,28 @@ def tile_additive(
 
     Requires the additive identity term(m + k) = term(m) + term(k) on the
     range the recursion touches; the first violation is raised as an error.
+    Without a seed every split takes its first slots; an int seed shuffles
+    them from random.Random(seed), the same tiling on every run.  Any other
+    seed is a ValueError.
     """
-    return _tile(seq, k, n, 1, policy, chain_cap)
+    return _tile(seq, k, n, 1, seed, chain_cap)
 
 
 def tile_fibonacci(
     seq: FSeq,
     k: int,
     n: int,
-    policy: Optional[TilePolicy] = None,
+    seed: Optional[int] = None,
     *,
     chain_cap: Optional[int] = None,
 ) -> Tiling:
     """Tile the layer over levels k..n of a convolution-split sequence.
 
     Requires the identity term(m + k) = term(k + 1) * term(m) +
-    term(m - 1) * term(k) on the range the recursion touches.
+    term(m - 1) * term(k) on the range the recursion touches.  The seed
+    chooses slots as in tile_additive.
     """
-    return _tile(seq, k, n, 2, policy, chain_cap)
+    return _tile(seq, k, n, 2, seed, chain_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +717,6 @@ def enumerate_tilings(
     layer: Layer,
     limit: Optional[int] = None,
     *,
-    workers: int = 1,
     chain_cap: Optional[int] = None,
     placement_cap: Optional[int] = None,
     node_cap: Optional[int] = None,
@@ -751,11 +733,8 @@ def enumerate_tilings(
     expands none, so it adds no node to the recorded pass's.  A truncation
     flag tells when the count exceeds the limit.  Either pass raises
     CapExceeded past the node cap instead of truncating, and a count may
-    fit under a cap that its listing exceeds.  The search is sequential, so
-    nothing depends on workers, which is only validated.
+    fit under a cap that its listing exceeds.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
@@ -984,7 +963,6 @@ def triangle(
     rows: int,
     mode: str = "derived",
     include_zero: bool = False,
-    row_cap: Optional[int] = None,
 ) -> Triangle:
     """Table of fnomials, constructive counts, or equal-block bounds.
 
@@ -995,7 +973,7 @@ def triangle(
         raise ValueError(f"kind must be one of {TRIANGLE_KINDS}, got {kind!r}")
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
-    check_cap("rows", rows, row_cap, DEFAULT_ROW_CAP)
+    check_cap("rows", rows, None, DEFAULT_ROW_CAP)
     cells: dict = {}
     notes: dict = {}
     if kind in ("additive", "fibonacci"):

@@ -156,8 +156,10 @@ def test_criterion_9_determinism(capsys):
         assert outputs[0] == outputs[1]
         assert outputs[2] == outputs[3]
         assert json.loads(outputs[2])["count"] == "32"
-        layer = poset.build_layer(fseq.natural(), 3, 4)
-        counts = {
-            tiling.enumerate_tilings(layer, workers=w).count for w in (1, 2, 4)
-        }
-        assert counts == {132}
+        worker_argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4"]
+        worker_outputs = set()
+        for w in ("1", "2", "4"):
+            assert cli.main(worker_argv + ["--workers", w]) == 0
+            worker_outputs.add(capsys.readouterr().out)
+        assert len(worker_outputs) == 1
+        assert json.loads(worker_outputs.pop())["count"] == "132"

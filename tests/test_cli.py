@@ -166,21 +166,19 @@ def test_tile_json(capsys):
     assert obj["blocks"] == [[[0], [0, 1]], [[0, 1], [2]], [[1], [0, 1]]]
 
 
-def _tile_document(seq, k, n, variant, policy):
+def _tile_document(seq, k, n, variant, seed):
     """The tile --format json document as json.dumps writes the whole object."""
     tile = tiling.tile_additive if variant == "additive" else tiling.tile_fibonacci
-    obj = poset.tiling_to_dict(tile(seq, k, n, policy))
+    obj = poset.tiling_to_dict(tile(seq, k, n, seed))
     obj.update(variant=variant, block_count=str(len(obj["blocks"])), verified=True)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _check_tile_json(kind, variant, seed, k, n, tmp_path, capsys):
     argv = ["tile", "--seq", kind, "--k", str(k), "--n", str(n), "--format", "json"]
-    policy = tiling.TilePolicy()
     if seed is not None:
         argv += ["--policy", "seeded-random", "--seed", str(seed)]
-        policy = tiling.TilePolicy(mode="seeded-random", seed=seed)
-    want = _tile_document(cli.load_sequence(kind), k, n, variant, policy)
+    want = _tile_document(cli.load_sequence(kind), k, n, variant, seed)
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert_same_text(out, want)
@@ -558,10 +556,21 @@ def test_exit_code_per_error_type(error, code, capsys, monkeypatch):
 
 
 def test_enumerate_workers_match(capsys):
-    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "5"]
-    base = run(argv, capsys)
-    multi = run(argv + ["--workers", "4"], capsys)
-    assert base == multi
+    # the search is sequential: stdout and exit code, a cap's refusal
+    # included, are the same under every --workers
+    listing = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--limit", "500"]
+    capped = ["enumerate", "--seq", "natural", "--k", "4", "--n", "5", "--cap-nodes", "50"]
+    for argv, code in ((listing, 0), (capped, 3)):
+        base = run(argv, capsys)
+        assert base[0] == code
+        for workers in ("1", "2", "4"):
+            assert run(argv + ["--workers", workers], capsys) == base, (argv, workers)
+    assert json.loads(run(listing, capsys)[1])["count"] == "132"
+
+
+def test_enumerate_workers_must_be_positive(capsys):
+    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "4", "--workers", "0"]
+    assert run(argv, capsys) == (2, "", "error: workers must be positive, got 0\n")
 
 
 def test_enumerate_deep_search_does_not_recurse(capsys):

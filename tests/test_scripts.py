@@ -17,6 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
         ("triangle_gallery.py", ["--rows", "6"]),
         # row 8 of the natural census holds values past 4,300 digits
         ("tiling_census.py", ["--seq", "natural", "--max-n", "8", "--skip-exhaustive"]),
+        ("render_layers.py", ["--out", "{tmp}"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):

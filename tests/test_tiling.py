@@ -19,15 +19,13 @@ def _blocks(t):
 # constructive tilers
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        tiling.TilePolicy(mode="nope")
-    with pytest.raises(ValueError):
-        tiling.TilePolicy("enumerate-all")
-    # a seedless generator would seed itself from the OS: a different
-    # tiling on every run
-    with pytest.raises(ValueError, match="needs a seed"):
-        tiling.TilePolicy("seeded-random")
-    assert tiling.TilePolicy("seeded-random", 0).seed == 0
+    # the seed is the whole slot-choice policy: None or an int
+    tilers = ((tiling.tile_additive, fseq.natural()), (tiling.tile_fibonacci, fseq.fibonacci()))
+    for tile, seq in tilers:
+        for seed in (True, "7", 1.5, object()):
+            with pytest.raises(ValueError, match="seed must be an int or None"):
+                tile(seq, 2, 4, seed)
+        assert tiling.verify_tiling(tile(seq, 2, 4, seed=0)) is None
 
 
 def test_tile_additive_smallest_split():
@@ -71,12 +69,11 @@ def test_tile_grids_satisfy_block_count_law():
 
 
 def test_seeded_policy_is_deterministic_and_valid():
-    p42 = tiling.TilePolicy("seeded-random", 42)
-    t1 = tiling.tile_additive(fseq.natural(), 2, 5, p42)
-    t2 = tiling.tile_additive(fseq.natural(), 2, 5, tiling.TilePolicy("seeded-random", 42))
+    t1 = tiling.tile_additive(fseq.natural(), 2, 5, 42)
+    t2 = tiling.tile_additive(fseq.natural(), 2, 5, seed=42)
     assert _blocks(t1) == _blocks(t2)
     assert tiling.verify_tiling(t1) is None
-    t3 = tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, p42)
+    t3 = tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, 42)
     assert tiling.verify_tiling(t3) is None
     assert _blocks(t3) == (
         ((0,), (0,), (0, 2), (0, 2, 4), (0, 1, 2, 5, 7)),
@@ -369,11 +366,10 @@ def _valid_tilings(source):
     or one constructive tile."""
     if source < len(_LISTED):
         return tiling.enumerate_tilings(poset.build_layer(*_LISTED[source]), 60).tilings
-    seeded = tiling.TilePolicy("seeded-random", 7)
     tiles = [
-        tiling.tile_additive(fseq.natural(), 2, 5), tiling.tile_additive(fseq.natural(), 3, 5, seeded),
+        tiling.tile_additive(fseq.natural(), 2, 5), tiling.tile_additive(fseq.natural(), 3, 5, 7),
         tiling.tile_fibonacci(fseq.fibonacci(), 3, 6),
-        tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, seeded),
+        tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, 7),
     ]
     return (tiles[source - len(_LISTED)],)
 
@@ -548,17 +544,6 @@ def test_enumeration_listing_and_truncation():
     assert res.count == 4 and len(res.tilings) == 2 and res.truncated
 
 
-def test_enumeration_worker_invariance():
-    layer = poset.build_layer(fseq.natural(), 3, 4)
-    results = [
-        tiling.enumerate_tilings(layer, limit=500, workers=w) for w in (1, 2, 4)
-    ]
-    counts = {r.count for r in results}
-    assert counts == {132}
-    listings = [[_blocks(t) for t in r.tilings] for r in results]
-    assert listings[0] == listings[1] == listings[2]
-
-
 def test_enumeration_node_cap():
     # the count-only pass expands 82 slot-relabelling classes of natural 4..5
     layer = poset.build_layer(fseq.natural(), 4, 5)
@@ -566,42 +551,29 @@ def test_enumeration_node_cap():
         tiling.enumerate_tilings(layer, node_cap=50)
     assert err.value.cap_name == "nodes"
     assert err.value.partial_count is not None
-    with pytest.raises(ValueError):
-        tiling.enumerate_tilings(layer, workers=0)
     # partial_count is a lower bound on the count wherever the cap bites,
-    # in the count-only pass (classes) and the recorded pass (raw sets)
+    # in the count-only pass (classes) and the recorded pass (raw sets), and
+    # a run that finishes under a cap counts every tiling within it
     for k, n, count in ((3, 4, 132), (4, 5, 44928)):
         layer = poset.build_layer(fseq.natural(), k, n)
         seen = set()
         for cap in range(1, 201):
             for limit in (None, 5):
-                outcome = _cap_outcome(layer, cap, limit, 1)
+                outcome = _cap_outcome(layer, cap, limit)
                 seen.add((limit, outcome[0]))
                 if outcome[0] == "cap":
                     assert 0 <= outcome[3] <= count, (k, n, cap, limit)
-        assert {(None, "cap"), (5, "cap")} <= seen, (k, n)
+                else:
+                    assert outcome[1] == count and outcome[2] <= cap, (k, n, cap, limit)
+        assert {(None, "cap"), (5, "cap"), (None, "done")} <= seen, (k, n)
 
 
-def _cap_outcome(layer, cap, limit, workers):
+def _cap_outcome(layer, cap, limit):
     try:
-        res = tiling.enumerate_tilings(layer, limit, workers=workers, node_cap=cap)
+        res = tiling.enumerate_tilings(layer, limit, node_cap=cap)
     except errors.CapExceeded as exc:
         return ("cap", exc.cap_name, exc.limit, exc.partial_count)
-    listing = None if res.tilings is None else [_blocks(t) for t in res.tilings]
-    return ("done", res.count, res.nodes, listing)
-
-
-def test_enumeration_cap_outcome_is_worker_invariant():
-    layer = poset.build_layer(fseq.natural(), 3, 4)
-    seen = set()
-    for cap in range(1, 201):
-        for limit in (None, 5):
-            outcomes = [_cap_outcome(layer, cap, limit, w) for w in (1, 2, 4)]
-            assert outcomes[0] == outcomes[1] == outcomes[2], (cap, limit)
-            seen.add(outcomes[0][0])
-            if outcomes[0][0] == "done":
-                assert outcomes[0][1] == 132 and outcomes[0][2] <= cap
-    assert seen == {"cap", "done"}
+    return ("done", res.count, res.nodes)
 
 
 def _naive_tilings(layer):
@@ -1050,8 +1022,8 @@ def test_cell_driver_matches_the_reference_recursions(terms, seed):
                 assert _outcome(lambda: shared(n, k)) == _outcome(lambda: reference(n, k))
         # (choice source, chain cap): every family only on small layers
         sources = [
-            (lambda: tiling._choice_source(tiling.TilePolicy()), 5040),
-            (lambda: tiling._choice_source(tiling.TilePolicy("seeded-random", seed)), 5040),
+            (lambda: tiling._choice_source(None), 5040),
+            (lambda: tiling._choice_source(seed), 5040),
             (lambda: tiling._all_families, 24),
         ]
         for source, cap in sources:
@@ -1213,7 +1185,7 @@ def test_triangle_validation():
     with pytest.raises(ValueError):
         tiling.triangle(fseq.natural(), "fnomial", 0)
     with pytest.raises(errors.CapExceeded):
-        tiling.triangle(fseq.natural(), "fnomial", 10, row_cap=5)
+        tiling.triangle(fseq.natural(), "fnomial", tiling.DEFAULT_ROW_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1226,9 +1198,7 @@ _policy_seeds = st.integers(0, 10_000)
 @settings(max_examples=40, deadline=None)
 def test_random_policy_tilings_always_verify(seed, k, extra):
     n = min(k + extra, 6)
-    t = tiling.tile_additive(
-        fseq.natural(), k, n, tiling.TilePolicy("seeded-random", seed)
-    )
+    t = tiling.tile_additive(fseq.natural(), k, n, seed)
     assert tiling.verify_tiling(t) is None
 
 
@@ -1236,7 +1206,28 @@ def test_random_policy_tilings_always_verify(seed, k, extra):
 @settings(max_examples=40, deadline=None)
 def test_random_policy_fibonacci_tilings_always_verify(seed, k, extra):
     n = min(k + extra, 7)
-    t = tiling.tile_fibonacci(
-        fseq.fibonacci(), k, n, tiling.TilePolicy("seeded-random", seed)
-    )
+    t = tiling.tile_fibonacci(fseq.fibonacci(), k, n, seed)
     assert tiling.verify_tiling(t) is None
+
+
+_SEEDS = st.one_of(
+    st.none(), st.integers(-(10**30), 10**30), st.booleans(), st.floats(), st.text(max_size=3)
+)
+
+
+@given(st.lists(st.integers(0, 4), max_size=7), st.integers(-1, 6), st.integers(-2, 3), _SEEDS)
+@settings(max_examples=200, deadline=None)
+@example([1, 2, 3, 4], 2, 2, True)
+@example([1, 1, 2, 3, 5], 2, 3, 7.0)
+@example([], 1, 0, "7")
+def test_tilers_verify_or_refuse_any_input(terms, k, extra, seed):
+    # a tiling that verifies, or a typed refusal; never a TypeError from a
+    # stray seed or a RecursionError, under the recursion limit at import
+    seq, n = fseq.explicit([1] + terms), k + extra
+    for tile in (tiling.tile_additive, tiling.tile_fibonacci):
+        try:
+            t = _under_import_recursion_limit(lambda: tile(seq, k, n, seed, chain_cap=2000))
+        except (errors.CobwebError, ValueError):
+            continue
+        assert type(seed) is int or seed is None, seed
+        assert tiling.verify_tiling(t) is None, (terms, k, n, seed)
