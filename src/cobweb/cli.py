@@ -454,8 +454,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        caps = vars(ns)
         for name in CAP_NAMES:
-            setattr(ns, f"cap_{name}", _resolve_cap(getattr(ns, f"cap_{name}", None), name))
+            if f"cap_{name}" in caps:  # a subcommand resolves only the caps it has flags for
+                caps[f"cap_{name}"] = _resolve_cap(caps[f"cap_{name}"], name)
         seq = load_sequence(ns.seq)
         return _HANDLERS[ns.command](ns, seq)
     except CapExceeded as exc:

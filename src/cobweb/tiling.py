@@ -49,15 +49,16 @@ Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
 search branches on the uncovered chain with the fewest remaining rows (MRV).
-Its count pass, the only traversal, memoizes the count of each uncovered
-chain set and charges each state it expands to one node cap.  Permuting the
-slots of one level maps tilings to tilings, so a count alone keys its memo
-on a normal form of the set under those permutations and follows forced
-states without a key.  For a listing the pass keys raw sets instead and
-records each solvable state's solvable children, children first.  The
-listing merges that record from the empty state up, each solution one int
-with a bit per row, keeping the first `limit` of each state: canonical order
-without building every solution, and no node beyond the recorded pass's.
+One count loop, the only traversal, memoizes the count of each uncovered
+chain set and charges each state it expands to one node cap; only its key
+depends on the job.  Permuting the slots of one level maps tilings to
+tilings, so a count alone keys the memo on a normal form of the set under
+those permutations and follows forced states without a key.  For a listing
+the loop keys raw sets instead and records each solvable state's solvable
+children, children first.  The listing merges that record from the empty
+state up, each solution one int with a bit per row, keeping the first
+`limit` of each state: canonical order without building every solution, and
+no node beyond the count's.
 """
 from __future__ import annotations
 
@@ -541,8 +542,8 @@ class TilingEnumeration:
 
 
 class _Search:
-    """One bitmask exact cover: the count pass, under the node cap, and a
-    listing merged over the states the count pass recorded.
+    """One bitmask exact cover: one count loop, under the node cap, and a
+    listing merged over the states that loop recorded.
 
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
     e, and clash[r] the rows sharing a chain with row r.  A state is
@@ -552,9 +553,9 @@ class _Search:
     The rows are every placement of the layer of level sizes `sizes`, so
     they are closed under permuting the slots of one level, and two
     uncovered sets that such permutations map onto each other have the same
-    count.  The count-only pass keys its memo on _key, one member of that
-    orbit, and charges each key it expands, and each forced state it follows
-    unkeyed, to the node cap.  The recorded pass for a listing keys on the
+    count.  A count alone keys its memo on _key, one member of that orbit,
+    and charges each key it expands, and each forced state it follows
+    unkeyed, to the node cap.  A count recorded for a listing keys on the
     raw set, since the listing reads its record back by raw row ids.
     """
 
@@ -632,46 +633,34 @@ class _Search:
     def count(self, record: bool = False) -> int:
         """memo[key] = sum of memo[child key], filled from an explicit stack.
 
-        Without record a key is _key of the uncovered set, and a state with
-        one child that is not the empty set is followed to that child without
-        a key of its own.  With record a key is the raw uncovered set, and
-        dag[uncovered] holds a solvable state's solvable children as (row,
-        uncovered) pairs, filled as states finish: children first."""
-        if not record:
-            return self._count_classes()
+        With record a key is the raw uncovered set, and dag[uncovered] holds a
+        solvable state's solvable children as (row, uncovered) pairs, filled
+        as states finish: children first.  Without record a key is _key of
+        the uncovered set, and a state with one child that is not the empty
+        set is followed to that child without a key of its own."""
         memo = self.memo
+        key = int if record else self._key  # a raw set keys itself
         dag = self.dag = {}
-        stack = [(*self.root, None)]
-        while stack:
-            uncovered, alive, kids = stack.pop()
-            if uncovered in memo:
-                continue
-            if kids is None:
-                kids = self._expand(uncovered, alive, int)  # a raw set keys itself
-                stack.append((uncovered, alive, kids))
-                stack += [(u, a, None) for _, u, a in kids if u not in memo]
-            else:
-                total = memo[uncovered] = sum(memo[u] for _, u, _ in kids)
-                if total:
-                    dag[uncovered] = [(r, u) for r, u, _ in kids if memo[u]]
-        return memo[self.root[0]]
-
-    def _count_classes(self) -> int:
-        memo, key = self.memo, self._key
         uncovered, alive = self.root
         stack = [(key(uncovered), uncovered, alive, None)]
         while stack:
             k, uncovered, alive, kids = stack.pop()
-            if kids is not None:
-                memo[k] = sum(map(memo.__getitem__, kids))
+            if kids is not None:  # (row or uncovered, key, alive) per kid
+                total = memo[k] = sum(memo[c] for _, c, _ in kids)
+                if record and total:
+                    dag[k] = [(r, u) for r, u, _ in kids if memo[u]]
             elif k not in memo:
-                step = self._expand(uncovered, alive, key)
-                while len(step) == 1 and step[0][1]:  # forced: the child's count
-                    _, uncovered, alive = step[0]
-                    step = self._expand(uncovered, alive, key)
-                kids = [key(u) for _, u, _ in step]
+                kids = self._expand(uncovered, alive, key)
+                if record:
+                    news = [(u, u, a, None) for _, u, a in kids if u not in memo]
+                else:
+                    while len(kids) == 1 and kids[0][1]:  # forced: the child's count
+                        _, uncovered, alive = kids[0]
+                        kids = self._expand(uncovered, alive, key)
+                    kids = [(u, key(u), a) for _, u, a in kids]  # no dag, no rows
+                    news = [(c, u, a, None) for u, c, a in kids if c not in memo]
                 stack.append((k, None, None, kids))
-                stack += [(c, u, a, None) for c, (_, u, a) in zip(kids, step) if c not in memo]
+                stack += news
         return memo[key(self.root[0])]
 
     def listing(self, limit: int) -> list[tuple[int, ...]]:
@@ -723,17 +712,17 @@ def enumerate_tilings(
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
-    The memoized count pass always runs.  Without a positive limit it keys
-    its memo on slot-relabelling classes of uncovered chain sets (_Search),
-    and nodes counts the classes it expands plus the forced states it
-    follows.  A positive limit makes it key raw uncovered sets and record
-    the states with a solution, and nodes counts the raw sets it expands;
-    the listing merges that record into the first `limit` tilings in
-    canonical order, building at most `limit` solutions of any state, and
-    expands none, so it adds no node to the recorded pass's.  A truncation
-    flag tells when the count exceeds the limit.  Either pass raises
-    CapExceeded past the node cap instead of truncating, and a count may
-    fit under a cap that its listing exceeds.
+    One memoized count loop always runs (_Search.count), with one of two
+    keys.  Without a positive limit it keys its memo on slot-relabelling
+    classes of uncovered chain sets, and nodes counts the classes it expands
+    plus the forced states it follows.  A positive limit makes it key raw
+    uncovered sets and record the states with a solution, and nodes counts
+    the raw sets it expands; the listing merges that record into the first
+    `limit` tilings in canonical order, building at most `limit` solutions
+    of any state, and expands none, so it adds no node to the count's.  A
+    truncation flag tells when the count exceeds the limit.  The loop raises
+    CapExceeded past the node cap instead of truncating, and a count may fit
+    under a cap that its listing exceeds.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

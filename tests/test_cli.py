@@ -8,6 +8,7 @@ import json
 import operator
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -351,28 +352,40 @@ def test_enumerate_listing(capsys):
     assert [[[0], [0, 1]], [[0, 1], [2]], [[1], [0, 1]]] in obj["tilings"]
 
 
-def _listing_document(seq, k, n, limit):
-    """The enumerate --limit document as json.dumps writes the whole object."""
+def _listing_object(seq, k, n, limit, block=lambda block: block):
+    """The enumerate --limit object, each block given as block(its subsets)."""
     layer = poset.build_layer(seq, k, n)
     res = tiling.enumerate_tilings(layer, limit)
-    obj = {
+    return {
         "count": str(res.count),
         "complete": True,
         "truncated": res.truncated,
         "layer": {"k": k, "n": n, "sizes": [str(s) for s in layer.sizes]},
-        "tilings": [poset.tiling_to_dict(t)["blocks"] for t in res.tilings],
+        "tilings": [list(map(block, poset.tiling_to_dict(t)["blocks"])) for t in res.tilings],
     }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _listing_document(seq, k, n, limit):
+    """The enumerate --limit document as json.dumps writes the whole object."""
+    return json.dumps(_listing_object(seq, k, n, limit), sort_keys=True, indent=2) + "\n"
 
 
 def _listing_reference(seq, k, n):
     """(count, document): document(limit) is _listing_document(seq, k, n,
-    limit), cut from the full listing's document, which is dumped once, so
-    a listing must be the head of the full one.  json.dumps encodes indent
-    in pure Python before 3.13, and one dump of a long listing takes
-    seconds."""
+    limit), cut from the full listing's document, so a listing must be the
+    head of the full one.  json.dumps encodes indent in pure Python before
+    3.13, and one dump of a long listing takes seconds, so the full document
+    is dumped with a "block <i>" string for each block, and each distinct
+    block is dumped once, at its depth of 3, into its strings."""
     count = tiling.enumerate_tilings(poset.build_layer(seq, k, n)).count
-    full = _listing_document(seq, k, n, count)
+    blocks = {}
+
+    def block(subsets):
+        return blocks.setdefault(tuple(map(tuple, subsets)), f"block {len(blocks)}")
+
+    skeleton = json.dumps(_listing_object(seq, k, n, count, block), sort_keys=True, indent=2)
+    texts = [json.dumps(b, indent=2).replace("\n", "\n      ") for b in blocks]
+    full = re.sub(r'"block (\d+)"', lambda m: texts[int(m[1])], skeleton) + "\n"
     start = full.index('\n  "tilings": [')
     # each tiling is an array two levels deep, so past "tilings" its last
     # line is the only one indented by 4 that closes an array
@@ -631,6 +644,40 @@ def test_zero_cap_is_usage_error(name, source, capsys, monkeypatch):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert f"cap-{name} must be >= 1" in err
+
+
+CAPLESS_RUNS = [
+    ["seq", "--seq", "natural", "--count", "3"],
+    ["admissible", "--seq", "natural", "--count", "5"],
+    ["triangle", "--seq", "natural", "--rows", "2"],
+    ["cta3", "--seq", "natural", "--count", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", CAPLESS_RUNS, ids=lambda argv: argv[0])
+def test_cap_env_leaves_capless_subcommands_alone(argv, capsys, monkeypatch):
+    # a subcommand reads only the cap variables of its own --cap flags
+    want = run(argv, capsys)
+    assert want[0] == 0
+    for name in cli.CAP_NAMES:
+        for raw in ("abc", "0"):
+            monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", raw)
+            assert run(argv, capsys) == want, (name, raw)
+        monkeypatch.delenv(f"COBWEB_CAP_{name.upper()}")
+
+
+def test_tile_reads_only_the_chain_cap_env(capsys, monkeypatch):
+    argv = ["tile", "--seq", "natural", "--k", "2", "--n", "3"]
+    want = run(argv, capsys)
+    assert want[0] == 0
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("COBWEB_CAP_NODES", raw)
+        monkeypatch.setenv("COBWEB_CAP_PLACEMENTS", raw)
+        assert run(argv, capsys) == want, raw
+    monkeypatch.setenv("COBWEB_CAP_CHAINS", "abc")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "COBWEB_CAP_CHAINS must be an integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -649,12 +649,59 @@ _COUNTED_LAYERS = (
 )
 
 
-@pytest.mark.parametrize(
-    "seq, k, n", _COUNTED_LAYERS, ids=[f"{s.label()} {k}..{n}" for s, k, n in _COUNTED_LAYERS]
-)
+# (count-only nodes, listing nodes) of each counted layer: the states the
+# count expands under each of its two keys, so a change to the count loop
+# that expands other states, or more of them, shows here
+_PINNED_NODES = {
+    "natural 1..1": (1, 1),
+    "natural 1..2": (1, 1),
+    "natural 2..2": (2, 2),
+    "natural 1..3": (1, 1),
+    "natural 2..3": (6, 8),
+    "natural 3..3": (3, 3),
+    "natural 1..4": (1, 1),
+    "natural 2..4": (20, 62),
+    "natural 3..4": (21, 97),
+    "natural 4..4": (4, 4),
+    "natural 1..5": (1, 1),
+    "natural 2..5": (60, 590),
+    "natural 3..5": (2762, 319099),
+    "natural 4..5": (82, 3155),
+    "natural 5..5": (5, 5),
+    "fibonacci 2..4": (6, 8),
+    "fibonacci 2..5": (31, 238),
+    "fibonacci 10..11": (4895, 4895),
+    "product(periodic(c=2, M=2), periodic(c=3, M=3)) 2..6": (185, 3668),
+    "product(periodic(c=2, M=2), periodic(c=3, M=3)) 5..7": (1, 1),
+    "explicit[5 terms] 3..5": (54, 708),
+    "explicit[5 terms] 2..4": (58, 2007),
+    "rec2(1, 2) 2..3": (13, 43),
+    "explicit[3 terms] 2..3": (2, 4),
+    "explicit[7 terms] 2..3": (1, 1),
+    "explicit[5 terms] 3..4": (1, 1),
+    "explicit[5 terms] 4..5": (1, 1),
+}
+_COUNTED_IDS = [f"{s.label()} {k}..{n}" for s, k, n in _COUNTED_LAYERS]
+
+
+@pytest.mark.parametrize("seq, k, n", _COUNTED_LAYERS, ids=_COUNTED_IDS)
 def test_count_by_classes_matches_raw_count(seq, k, n):
+    # a listing's count keys raw sets; limit 1 lists without a long merge
     layer = poset.build_layer(seq, k, n)
-    assert tiling.enumerate_tilings(layer).count == _raw_search(layer).count(record=True)
+    counted, listed = tiling.enumerate_tilings(layer), tiling.enumerate_tilings(layer, 1)
+    assert counted.count == listed.count
+    assert (counted.nodes, listed.nodes) == _PINNED_NODES[f"{seq.label()} {k}..{n}"]
+
+
+@pytest.mark.parametrize("k, limit, cap, partial", [
+    (4, None, 50, 19_872), (4, 1000, 3_000, 38_664),
+    (3, None, 1_000, 43_416), (3, 1000, 100_000, 76_056),
+])
+def test_partial_count_is_pinned(k, limit, cap, partial):
+    # the root's children counted when natural k..5 passes the node cap,
+    # under classes (no limit) and raw sets (a listing)
+    layer = poset.build_layer(fseq.natural(), k, 5)
+    assert _cap_outcome(layer, cap, limit) == ("cap", "nodes", cap, partial)
 
 
 def _raw_count(search, uncovered, memo):
@@ -697,12 +744,12 @@ def test_slot_key_keeps_slot_counts_and_count(seq, k, n):
 
 def _listing_oracle(layer):
     """Every tiling as sorted block subsets, in canonical order: every
-    solution of the search pruned by the count memo, sorted by block subsets."""
+    solution of the search pruned by _raw_count, sorted by block subsets."""
     chain_ids = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
     placements = list(poset.enumerate_placements(layer))
     rows = [[chain_ids[c] for c in iproduct(*p.subsets)] for p in placements]
     search = tiling._Search(layer.sizes, rows, tiling.DEFAULT_NODE_CAP)
-    search.count(record=True)  # memo keyed by raw uncovered sets
+    counts = {0: 1}  # pruned by the oracle's own counts, not the search's memo
     solutions, stack = [], [((), *search.root)]
     while stack:
         path, uncovered, alive = stack.pop()
@@ -710,7 +757,7 @@ def _listing_oracle(layer):
             solutions.append(path)
             continue
         kids = search._children(uncovered, alive)
-        stack += [(path + (r,), u, a) for r, u, a in kids if search.memo[u]]
+        stack += [(path + (r,), u, a) for r, u, a in kids if _raw_count(search, u, counts)]
     return sorted(tuple(sorted(placements[r].subsets for r in s)) for s in solutions)
 
 
