@@ -42,7 +42,6 @@ from .seqalg import (
     DivisibilityWitness,
     HSequence,
     h_general,
-    h_natural,
     reconstruct,
     reconstruct_prefix,
 )
@@ -53,7 +52,6 @@ from .poset import (
     build_layer,
     enumerate_chains,
     enumerate_placements,
-    make_tiling,
     placement_count,
     prime_level_sizes,
     tiling_to_dict,
@@ -63,8 +61,6 @@ from .tiling import (
     TilingEnumeration,
     TilingViolation,
     Triangle,
-    UpperBoundCheck,
-    check_count_upper_bound,
     count_tilings_additive,
     count_tilings_fibonacci,
     detect_variant,

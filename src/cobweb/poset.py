@@ -42,7 +42,6 @@ __all__ = [
     "chain_at",
     "placement_count",
     "enumerate_placements",
-    "make_tiling",
     "tiling_to_dict",
     "to_dot",
 ]
@@ -106,11 +105,6 @@ class Tiling:
 
     layer: Layer
     blocks: tuple[BlockPlacement, ...]
-
-
-def make_tiling(layer: Layer, blocks: Sequence[BlockPlacement]) -> Tiling:
-    ordered = tuple(sorted(blocks, key=lambda b: b.subsets))
-    return Tiling(layer=layer, blocks=ordered)
 
 
 def tiling_to_dict(tiling: Tiling) -> dict:

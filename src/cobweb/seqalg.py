@@ -25,7 +25,6 @@ from .fseq import FSeq
 __all__ = [
     "HSequence",
     "DivisibilityWitness",
-    "h_natural",
     "h_general",
     "reconstruct",
     "reconstruct_prefix",
@@ -53,25 +52,6 @@ class DivisibilityWitness:
     n: int
     term: int
     lcm: int
-
-
-def h_natural(n: int) -> int:
-    """Component factor of the natural sequence: p when n is a prime power p**m, else 1."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
-    if n == 1:
-        return 1
-    primes = set()
-    rest = n
-    d = 2
-    while d * d <= rest:
-        while rest % d == 0:
-            primes.add(d)
-            rest //= d
-        d += 1
-    if rest > 1:
-        primes.add(rest)
-    return primes.pop() if len(primes) == 1 else 1
 
 
 def h_general(seq: FSeq, N: int) -> Union[HSequence, DivisibilityWitness]:

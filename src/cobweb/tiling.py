@@ -49,26 +49,26 @@ Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
 subsets, so a tiling's canonical key is its sorted tuple of row ids.  The
 search branches on the uncovered chain with the fewest remaining rows (MRV).
-One count loop, the only traversal, memoizes the count of each uncovered
-chain set and charges each state it expands to one node cap; only its key
-depends on the job.  Permuting the slots of one level maps tilings to
-tilings, so a count alone keys the memo on a normal form of the set under
-those permutations and follows forced states without a key.  For a listing
-the loop keys raw sets instead and records each solvable state's solvable
-children, children first.  The listing merges that record from the empty
-state up, each solution one int with a bit per row, keeping the first
-`limit` of each state: canonical order without building every solution, and
-no node beyond the count's.
+One count loop memoizes the count of each uncovered chain set, keyed on a
+normal form of the set under permuting the slots of one level (which maps
+tilings to tilings), follows forced states without a key, and charges each
+state it expands to one node cap.  A listing reads its counts from that
+memo.  The first tiling of a raw set is a walk of count lookups: its least
+row is the least row whose removal leaves a set with a tiling.  The rest
+come from a merge run on demand: a raw set is expanded only when a tiling it
+has not yet produced is asked of it, and it merges its children's tilings
+through a heap, or all at once when all of them are asked for.  That gives
+canonical order without building every solution.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
+from heapq import heapify, heappop, heappushpop
 from itertools import chain, combinations, groupby, product as iproduct
 from math import comb, factorial, prod
 from operator import attrgetter, itemgetter, or_
@@ -101,7 +101,6 @@ __all__ = [
     "DEFAULT_NODE_CAP",
     "TilingViolation",
     "TilingEnumeration",
-    "UpperBoundCheck",
     "Triangle",
     "TRIANGLE_KINDS",
     "tile_additive",
@@ -115,7 +114,6 @@ __all__ = [
     "count_tilings_fibonacci",
     "stirling_lambda",
     "equal_block_bound",
-    "check_count_upper_bound",
     "triangle",
 ]
 
@@ -542,8 +540,8 @@ class TilingEnumeration:
 
 
 class _Search:
-    """One bitmask exact cover: one count loop, under the node cap, and a
-    listing merged over the states that loop recorded.
+    """One bitmask exact cover: one count loop under the node cap, and a
+    listing that reads its counts.
 
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
     e, and clash[r] the rows sharing a chain with row r.  A state is
@@ -553,34 +551,67 @@ class _Search:
     The rows are every placement of the layer of level sizes `sizes`, so
     they are closed under permuting the slots of one level, and two
     uncovered sets that such permutations map onto each other have the same
-    count.  A count alone keys its memo on _key, one member of that orbit,
-    and charges each key it expands, and each forced state it follows
-    unkeyed, to the node cap.  A count recorded for a listing keys on the
-    raw set, since the listing reads its record back by raw row ids.
+    count.  The count memo is keyed on _key, one member of that orbit, and
+    each key it expands, and each forced state it follows unkeyed, is
+    charged to the node cap.  The listing works on raw states, since it
+    names rows, and charges each raw state it expands to the same cap.
     """
 
-    def __init__(self, sizes: tuple[int, ...], rows: list[list[int]], node_cap: int):
+    def __init__(self, sizes: tuple[int, ...], rows: list[tuple], node_cap: int):
+        """rows[r] is row r's slot subset per level.  A chain's id is
+        mixed-radix, level 0 most significant (poset.chain_ids), so a row's
+        mask is the product of one sum of powers of two per level, with no
+        carries, and the rows through a slot are one mask per (level, slot):
+        a chain lies in the rows through all its slots, and two rows share a
+        chain when their subsets meet on every level."""
         n_elems = prod(sizes)
-        self.elem_rows = [0] * n_elems
-        for rid, row in enumerate(rows):
-            for e in row:
-                self.elem_rows[e] |= 1 << rid
-        self.masks = [sum(1 << e for e in row) for row in rows]
-        self.clash = [reduce(or_, map(self.elem_rows.__getitem__, row)) for row in rows]
+        through = [[0] * size for size in sizes]  # the rows through each slot
+        stride, strides = n_elems, []
+        for size in sizes:
+            stride //= size
+            strides.append(stride)
+        spread: dict = {}  # (level, subset) -> the subset's slots as chain-id bits
+        self.masks = []
+        for rid, subsets in enumerate(rows):
+            bit, mask = 1 << rid, 1
+            for i, subset in enumerate(subsets):
+                slots = through[i]
+                for slot in subset:
+                    slots[slot] |= bit
+                part = spread.get((i, subset))
+                if part is None:
+                    part = spread[i, subset] = sum(1 << slot * strides[i] for slot in subset)
+                mask *= part
+            self.masks.append(mask)
+        self.elem_rows = [(1 << len(rows)) - 1]
+        for slots in through:
+            self.elem_rows = [acc & slot_rows for acc in self.elem_rows for slot_rows in slots]
+        meets: dict = {}  # (level, subset) -> the rows meeting the subset
+        self.clash = []
+        for subsets in rows:
+            clash = -1
+            for i, subset in enumerate(subsets):
+                part = meets.get((i, subset))
+                if part is None:
+                    part = meets[i, subset] = reduce(or_, map(through[i].__getitem__, subset))
+                clash &= part
+            self.clash.append(clash)
         self.root = ((1 << n_elems) - 1, (1 << len(rows)) - 1)
+        self.top = len(rows) - 1
         self.memo = {0: 1}
         self.nodes = 0
         self.node_cap = node_cap
-        # chain ids are mixed-radix, level 0 most significant (poset.chain_ids):
-        # slot j of a level is a run of `stride` ids at j * stride, repeated
-        # every stride * size ids, built as one geometric-series product
-        self.slots = []
-        stride = n_elems
-        for size in sizes:
-            period, stride = stride, stride // size
+        # slot j of a level is a run of `stride` chain ids at j * stride,
+        # repeated every stride * size ids, built as one geometric-series
+        # product; levels[i] is (first, end, stride) of a level's slots
+        self.slot_masks, self.levels = [], []
+        for size, stride in zip(sizes, strides):
             if size > 1:
+                period = stride * size
                 run = ((1 << stride) - 1) * ((1 << n_elems) - 1) // ((1 << period) - 1)
-                self.slots.append((stride, [run << j * stride for j in range(size)]))
+                first = len(self.slot_masks)
+                self.slot_masks += [run << j * stride for j in range(size)]
+                self.levels.append((first, first + size, stride))
 
     def _key(self, uncovered: int) -> int:
         """uncovered with each level's slots put in the order of (uncovered
@@ -588,21 +619,28 @@ class _Search:
         under slot permutations within levels, so it has the set's count, and
         its own key is itself.  Where counts tie, two sets of one orbit can
         keep apart (sound, not complete): that costs states, never exactness."""
-        for stride, slot_masks in self.slots:
-            counts = [(uncovered & mask).bit_count() for mask in slot_masks]
-            if counts != sorted(counts):
+        masks = self.slot_masks
+        # permuting one level's slots keeps every other level's counts
+        counts = [(uncovered & mask).bit_count() for mask in masks]
+        for first, end, stride in self.levels:
+            level = counts[first:end]
+            if level != sorted(level):
                 u, uncovered = uncovered, 0
-                for new, old in enumerate(sorted(range(len(counts)), key=counts.__getitem__)):
-                    part, shift = u & slot_masks[old], (new - old) * stride
+                for new, old in enumerate(sorted(range(end - first), key=level.__getitem__)):
+                    part, shift = u & masks[first + old], (new - old) * stride
                     uncovered |= part << shift if shift >= 0 else part >> -shift
         return uncovered
 
-    def _expand(self, uncovered: int, alive: int, key) -> list:
+    def _expand(self, uncovered: int, alive: int) -> list:
         """One node against the cap, then the state's children.  Past the cap
-        the proven lower bound is the root's children counted so far."""
+        the proven lower bound is the root's count once it is known (a
+        listing), else the root's children counted so far."""
         self.nodes += 1
         if self.nodes > self.node_cap:
-            partial = sum(self.memo.get(key(u), 0) for _, u, _ in self._children(*self.root))
+            memo, key = self.memo, self._key
+            partial = memo.get(key(self.root[0]))
+            if partial is None:
+                partial = sum(memo.get(key(u), 0) for _, u, _ in self._children(*self.root))
             raise CapExceeded("nodes", self.node_cap, partial_count=partial)
         return self._children(uncovered, alive)
 
@@ -630,66 +668,183 @@ class _Search:
             best ^= low
         return out
 
-    def count(self, record: bool = False) -> int:
-        """memo[key] = sum of memo[child key], filled from an explicit stack.
-
-        With record a key is the raw uncovered set, and dag[uncovered] holds a
-        solvable state's solvable children as (row, uncovered) pairs, filled
-        as states finish: children first.  Without record a key is _key of
-        the uncovered set, and a state with one child that is not the empty
-        set is followed to that child without a key of its own."""
-        memo = self.memo
-        key = int if record else self._key  # a raw set keys itself
-        dag = self.dag = {}
-        uncovered, alive = self.root
-        stack = [(key(uncovered), uncovered, alive, None)]
+    def count(self, uncovered: int, alive: int) -> int:
+        """The state's count, memo[_key(uncovered)], filled from an explicit
+        stack: a state's count is the sum of its children's, and a state
+        with one child that is not the empty set is followed to that child
+        without a key of its own."""
+        memo, key = self.memo, self._key
+        start = key(uncovered)
+        stack = [(start, uncovered, alive, None)]
         while stack:
             k, uncovered, alive, kids = stack.pop()
-            if kids is not None:  # (row or uncovered, key, alive) per kid
-                total = memo[k] = sum(memo[c] for _, c, _ in kids)
-                if record and total:
-                    dag[k] = [(r, u) for r, u, _ in kids if memo[u]]
+            if kids is not None:  # the kids' keys
+                memo[k] = sum(map(memo.__getitem__, kids))
             elif k not in memo:
-                kids = self._expand(uncovered, alive, key)
-                if record:
-                    news = [(u, u, a, None) for _, u, a in kids if u not in memo]
-                else:
-                    while len(kids) == 1 and kids[0][1]:  # forced: the child's count
-                        _, uncovered, alive = kids[0]
-                        kids = self._expand(uncovered, alive, key)
-                    kids = [(u, key(u), a) for _, u, a in kids]  # no dag, no rows
-                    news = [(c, u, a, None) for u, c, a in kids if c not in memo]
-                stack.append((k, None, None, kids))
-                stack += news
-        return memo[key(self.root[0])]
+                kids = self._expand(uncovered, alive)
+                while len(kids) == 1 and kids[0][1]:  # forced: the child's count
+                    _, uncovered, alive = kids[0]
+                    kids = self._expand(uncovered, alive)
+                kids = [(key(u), u, a) for _, u, a in kids]
+                stack.append((k, None, None, [c for c, _, _ in kids]))
+                stack += [(c, u, a, None) for c, u, a in kids if c not in memo]
+        return memo[start]
 
     def listing(self, limit: int) -> list[tuple[int, ...]]:
-        """The first `limit` solutions as sorted row ids, in lexicographic order.
+        """The first `limit` solutions of the root as sorted row ids, in
+        lexicographic order.
 
-        A partial solution is one int in which row r sets bit W - 1 - r, for W
-        rows.  All solutions of a state have the same size, and for equal-size
-        row sets lexicographic order of the sorted ids is descending int
-        order, which OR-ing in the branching row's bit keeps.  So in the
-        order of the dag that count(record=True) filled, a state's list is
-        its children's lists with the branching row's bit OR-ed in, sorted
-        descending and cut to `limit`, and a child's list is dropped once its
-        last parent has used it.  The listing expands no state.
+        A solution is one int key in which row r sets bit top - r.  All
+        solutions of a state have the same size, and for equal-size row sets
+        lexicographic order of the sorted ids is descending key order, which
+        OR-ing in one more row's bit keeps.  A state's solutions are its
+        children's with the branching row's bit OR-ed in, so its keys are a
+        merge of theirs, run on demand (_fill).  Below the count the root's
+        first key comes from count lookups (_first).
         """
-        top = len(self.masks) - 1
-        parents = Counter(u for kids in self.dag.values() for _, u in kids)
-        lists = {0: [0]}
-        for uncovered, kids in self.dag.items():
-            keys = []
-            for r, u in kids:
-                bit = 1 << (top - r)
-                keys += [key | bit for key in lists[u]]
-                parents[u] -= 1
-                if not parents[u]:
-                    del lists[u]
-            keys.sort(reverse=True)
-            del keys[limit:]
-            lists[uncovered] = keys
-        return [_rows(key, top) for key in lists[self.root[0]]]
+        uncovered, alive = self.root
+        total = self.count(uncovered, alive)
+        want = min(limit, total)
+        states = {0: _State(0, 0, 1, [0])}  # the empty set's one empty solution
+        if want < total:
+            self._first(uncovered, alive, total, states)
+        else:
+            states[uncovered] = _State(uncovered, alive, total, [])
+        root = states[uncovered]
+        self._fill(root, want, states)
+        return [_rows(key, self.top) for key in root.keys[:want]]
+
+    def _first(self, uncovered: int, alive: int, total: int, states: dict, low: int = 0) -> int:
+        """The greatest key of a state with `total` > 0 solutions: its first
+        solution.  The rows in some solution of a set U are the alive rows r
+        with a solution of U minus r, so the least of them starts the first
+        solution, and the first solution of U minus r, whose rows all follow
+        r, ends it.  No row below `low` may lie in a solution.  Each state of
+        the walk is recorded with its first key, and each set found with no
+        solution with its count 0."""
+        masks, clash, count = self.masks, self.clash, self.count
+        path = []
+        while not (uncovered in states and states[uncovered].keys):
+            rest = alive >> low << low
+            while True:
+                bit = rest & -rest
+                r = bit.bit_length() - 1
+                u, a = uncovered ^ masks[r], alive & ~clash[r]
+                child = states.get(u)
+                got = child.total if child else count(u, a)
+                if got:
+                    break
+                states[u] = _State(u, a, 0, [])
+                rest ^= bit
+            path.append((uncovered, alive, total, r))
+            uncovered, alive, total, low = u, a, got, r + 1
+        key = states[uncovered].keys[0]
+        for uncovered, alive, total, r in reversed(path):
+            key |= 1 << (self.top - r)
+            if uncovered in states:  # a child waiting for its first key
+                states[uncovered].keys.append(key)
+            else:
+                states[uncovered] = _State(uncovered, alive, total, [key])
+        return key
+
+    def _fill(self, state: "_State", want: int, states: dict) -> None:
+        """Extend a state's keys to the first `want` of them.
+
+        A state is expanded when a key it lacks is first asked of it, and
+        records its solvable children with their counts (_open).  Asked for
+        every key, it asks every child for every key and sorts their union.
+        Otherwise its heap holds one candidate per child: the child's next
+        key with the branching row's bit OR-ed in, or a bound on the child's
+        first key until that bound pops and _first gives the key.  Each key
+        pops the greatest candidate, after the child that gave the last one
+        has put its next key into the heap.  The calls down to a child run
+        on an explicit stack, as deep as a solution has rows."""
+        stack = [(state, want)]
+        while stack:
+            state, want = stack[-1]
+            keys = state.keys
+            if len(keys) >= want:
+                stack.pop()
+                continue
+            if state.kids is None:
+                self._open(state, states, want == state.total)
+            if want == state.total:
+                short = [(c, c.total) for _, c in state.kids if len(c.keys) < c.total]
+                if short:
+                    stack += short
+                    continue
+                keys[:] = sorted((bit | key for bit, c in state.kids for key in c.keys),
+                                 reverse=True)
+                continue
+            heap = state.heap
+            if state.next:  # the child that gave the last key
+                bit, child, pos = state.next
+                if pos == len(child.keys):
+                    stack.append((child, pos + 1))
+                    continue
+                key, bit, child, pos = heappushpop(heap, (-(bit | child.keys[pos]), bit, child, pos))
+            else:
+                key, bit, child, pos = heappop(heap)
+            while pos < 0:  # a bound on the child's first key
+                low = self.top + 1 - keys[0].bit_length()
+                first = child.keys[0] if child.keys else self._first(
+                    child.uncovered, child.alive, child.total, states, low)
+                key, bit, child, pos = heappushpop(heap, (-(bit | first), bit, child, 0))
+            keys.append(-key)
+            state.next = (bit, child, pos + 1) if pos + 1 < child.total else None
+
+    def _open(self, state: "_State", states: dict, every: bool) -> None:
+        """Expand a state of the listing (_fill) and record its solvable
+        children as (branching bit, state); the last child's count is the
+        state's less the others'.  Unless every key is asked for, the state
+        has its first key, and no row below that key's least row (`low`)
+        lies in its solutions.  The child whose row that key holds has the
+        key less that row's bit as its first, and the state's heap holds a
+        candidate for each other child: its first key if known, else a
+        bound from its least alive row from `low` on."""
+        top, count = self.top, self.count
+        first = state.keys[0] if state.keys else 0
+        low = top + 1 - first.bit_length()
+        kids, heap = state.kids, state.heap = [], []
+        children = self._expand(state.uncovered, state.alive)
+        left = state.total
+        for r, u, a in children:
+            bit = 1 << (top - r)
+            child = states.get(u)
+            if child is None:
+                got = left if u == children[-1][1] else count(u, a)
+                child = states[u] = _State(u, a, got, [])
+            if not child.total:
+                continue
+            left -= child.total
+            kids.append((bit, child))
+            if first & bit and not child.keys:  # new, or waiting in another heap
+                child.keys.append(first ^ bit)
+            if every:
+                continue
+            if first & bit:  # its first key is the state's, popped already
+                if child.total > 1:
+                    state.next = (bit, child, 1)
+            elif child.keys:
+                heap.append((-(bit | child.keys[0]), bit, child, 0))
+            else:
+                rest = child.alive >> low
+                least = low + (rest & -rest).bit_length() - 1
+                heap.append((-(bit | (2 << (top - least)) - 1), bit, child, -1))
+        heapify(heap)
+
+
+class _State:
+    """A raw state of a listing: its uncovered chains and alive rows, its
+    count, its keys so far in descending order, and once expanded its
+    solvable children, its candidate heap, and the child that gave the last
+    key with that child's next position."""
+
+    __slots__ = ("uncovered", "alive", "total", "keys", "kids", "heap", "next")
+
+    def __init__(self, uncovered: int, alive: int, total: int, keys: list):
+        self.uncovered, self.alive, self.total, self.keys = uncovered, alive, total, keys
+        self.kids = self.heap = self.next = None
 
 
 def _rows(key: int, top: int) -> tuple[int, ...]:
@@ -712,25 +867,27 @@ def enumerate_tilings(
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
-    One memoized count loop always runs (_Search.count), with one of two
-    keys.  Without a positive limit it keys its memo on slot-relabelling
-    classes of uncovered chain sets, and nodes counts the classes it expands
-    plus the forced states it follows.  A positive limit makes it key raw
-    uncovered sets and record the states with a solution, and nodes counts
-    the raw sets it expands; the listing merges that record into the first
-    `limit` tilings in canonical order, building at most `limit` solutions
-    of any state, and expands none, so it adds no node to the count's.  A
-    truncation flag tells when the count exceeds the limit.  The loop raises
-    CapExceeded past the node cap instead of truncating, and a count may fit
-    under a cap that its listing exceeds.
+    The memoized count loop always runs (_Search.count), keyed on
+    slot-relabelling classes of uncovered chain sets; nodes counts the
+    classes it expands plus the forced states it follows.  A positive limit
+    then lists the first `limit` tilings in canonical order from that memo
+    (_Search.listing): counts of raw sets the count never reached add their
+    classes to nodes, and so does each raw set that the listing's merge
+    expands.  A truncation flag tells when the count exceeds the limit.  The
+    search raises CapExceeded past the node cap instead of truncating; a cap
+    passed while listing reports the exact count as its partial count, and
+    a count may fit under a cap that its listing exceeds.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
     placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
-    rows = [chain_ids(layer, placement.subsets) for placement in placements]
-    search = _Search(layer.sizes, rows, DEFAULT_NODE_CAP if node_cap is None else node_cap)
-    count = search.count(record=bool(limit))
+    search = _Search(
+        layer.sizes,
+        [placement.subsets for placement in placements],
+        DEFAULT_NODE_CAP if node_cap is None else node_cap,
+    )
+    count = search.count(*search.root)
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
     if limit is not None:
@@ -807,19 +964,9 @@ def stirling_lambda(eta: int, kappa: int, lam: int) -> int:
     return factorial(eta) // (factorial(kappa) * factorial(lam) ** kappa)
 
 
-@dataclass(frozen=True)
-class UpperBoundCheck:
-    """Comparison of a constructive count against its equal-block bound."""
-
-    holds: bool
-    lhs: int
-    rhs: int
-    eta: int
-    kappa: int
-    lam: int
-
-
-def _bound_parameters(seq: FSeq, n: int, k: int) -> tuple[int, int, int]:
+def equal_block_bound(seq: FSeq, n: int, k: int) -> int:
+    """Partitions of the falling product of the layer's m top-window terms
+    into fnomial(n, k - 1) blocks of size f_factorial(m)."""
     if k < 1 or n < k:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     m = n - k + 1
@@ -828,28 +975,8 @@ def _bound_parameters(seq: FSeq, n: int, k: int) -> tuple[int, int, int]:
         raise NonIntegralError(
             f"fnomial({n}, {k - 1}) = {to_decimal(f.value)} is not an integer; no block count"
         )
-    kappa = int(f.value)
     lam = fseq.f_factorial(seq, m)
-    eta = fseq.falling(seq, n, m)
-    return eta, kappa, lam
-
-
-def equal_block_bound(seq: FSeq, n: int, k: int) -> int:
-    """Partitions of the falling product of the layer's m top-window terms
-    into fnomial(n, k - 1) blocks of size f_factorial(m)."""
-    eta, kappa, lam = _bound_parameters(seq, n, k)
-    return stirling_lambda(eta, kappa, lam)
-
-
-def check_count_upper_bound(seq: FSeq, n: int, k: int) -> UpperBoundCheck:
-    """Check count <= equal-block partition bound for the layer over k..n,
-    counted by the recursion detect_variant picks (additive by default)."""
-    eta, kappa, lam = _bound_parameters(seq, n, k)
-    rhs = stirling_lambda(eta, kappa, lam)
-    variant, _, _ = detect_variant(seq, k, n)
-    counter = count_tilings_fibonacci if variant == "fibonacci" else count_tilings_additive
-    lhs = counter(seq, n, k)
-    return UpperBoundCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs, eta=eta, kappa=kappa, lam=lam)
+    return stirling_lambda(fseq.falling(seq, n, m), int(f.value), lam)
 
 
 # ---------------------------------------------------------------------------

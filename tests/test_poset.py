@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset
+from helpers import make_tiling
 
 
 def test_build_layer_natural():
@@ -124,7 +125,7 @@ def test_make_tiling_sorts_blocks():
     b1 = poset.BlockPlacement(subsets=((1,), (0, 1)))
     b2 = poset.BlockPlacement(subsets=((0,), (0, 1)))
     b3 = poset.BlockPlacement(subsets=((0, 1), (2,)))
-    tiling = poset.make_tiling(layer, [b1, b3, b2])
+    tiling = make_tiling(layer, [b1, b3, b2])
     assert tiling.blocks[0] is b2
     assert tiling.blocks[1] is b3
     assert tiling.blocks[2] is b1
@@ -137,7 +138,7 @@ def test_tiling_to_dict():
         poset.BlockPlacement(subsets=((1,), (0, 1))),
         poset.BlockPlacement(subsets=((0, 1), (2,))),
     ]
-    d = poset.tiling_to_dict(poset.make_tiling(layer, blocks))
+    d = poset.tiling_to_dict(make_tiling(layer, blocks))
     assert d["layer"] == {"k": 2, "n": 3, "seq": {"kind": "natural"}}
     assert d["blocks"] == [
         [[0], [0, 1]],
@@ -164,6 +165,6 @@ def test_to_dot_with_tiling_colors_blocks():
         poset.BlockPlacement(subsets=((1,), (0, 1))),
         poset.BlockPlacement(subsets=((0, 1), (2,))),
     ]
-    dot = poset.to_dot(layer, poset.make_tiling(layer, blocks))
+    dot = poset.to_dot(layer, make_tiling(layer, blocks))
     assert dot.count("color=") == 6  # one edge per (bottom, top) pair per block
     assert len({line.split("color=")[1] for line in dot.splitlines() if "color=" in line}) == 3

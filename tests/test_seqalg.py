@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, seqalg
+from helpers import h_natural
 
 
 def test_shift_and_product_wrappers():
@@ -32,23 +33,23 @@ def test_unit_sequence():
 
 
 def test_h_natural_list():
-    got = [seqalg.h_natural(n) for n in range(1, 18)]
+    got = [h_natural(n) for n in range(1, 18)]
     assert got == [1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17]
 
 
 def test_h_natural_prime_powers():
-    assert seqalg.h_natural(6) == 1
-    assert seqalg.h_natural(16) == 2
-    assert seqalg.h_natural(121) == 11
-    assert seqalg.h_natural(2 * 3 * 5) == 1
+    assert h_natural(6) == 1
+    assert h_natural(16) == 2
+    assert h_natural(121) == 11
+    assert h_natural(2 * 3 * 5) == 1
     with pytest.raises(ValueError):
-        seqalg.h_natural(0)
+        h_natural(0)
 
 
 def test_h_general_matches_h_natural():
     h = seqalg.h_general(fseq.natural(), 100)
     assert isinstance(h, seqalg.HSequence)
-    assert list(h.terms) == [seqalg.h_natural(n) for n in range(1, 101)]
+    assert list(h.terms) == [h_natural(n) for n in range(1, 101)]
 
 
 def test_h_general_fibonacci():

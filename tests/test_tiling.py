@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset, tiling
+from helpers import UpperBoundCheck, check_count_upper_bound, make_tiling
 
 
 def _blocks(t):
@@ -267,14 +268,14 @@ def _natural_23_blocks():
 
 def test_verify_accepts_valid_tiling():
     layer = poset.build_layer(fseq.natural(), 2, 3)
-    assert tiling.verify_tiling(poset.make_tiling(layer, _natural_23_blocks())) is None
+    assert tiling.verify_tiling(make_tiling(layer, _natural_23_blocks())) is None
 
 
 def test_verify_block_sizes_clause():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
     blocks[0] = poset.BlockPlacement(subsets=((0, 1), (0, 1)))
-    v = tiling.verify_tiling(poset.make_tiling(layer, blocks))
+    v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "block-sizes"
 
 
@@ -282,7 +283,7 @@ def test_verify_rejects_out_of_range_slot():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
     blocks[0] = poset.BlockPlacement(subsets=((5,), (0, 1)))
-    v = tiling.verify_tiling(poset.make_tiling(layer, blocks))
+    v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "block-sizes"
 
 
@@ -290,13 +291,13 @@ def test_verify_shared_chain_clause():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
     blocks[1] = poset.BlockPlacement(subsets=((0,), (0, 2)))
-    v = tiling.verify_tiling(poset.make_tiling(layer, blocks))
+    v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "shared-chain"
 
 
 def test_verify_uncovered_chain_clause():
     layer = poset.build_layer(fseq.natural(), 2, 3)
-    v = tiling.verify_tiling(poset.make_tiling(layer, _natural_23_blocks()[:2]))
+    v = tiling.verify_tiling(make_tiling(layer, _natural_23_blocks()[:2]))
     assert v is not None and v.clause == "uncovered-chain"
     assert v.witness == (0, 2)
 
@@ -552,8 +553,8 @@ def test_enumeration_node_cap():
     assert err.value.cap_name == "nodes"
     assert err.value.partial_count is not None
     # partial_count is a lower bound on the count wherever the cap bites,
-    # in the count-only pass (classes) and the recorded pass (raw sets), and
-    # a run that finishes under a cap counts every tiling within it
+    # in the count (classes) or in a listing's merge (raw states), and a
+    # run that finishes under a cap counts every tiling within it
     for k, n, count in ((3, 4, 132), (4, 5, 44928)):
         layer = poset.build_layer(fseq.natural(), k, n)
         seen = set()
@@ -630,12 +631,33 @@ def test_enumeration_natural_6_7_count_and_work():
 def _raw_search(layer, node_cap=tiling.DEFAULT_NODE_CAP):
     """A _Search over the layer's placements, in enumerate_tilings' row order."""
     placements = sorted(poset.enumerate_placements(layer), key=lambda p: p.subsets)
-    rows = [poset.chain_ids(layer, p.subsets) for p in placements]
-    return tiling._Search(layer.sizes, rows, node_cap)
+    return tiling._Search(layer.sizes, [p.subsets for p in placements], node_cap)
 
 
 _PRODUCT_22_33 = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
 _GAP = fseq.explicit(["1", "1", "2", "4", "3", "5"])
+
+
+@pytest.mark.parametrize("seq, k, n", [
+    (fseq.natural(), 1, 1), (fseq.natural(), 2, 5), (fseq.fibonacci(), 2, 5),
+    (_PRODUCT_22_33, 2, 6), (_PRODUCT_22_33, 5, 7), (_GAP, 3, 5),
+])
+def test_search_rows_match_chain_ids(seq, k, n):
+    # the search builds its masks from slot subsets; they must number
+    # chains as poset.chain_ids and enumerate_chains do
+    layer = poset.build_layer(seq, k, n)
+    search = _raw_search(layer)
+    placements = sorted(poset.enumerate_placements(layer), key=lambda p: p.subsets)
+    chains = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
+    rows = [[chains[c] for c in iproduct(*p.subsets)] for p in placements]
+    assert rows == [poset.chain_ids(layer, p.subsets) for p in placements]
+    assert search.masks == [sum(1 << e for e in row) for row in rows]
+    elem_rows = [sum(1 << r for r, row in enumerate(rows) if e in row)
+                 for e in range(layer.chain_count)]
+    assert search.elem_rows == elem_rows
+    assert search.clash == [
+        sum(1 << q for q, other in enumerate(rows) if set(row) & set(other)) for row in rows
+    ]
 
 # the fixed layers that the tier-1 tests and the enumerate bench count by
 # exact cover, but natural 6..7, which a raw-keyed memo cannot count
@@ -649,34 +671,36 @@ _COUNTED_LAYERS = (
 )
 
 
-# (count-only nodes, listing nodes) of each counted layer: the states the
-# count expands under each of its two keys, so a change to the count loop
-# that expands other states, or more of them, shows here
+# (count-only nodes, limit-1 listing nodes) of each counted layer: the
+# classes the count expands, and those plus the states a first tiling
+# counts or expands, so a change to the count loop or to the listing that
+# expands other states, or more of them, shows here.  A layer with one
+# tiling lists it by expanding every state of that tiling again.
 _PINNED_NODES = {
-    "natural 1..1": (1, 1),
-    "natural 1..2": (1, 1),
-    "natural 2..2": (2, 2),
-    "natural 1..3": (1, 1),
-    "natural 2..3": (6, 8),
-    "natural 3..3": (3, 3),
-    "natural 1..4": (1, 1),
-    "natural 2..4": (20, 62),
-    "natural 3..4": (21, 97),
-    "natural 4..4": (4, 4),
-    "natural 1..5": (1, 1),
-    "natural 2..5": (60, 590),
-    "natural 3..5": (2762, 319099),
-    "natural 4..5": (82, 3155),
-    "natural 5..5": (5, 5),
-    "fibonacci 2..4": (6, 8),
-    "fibonacci 2..5": (31, 238),
-    "fibonacci 10..11": (4895, 4895),
-    "product(periodic(c=2, M=2), periodic(c=3, M=3)) 2..6": (185, 3668),
+    "natural 1..1": (1, 2),
+    "natural 1..2": (1, 2),
+    "natural 2..2": (2, 4),
+    "natural 1..3": (1, 2),
+    "natural 2..3": (6, 6),
+    "natural 3..3": (3, 6),
+    "natural 1..4": (1, 2),
+    "natural 2..4": (20, 20),
+    "natural 3..4": (21, 21),
+    "natural 4..4": (4, 8),
+    "natural 1..5": (1, 2),
+    "natural 2..5": (60, 60),
+    "natural 3..5": (2762, 2767),
+    "natural 4..5": (82, 82),
+    "natural 5..5": (5, 10),
+    "fibonacci 2..4": (6, 6),
+    "fibonacci 2..5": (31, 33),
+    "fibonacci 10..11": (4895, 9790),
+    "product(periodic(c=2, M=2), periodic(c=3, M=3)) 2..6": (185, 187),
     "product(periodic(c=2, M=2), periodic(c=3, M=3)) 5..7": (1, 1),
-    "explicit[5 terms] 3..5": (54, 708),
-    "explicit[5 terms] 2..4": (58, 2007),
-    "rec2(1, 2) 2..3": (13, 43),
-    "explicit[3 terms] 2..3": (2, 4),
+    "explicit[5 terms] 3..5": (54, 54),
+    "explicit[5 terms] 2..4": (58, 67),
+    "rec2(1, 2) 2..3": (13, 13),
+    "explicit[3 terms] 2..3": (2, 2),
     "explicit[7 terms] 2..3": (1, 1),
     "explicit[5 terms] 3..4": (1, 1),
     "explicit[5 terms] 4..5": (1, 1),
@@ -686,20 +710,21 @@ _COUNTED_IDS = [f"{s.label()} {k}..{n}" for s, k, n in _COUNTED_LAYERS]
 
 @pytest.mark.parametrize("seq, k, n", _COUNTED_LAYERS, ids=_COUNTED_IDS)
 def test_count_by_classes_matches_raw_count(seq, k, n):
-    # a listing's count keys raw sets; limit 1 lists without a long merge
     layer = poset.build_layer(seq, k, n)
     counted, listed = tiling.enumerate_tilings(layer), tiling.enumerate_tilings(layer, 1)
-    assert counted.count == listed.count
+    search = _raw_search(layer)
+    assert counted.count == listed.count == _recorded(search)[0][search.root[0]]
     assert (counted.nodes, listed.nodes) == _PINNED_NODES[f"{seq.label()} {k}..{n}"]
 
 
 @pytest.mark.parametrize("k, limit, cap, partial", [
-    (4, None, 50, 19_872), (4, 1000, 3_000, 38_664),
-    (3, None, 1_000, 43_416), (3, 1000, 100_000, 76_056),
+    (4, None, 50, 19_872), (4, 1000, 300, 44_928),
+    (3, None, 1_000, 43_416), (3, 1000, 3_000, 411_168),
 ])
 def test_partial_count_is_pinned(k, limit, cap, partial):
-    # the root's children counted when natural k..5 passes the node cap,
-    # under classes (no limit) and raw sets (a listing)
+    # the root's children counted when natural k..5 passes the node cap in
+    # the count, and the root's exact count when it passes the cap while
+    # listing: 82 and 2,762 nodes count natural 4..5 and 3..5
     layer = poset.build_layer(fseq.natural(), k, 5)
     assert _cap_outcome(layer, cap, limit) == ("cap", "nodes", cap, partial)
 
@@ -711,6 +736,43 @@ def _raw_count(search, uncovered, memo):
         kids = search._children(uncovered, alive)
         memo[uncovered] = sum(_raw_count(search, u, memo) for _, u, _ in kids)
     return memo[uncovered]
+
+
+def _alive(search, uncovered):
+    """The rows inside an uncovered set."""
+    return sum(1 << r for r, mask in enumerate(search.masks) if not mask & ~uncovered)
+
+
+def _recorded(search):
+    """The raw-keyed recorded pass, the listing's oracle: memo[uncovered] is
+    the count of each raw set that MRV branching reaches from the root, and
+    dag[uncovered] a solvable set's solvable children as (row, uncovered),
+    filled as sets finish: children first, the root last."""
+    memo, dag = {0: 1}, {}
+    stack = [(*search.root, None)]
+    while stack:
+        uncovered, alive, kids = stack.pop()
+        if kids is not None:
+            memo[uncovered] = sum(memo[u] for _, u, _ in kids)
+            if memo[uncovered]:
+                dag[uncovered] = [(r, u) for r, u, _ in kids if memo[u]]
+        elif uncovered not in memo:
+            kids = search._children(uncovered, alive)
+            stack.append((uncovered, alive, kids))
+            stack += [(u, a, None) for _, u, a in kids if u not in memo]
+    return memo, dag
+
+
+def _recorded_listing(search, limit):
+    """(memo, lists): lists[uncovered] holds the first `limit` solutions of
+    each solvable recorded set as listing keys (row r sets bit top - r),
+    merged from the record bottom-up, in descending key order."""
+    memo, dag = _recorded(search)
+    lists = {0: [0]}
+    for uncovered, kids in dag.items():
+        keys = [key | 1 << (search.top - r) for r, u in kids for key in lists[u]]
+        lists[uncovered] = sorted(keys, reverse=True)[:limit]
+    return memo, lists
 
 
 def _slot_counts(layer, uncovered):
@@ -730,10 +792,10 @@ def _slot_counts(layer, uncovered):
 def test_slot_key_keeps_slot_counts_and_count(seq, k, n):
     layer = poset.build_layer(seq, k, n)
     search = _raw_search(layer)
-    search.count(record=True)
+    memo, _ = _recorded(search)
     raw_counts = {0: 1}
     moved = 0
-    for uncovered, count in search.memo.items():
+    for uncovered, count in memo.items():
         key = search._key(uncovered)
         moved += key != uncovered
         assert search._key(key) == key
@@ -744,11 +806,10 @@ def test_slot_key_keeps_slot_counts_and_count(seq, k, n):
 
 def _listing_oracle(layer):
     """Every tiling as sorted block subsets, in canonical order: every
-    solution of the search pruned by _raw_count, sorted by block subsets."""
-    chain_ids = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
+    solution of the search pruned by _raw_count, sorted by block subsets.
+    Its rows are in enumerate_placements' order, not the listing's."""
     placements = list(poset.enumerate_placements(layer))
-    rows = [[chain_ids[c] for c in iproduct(*p.subsets)] for p in placements]
-    search = tiling._Search(layer.sizes, rows, tiling.DEFAULT_NODE_CAP)
+    search = tiling._Search(layer.sizes, [p.subsets for p in placements], tiling.DEFAULT_NODE_CAP)
     counts = {0: 1}  # pruned by the oracle's own counts, not the search's memo
     solutions, stack = [], [((), *search.root)]
     while stack:
@@ -794,8 +855,8 @@ def test_enumeration_listing_matches_oracle_on_explicit_sequences(terms, data):
     layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
     assume(layer.chain_count <= 36)
     try:
-        # a listing's recorded pass keys raw sets: filter on its node count,
-        # since the count-only pass can fit a cap that the listing passes
+        # a listing expands raw states too: filter on its node count, since
+        # the count-only pass can fit a cap that the listing passes
         count = tiling.enumerate_tilings(layer, 1, node_cap=2_000).count
     except errors.CapExceeded:
         assume(False)
@@ -811,30 +872,62 @@ def test_enumeration_listing_expands_each_state_once():
     assert tiling.enumerate_tilings(prod, limit=100).nodes < 10_000
 
 
-def test_enumeration_listing_adds_no_nodes(monkeypatch):
-    # the listing merges what the recorded pass recorded and expands no
-    # state, so a listing fits under the cap its recorded pass fits under;
-    # that pass keys raw sets, so it takes more nodes than the count alone
-    layer = poset.build_layer(fseq.natural(), 4, 5)
-    counted = tiling.enumerate_tilings(layer).nodes
+def test_enumeration_listing_fits_a_node_bound():
+    # the raw-keyed recorded pass listed natural 3..5 in 319,099 nodes; the
+    # listing expands only the raw states its merge asks for, beyond the
+    # count's 2,762 classes
+    layer = poset.build_layer(fseq.natural(), 3, 5)
+    counted = tiling.enumerate_tilings(layer)
+    listed = tiling.enumerate_tilings(layer, 1000, node_cap=10_000)
+    assert (listed.count, len(listed.tilings), listed.truncated) == (411_168, 1000, True)
+    assert counted.nodes < listed.nodes
+    assert list(tiling.verify_tilings(listed.tilings)) == [None] * 1000
+
+
+def test_enumeration_natural_6_7_lists_under_the_default_cap():
+    res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 6, 7), 100)
+    assert (res.count, res.truncated, len(res.tilings)) == (23_624_926_248_960, True, 100)
+    blocks = [_blocks(t) for t in res.tilings]
+    assert blocks == sorted(set(blocks))
+    assert list(tiling.verify_tilings(res.tilings)) == [None] * 100
+
+
+def test_enumeration_listing_gives_a_waiting_state_its_first_key():
+    # listing 42 of these 351 tilings expands a state whose first solution a
+    # child holds while that child's first key still waits, under a bound,
+    # in another state's heap: the child must take the key from its parent
+    layer = poset.build_layer(fseq.explicit(["1", "1", "2", "2", "3", "5"]), 2, 5)
+    want = _listing_oracle(layer)
+    res = tiling.enumerate_tilings(layer, 42)
+    assert (res.count, [_blocks(t) for t in res.tilings]) == (351, want[:42])
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_tiling_and_listing_of_every_recorded_state(terms, limit, data):
+    # every solvable state the recorded pass reaches: its count, its first
+    # tiling by the greedy walk, and its first `limit` tilings by the merge
+    # equal the oracle's; the walks share one record, as a listing's do
+    n = data.draw(st.integers(3, len(terms) + 1))
+    k = data.draw(st.integers(2, n - 1))
+    layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
+    assume(layer.chain_count <= 36)
+    try:
+        assume(tiling.enumerate_tilings(layer, node_cap=2_000).count <= 2_000)
+    except errors.CapExceeded:
+        assume(False)
     search = _raw_search(layer)
-    search.count(record=True)
-    recorded = search.nodes
-    scans = 0
-    children = tiling._Search._children
-
-    def counting_children(self, uncovered, alive):
-        nonlocal scans
-        scans += 1
-        return children(self, uncovered, alive)
-
-    monkeypatch.setattr(tiling._Search, "_children", counting_children)
-    listed = tiling.enumerate_tilings(layer, 1000, node_cap=recorded)
-    assert listed.nodes == recorded == scans == 3155
-    assert counted <= listed.nodes
-    assert len(listed.tilings) == 1000
-    with pytest.raises(errors.CapExceeded):
-        tiling.enumerate_tilings(layer, 1000, node_cap=recorded - 1)
+    memo, lists = _recorded_listing(search, limit)
+    states = {0: tiling._State(0, 0, 1, [0])}
+    for uncovered, keys in lists.items():
+        if not uncovered:
+            continue
+        alive = _alive(search, uncovered)
+        assert search.count(uncovered, alive) == memo[uncovered]
+        assert search._first(uncovered, alive, memo[uncovered], states) == keys[0]
+        search.root = (uncovered, alive)
+        got = [sum(1 << (search.top - r) for r in rows) for rows in search.listing(limit)]
+        assert got == keys
 
 
 def test_enumeration_rejects_negative_limit():
@@ -1101,21 +1194,21 @@ def test_equal_block_bound():
 
 def test_upper_bound_check():
     nat = fseq.natural()
-    chk = tiling.check_count_upper_bound(nat, 3, 2)
-    assert chk == tiling.UpperBoundCheck(
+    chk = check_count_upper_bound(nat, 3, 2)
+    assert chk == UpperBoundCheck(
         holds=True, lhs=3, rhs=15, eta=6, kappa=3, lam=2
     )
     for n in range(1, 7):
         for k in range(1, n + 1):
-            chk = tiling.check_count_upper_bound(nat, n, k)
+            chk = check_count_upper_bound(nat, n, k)
             assert chk.holds, (n, k)
             assert chk.eta == chk.kappa * chk.lam
     # the convolution layers take the convolution counter
     fib = fseq.fibonacci()
-    assert tiling.check_count_upper_bound(fib, 5, 3).lhs == 45
+    assert check_count_upper_bound(fib, 5, 3).lhs == 45
     for n in range(1, 8):
         for k in range(1, n + 1):
-            chk = tiling.check_count_upper_bound(fib, n, k)
+            chk = check_count_upper_bound(fib, n, k)
             assert chk.holds, (n, k)
             assert chk.eta == chk.kappa * chk.lam
 
