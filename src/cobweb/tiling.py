@@ -54,11 +54,13 @@ normal form of the set under permuting the slots of one level (which maps
 tilings to tilings), follows forced states without a key, and charges each
 state it expands to one node cap.  A listing reads its counts from that
 memo.  The first tiling of a raw set is a walk of count lookups: its least
-row is the least row whose removal leaves a set with a tiling.  The rest
-come from a merge run on demand: a raw set is expanded only when a tiling it
-has not yet produced is asked of it, and it merges its children's tilings
-through a heap, or all at once when all of them are asked for.  That gives
-canonical order without building every solution.
+row is the least row whose removal leaves a set with a tiling, and a row
+that alone covers the lowest chain is taken without a lookup.  The rest come
+from one heap of the subtrees not yet listed (Lawler's k-best partition): the
+subtree with the greatest first tiling gives it, and the children off that
+tiling's path go back in under bounds, so a raw set is expanded only on the
+path of a listed tiling with more below it.  That gives canonical order
+without building every solution.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from heapq import heapify, heappop, heappushpop
+from heapq import heappop, heappush
 from itertools import chain, combinations, groupby, product as iproduct
 from math import comb, factorial, prod
 from operator import attrgetter, itemgetter, or_
@@ -554,7 +556,8 @@ class _Search:
     count.  The count memo is keyed on _key, one member of that orbit, and
     each key it expands, and each forced state it follows unkeyed, is
     charged to the node cap.  The listing works on raw states, since it
-    names rows, and charges each raw state it expands to the same cap.
+    names rows, and charges each raw state it expands, once per listing, to
+    the same cap.
     """
 
     def __init__(self, sizes: tuple[int, ...], rows: list[tuple], node_cap: int):
@@ -599,6 +602,7 @@ class _Search:
         self.root = ((1 << n_elems) - 1, (1 << len(rows)) - 1)
         self.top = len(rows) - 1
         self.memo = {0: 1}
+        self.firsts = {0: 0}  # raw set -> its first key (_first)
         self.nodes = 0
         self.node_cap = node_cap
         # slot j of a level is a run of `stride` chain ids at j * stride,
@@ -696,155 +700,87 @@ class _Search:
 
         A solution is one int key in which row r sets bit top - r.  All
         solutions of a state have the same size, and for equal-size row sets
-        lexicographic order of the sorted ids is descending key order, which
-        OR-ing in one more row's bit keeps.  A state's solutions are its
-        children's with the branching row's bit OR-ed in, so its keys are a
-        merge of theirs, run on demand (_fill).  Below the count the root's
-        first key comes from count lookups (_first).
+        lexicographic order of the sorted ids is descending key order.  The
+        children of a state partition its solutions, so one heap of subtrees
+        not yet listed gives them in that order (Lawler's k-best partition).
+        An entry is (-key, rows, uncovered, alive, count, exact): the path
+        `rows` from the root as key bits, the raw state it reaches and that
+        state's count, and with `exact` the subtree's greatest key, rows |
+        _first(uncovered, alive), else a bound on it.  A popped bound comes
+        back exact; a popped exact key is the next solution, and its path is
+        walked down while solutions are left off it, pushing each solvable
+        child off the path under a bound from its least alive row.  Each raw
+        state is expanded once per listing, and its solvable children kept
+        with their counts; the last child's count is the state's less the
+        others'.
         """
+        top, count, first = self.top, self.count, self._first
         uncovered, alive = self.root
-        total = self.count(uncovered, alive)
+        total = count(uncovered, alive)
         want = min(limit, total)
-        states = {0: _State(0, 0, 1, [0])}  # the empty set's one empty solution
-        if want < total:
-            self._first(uncovered, alive, total, states)
-        else:
-            states[uncovered] = _State(uncovered, alive, total, [])
-        root = states[uncovered]
-        self._fill(root, want, states)
-        return [_rows(key, self.top) for key in root.keys[:want]]
+        heap = [(-first(uncovered, alive), 0, uncovered, alive, total, True)] if want else []
+        kids: dict = {}  # raw set -> its solvable children as (bit, uncovered, alive, count)
+        keys = []
+        while len(keys) < want:
+            key, rows, uncovered, alive, total, exact = heappop(heap)
+            if not exact:
+                key = rows | first(uncovered, alive)
+                heappush(heap, (-key, rows, uncovered, alive, total, True))
+                continue
+            key = -key
+            keys.append(key)
+            while total > 1 and len(keys) < want:
+                children = kids.get(uncovered)
+                if children is None:
+                    children = kids[uncovered] = []
+                    expanded, left = self._expand(uncovered, alive), total
+                    for r, u, a in expanded:
+                        got = left if r == expanded[-1][0] else count(u, a)
+                        if got:
+                            left -= got
+                            children.append((1 << (top - r), u, a, got))
+                for bit, u, a, got in children:
+                    if key & bit:
+                        path = bit, u, a, got
+                    else:  # every row from its least alive row on
+                        least = (a & -a).bit_length() - 1
+                        bound = rows | bit | ((2 << (top - least)) - 1)
+                        heappush(heap, (-bound, rows | bit, u, a, got, False))
+                bit, uncovered, alive, total = path
+                rows |= bit
+        return [_rows(key, top) for key in keys]
 
-    def _first(self, uncovered: int, alive: int, total: int, states: dict, low: int = 0) -> int:
-        """The greatest key of a state with `total` > 0 solutions: its first
-        solution.  The rows in some solution of a set U are the alive rows r
-        with a solution of U minus r, so the least of them starts the first
-        solution, and the first solution of U minus r, whose rows all follow
-        r, ends it.  No row below `low` may lie in a solution.  Each state of
-        the walk is recorded with its first key, and each set found with no
-        solution with its count 0."""
-        masks, clash, count = self.masks, self.clash, self.count
-        path = []
-        while not (uncovered in states and states[uncovered].keys):
-            rest = alive >> low << low
-            while True:
-                bit = rest & -rest
-                r = bit.bit_length() - 1
-                u, a = uncovered ^ masks[r], alive & ~clash[r]
-                child = states.get(u)
-                got = child.total if child else count(u, a)
-                if got:
-                    break
-                states[u] = _State(u, a, 0, [])
-                rest ^= bit
-            path.append((uncovered, alive, total, r))
-            uncovered, alive, total, low = u, a, got, r + 1
-        key = states[uncovered].keys[0]
-        for uncovered, alive, total, r in reversed(path):
+    def _first(self, uncovered: int, alive: int) -> int:
+        """The greatest key of a set with a solution: its first solution,
+        memoized per raw set in firsts.  The rows in some solution of a set U
+        are the alive rows r with a solution of U minus r, so the least of
+        them starts the first solution, and the first solution of U minus r,
+        whose rows all follow r, ends it.  A row that alone covers U's lowest
+        chain lies in every solution, so the walk takes it without a count:
+        the count follows such forced states without keys, and a count from
+        inside a forced run would walk the rest of it again."""
+        firsts, masks, clash, elem_rows, count = (
+            self.firsts, self.masks, self.clash, self.elem_rows, self.count)
+        path, low = [], 0  # no row below low lies in a solution
+        while uncovered not in firsts:
+            rows = alive & elem_rows[(uncovered & -uncovered).bit_length() - 1]
+            if rows & (rows - 1):
+                rest = alive >> low << low
+                while True:
+                    r = (rest & -rest).bit_length() - 1
+                    if count(uncovered ^ masks[r], alive & ~clash[r]):
+                        break
+                    rest &= rest - 1
+                low = r + 1
+            else:
+                r = rows.bit_length() - 1
+            path.append((uncovered, r))
+            uncovered, alive = uncovered ^ masks[r], alive & ~clash[r]
+        key = firsts[uncovered]
+        for uncovered, r in reversed(path):
             key |= 1 << (self.top - r)
-            if uncovered in states:  # a child waiting for its first key
-                states[uncovered].keys.append(key)
-            else:
-                states[uncovered] = _State(uncovered, alive, total, [key])
+            firsts[uncovered] = key
         return key
-
-    def _fill(self, state: "_State", want: int, states: dict) -> None:
-        """Extend a state's keys to the first `want` of them.
-
-        A state is expanded when a key it lacks is first asked of it, and
-        records its solvable children with their counts (_open).  Asked for
-        every key, it asks every child for every key and sorts their union.
-        Otherwise its heap holds one candidate per child: the child's next
-        key with the branching row's bit OR-ed in, or a bound on the child's
-        first key until that bound pops and _first gives the key.  Each key
-        pops the greatest candidate, after the child that gave the last one
-        has put its next key into the heap.  The calls down to a child run
-        on an explicit stack, as deep as a solution has rows."""
-        stack = [(state, want)]
-        while stack:
-            state, want = stack[-1]
-            keys = state.keys
-            if len(keys) >= want:
-                stack.pop()
-                continue
-            if state.kids is None:
-                self._open(state, states, want == state.total)
-            if want == state.total:
-                short = [(c, c.total) for _, c in state.kids if len(c.keys) < c.total]
-                if short:
-                    stack += short
-                    continue
-                keys[:] = sorted((bit | key for bit, c in state.kids for key in c.keys),
-                                 reverse=True)
-                continue
-            heap = state.heap
-            if state.next:  # the child that gave the last key
-                bit, child, pos = state.next
-                if pos == len(child.keys):
-                    stack.append((child, pos + 1))
-                    continue
-                key, bit, child, pos = heappushpop(heap, (-(bit | child.keys[pos]), bit, child, pos))
-            else:
-                key, bit, child, pos = heappop(heap)
-            while pos < 0:  # a bound on the child's first key
-                low = self.top + 1 - keys[0].bit_length()
-                first = child.keys[0] if child.keys else self._first(
-                    child.uncovered, child.alive, child.total, states, low)
-                key, bit, child, pos = heappushpop(heap, (-(bit | first), bit, child, 0))
-            keys.append(-key)
-            state.next = (bit, child, pos + 1) if pos + 1 < child.total else None
-
-    def _open(self, state: "_State", states: dict, every: bool) -> None:
-        """Expand a state of the listing (_fill) and record its solvable
-        children as (branching bit, state); the last child's count is the
-        state's less the others'.  Unless every key is asked for, the state
-        has its first key, and no row below that key's least row (`low`)
-        lies in its solutions.  The child whose row that key holds has the
-        key less that row's bit as its first, and the state's heap holds a
-        candidate for each other child: its first key if known, else a
-        bound from its least alive row from `low` on."""
-        top, count = self.top, self.count
-        first = state.keys[0] if state.keys else 0
-        low = top + 1 - first.bit_length()
-        kids, heap = state.kids, state.heap = [], []
-        children = self._expand(state.uncovered, state.alive)
-        left = state.total
-        for r, u, a in children:
-            bit = 1 << (top - r)
-            child = states.get(u)
-            if child is None:
-                got = left if u == children[-1][1] else count(u, a)
-                child = states[u] = _State(u, a, got, [])
-            if not child.total:
-                continue
-            left -= child.total
-            kids.append((bit, child))
-            if first & bit and not child.keys:  # new, or waiting in another heap
-                child.keys.append(first ^ bit)
-            if every:
-                continue
-            if first & bit:  # its first key is the state's, popped already
-                if child.total > 1:
-                    state.next = (bit, child, 1)
-            elif child.keys:
-                heap.append((-(bit | child.keys[0]), bit, child, 0))
-            else:
-                rest = child.alive >> low
-                least = low + (rest & -rest).bit_length() - 1
-                heap.append((-(bit | (2 << (top - least)) - 1), bit, child, -1))
-        heapify(heap)
-
-
-class _State:
-    """A raw state of a listing: its uncovered chains and alive rows, its
-    count, its keys so far in descending order, and once expanded its
-    solvable children, its candidate heap, and the child that gave the last
-    key with that child's next position."""
-
-    __slots__ = ("uncovered", "alive", "total", "keys", "kids", "heap", "next")
-
-    def __init__(self, uncovered: int, alive: int, total: int, keys: list):
-        self.uncovered, self.alive, self.total, self.keys = uncovered, alive, total, keys
-        self.kids = self.heap = self.next = None
 
 
 def _rows(key: int, top: int) -> tuple[int, ...]:
@@ -872,11 +808,12 @@ def enumerate_tilings(
     classes it expands plus the forced states it follows.  A positive limit
     then lists the first `limit` tilings in canonical order from that memo
     (_Search.listing): counts of raw sets the count never reached add their
-    classes to nodes, and so does each raw set that the listing's merge
-    expands.  A truncation flag tells when the count exceeds the limit.  The
-    search raises CapExceeded past the node cap instead of truncating; a cap
-    passed while listing reports the exact count as its partial count, and
-    a count may fit under a cap that its listing exceeds.
+    classes to nodes, and so does each raw set that the listing expands, on
+    the path of a listed tiling with more below it.  A truncation flag
+    tells when the count exceeds the limit.  The search raises CapExceeded
+    past the node cap instead of truncating; a cap passed while listing
+    reports the exact count as its partial count, and a count may fit under
+    a cap that its listing exceeds.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

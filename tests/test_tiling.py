@@ -553,7 +553,7 @@ def test_enumeration_node_cap():
     assert err.value.cap_name == "nodes"
     assert err.value.partial_count is not None
     # partial_count is a lower bound on the count wherever the cap bites,
-    # in the count (classes) or in a listing's merge (raw states), and a
+    # in the count (classes) or in a listing (raw states), and a
     # run that finishes under a cap counts every tiling within it
     for k, n, count in ((3, 4, 132), (4, 5, 44928)):
         layer = poset.build_layer(fseq.natural(), k, n)
@@ -672,33 +672,34 @@ _COUNTED_LAYERS = (
 
 
 # (count-only nodes, limit-1 listing nodes) of each counted layer: the
-# classes the count expands, and those plus the states a first tiling
-# counts or expands, so a change to the count loop or to the listing that
-# expands other states, or more of them, shows here.  A layer with one
-# tiling lists it by expanding every state of that tiling again.
+# classes the count expands, and those plus the classes that the first
+# tiling's count lookups expand, so a change to the count loop or to the
+# listing that expands other states, or more of them, shows here.  A layer
+# with one tiling lists it in its count's nodes: the first tiling's walk
+# takes each row that alone covers the lowest chain without a count.
 _PINNED_NODES = {
-    "natural 1..1": (1, 2),
-    "natural 1..2": (1, 2),
-    "natural 2..2": (2, 4),
-    "natural 1..3": (1, 2),
+    "natural 1..1": (1, 1),
+    "natural 1..2": (1, 1),
+    "natural 2..2": (2, 2),
+    "natural 1..3": (1, 1),
     "natural 2..3": (6, 6),
-    "natural 3..3": (3, 6),
-    "natural 1..4": (1, 2),
+    "natural 3..3": (3, 3),
+    "natural 1..4": (1, 1),
     "natural 2..4": (20, 20),
     "natural 3..4": (21, 21),
-    "natural 4..4": (4, 8),
-    "natural 1..5": (1, 2),
+    "natural 4..4": (4, 4),
+    "natural 1..5": (1, 1),
     "natural 2..5": (60, 60),
     "natural 3..5": (2762, 2767),
     "natural 4..5": (82, 82),
-    "natural 5..5": (5, 10),
+    "natural 5..5": (5, 5),
     "fibonacci 2..4": (6, 6),
-    "fibonacci 2..5": (31, 33),
-    "fibonacci 10..11": (4895, 9790),
+    "fibonacci 2..5": (31, 31),
+    "fibonacci 10..11": (4895, 4895),
     "product(periodic(c=2, M=2), periodic(c=3, M=3)) 2..6": (185, 187),
     "product(periodic(c=2, M=2), periodic(c=3, M=3)) 5..7": (1, 1),
     "explicit[5 terms] 3..5": (54, 54),
-    "explicit[5 terms] 2..4": (58, 67),
+    "explicit[5 terms] 2..4": (58, 61),
     "rec2(1, 2) 2..3": (13, 13),
     "explicit[3 terms] 2..3": (2, 2),
     "explicit[7 terms] 2..3": (1, 1),
@@ -874,8 +875,8 @@ def test_enumeration_listing_expands_each_state_once():
 
 def test_enumeration_listing_fits_a_node_bound():
     # the raw-keyed recorded pass listed natural 3..5 in 319,099 nodes; the
-    # listing expands only the raw states its merge asks for, beyond the
-    # count's 2,762 classes
+    # listing expands only the raw states on the paths of the tilings it
+    # lists, beyond the count's 2,762 classes
     layer = poset.build_layer(fseq.natural(), 3, 5)
     counted = tiling.enumerate_tilings(layer)
     listed = tiling.enumerate_tilings(layer, 1000, node_cap=10_000)
@@ -893,9 +894,9 @@ def test_enumeration_natural_6_7_lists_under_the_default_cap():
 
 
 def test_enumeration_listing_gives_a_waiting_state_its_first_key():
-    # listing 42 of these 351 tilings expands a state whose first solution a
-    # child holds while that child's first key still waits, under a bound,
-    # in another state's heap: the child must take the key from its parent
+    # listing 42 of these 351 tilings replaces bounds on raw states that an
+    # earlier first-tiling walk passed through or another path reached: the
+    # first key memoized per raw set must serve every path to it
     layer = poset.build_layer(fseq.explicit(["1", "1", "2", "2", "3", "5"]), 2, 5)
     want = _listing_oracle(layer)
     res = tiling.enumerate_tilings(layer, 42)
@@ -906,8 +907,8 @@ def test_enumeration_listing_gives_a_waiting_state_its_first_key():
 @settings(max_examples=60, deadline=None)
 def test_first_tiling_and_listing_of_every_recorded_state(terms, limit, data):
     # every solvable state the recorded pass reaches: its count, its first
-    # tiling by the greedy walk, and its first `limit` tilings by the merge
-    # equal the oracle's; the walks share one record, as a listing's do
+    # tiling by the greedy walk, and its first `limit` tilings by the heap
+    # equal the oracle's; the walks share one first-key memo, as a listing's do
     n = data.draw(st.integers(3, len(terms) + 1))
     k = data.draw(st.integers(2, n - 1))
     layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
@@ -918,13 +919,12 @@ def test_first_tiling_and_listing_of_every_recorded_state(terms, limit, data):
         assume(False)
     search = _raw_search(layer)
     memo, lists = _recorded_listing(search, limit)
-    states = {0: tiling._State(0, 0, 1, [0])}
     for uncovered, keys in lists.items():
         if not uncovered:
             continue
         alive = _alive(search, uncovered)
         assert search.count(uncovered, alive) == memo[uncovered]
-        assert search._first(uncovered, alive, memo[uncovered], states) == keys[0]
+        assert search._first(uncovered, alive) == keys[0]
         search.root = (uncovered, alive)
         got = [sum(1 << (search.top - r) for r in rows) for rows in search.listing(limit)]
         assert got == keys
