@@ -14,8 +14,9 @@ import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import fseq, seqalg
 from .digits import EXACT, to_decimal
@@ -78,29 +79,30 @@ def _resolve_cap(flag_value: Optional[int], name: str) -> Optional[int]:
     return value
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write the chunks in turn to --output, opened once, or to stdout,
+    through .write alone (a stdout may have nothing else)."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as handle:
+        write = handle.write
+        for chunk in chunks:
+            write(chunk)
 
 
 def _emit_json(
-    obj, output: Optional[str], key: Optional[str] = None, array: str = "[]"
+    obj, output: Optional[str], key: Optional[str] = None, items: Iterable[str] = ()
 ) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2), with array in place
-    of the empty list that obj holds under key, if it has that key, whose
-    '"key": []' must be the first of the dump.  json.dumps encodes indent in
-    pure Python before 3.13, so the long arrays (a triangle's cells, one
-    tiling's blocks, a list of tilings) are written with joins (_json_array),
-    byte for byte alike."""
-    doc = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, with
+    the rendered items, if obj has key, as the array under key in place of
+    the empty list there, whose '"key": []' must be the first of the dump.
+    json.dumps encodes indent in pure Python before 3.13, so the long arrays
+    (a triangle's cells, terms, a tiling's blocks, a list of tilings) are
+    rendered by the callers and _json_items, byte for byte alike, and written
+    an item at a time: no text of the whole array or document is built."""
+    chunks = (json.dumps(obj, sort_keys=True, indent=2) + "\n",)
     if key in obj:
-        # one join, so that no second copy of a long array is alive
-        head, _, tail = doc.partition(f'"{key}": []')
-        doc = "".join((head, f'"{key}": ', array, tail))
-    _emit(doc, output)
+        head, _, tail = chunks[0].partition(f'"{key}": []')
+        chunks = itertools.chain((head + f'"{key}": ',), _json_items(items), (tail,))
+    _emit(chunks, output)
 
 
 def _json_array(items: list, depth: int) -> str:
@@ -109,6 +111,16 @@ def _json_array(items: list, depth: int) -> str:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_items(items: Iterable[str]) -> Iterator[str]:
+    """_json_array(list(items), 1) in chunks: one per item, then the
+    closing bracket."""
+    lead, close = "[\n    ", "[]"
+    for item in items:
+        yield lead + item
+        lead, close = ",\n    ", "\n  ]"
+    yield close
 
 
 def _block_renderer(depth: int):
@@ -130,7 +142,7 @@ def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:
     if ns.format == "json":
         _emit_json(obj, ns.output)
     else:
-        _emit(text, ns.output)
+        _emit((text,), ns.output)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +157,7 @@ def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
         if ns.format == "json":
             _emit_triangle_json(seq, table, ns.output)
         else:
-            _emit(table.to_text(), ns.output)
+            _emit((table.to_text(),), ns.output)
         return EXIT_OK
     # Decimal integers print in linear time (cobweb.digits)
     values = map(Decimal, fseq.prefix(seq, count))
@@ -154,11 +166,15 @@ def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
         # f_factorial(seq, i) for i = 1..count, as one running product
         values = itertools.accumulate(values, EXACT.multiply)
         key = "factorials"
-    texts = list(map(str, values))
+    # every value before the first byte; only their texts are made as written
+    texts = map(str, list(values))
     if ns.format == "json":
-        _emit_json({"seq": fseq.to_descriptor(seq), key: texts}, ns.output)
+        obj = {"seq": fseq.to_descriptor(seq), key: []}
+        _emit_json(obj, ns.output, key, (f'"{text}"' for text in texts))
     else:
-        _emit(" ".join(texts) + "\n", ns.output)
+        # " ".join(texts) + "\n", a term at a time
+        first = itertools.islice(texts, 1)
+        _emit(itertools.chain(first, (" " + text for text in texts), ("\n",)), ns.output)
     return EXIT_OK
 
 
@@ -188,15 +204,15 @@ def _cmd_admissible(ns: argparse.Namespace, seq: FSeq) -> int:
     return EXIT_NEGATIVE
 
 
-def _render_tiling_text(tiling) -> str:
-    lines = [
+def _render_tiling_text(tiling) -> Iterator[str]:
+    """The text rendering of a tiling, a line at a time."""
+    yield (
         f"layer k={tiling.layer.k} n={tiling.layer.n} "
-        f"sizes={','.join(str(s) for s in tiling.layer.sizes)}"
-    ]
+        f"sizes={','.join(str(s) for s in tiling.layer.sizes)}\n"
+    )
     for i, block in enumerate(tiling.blocks):
         parts = " | ".join(",".join(str(s) for s in subset) for subset in block.subsets)
-        lines.append(f"block {i}: {parts}")
-    return "\n".join(lines) + "\n"
+        yield f"block {i}: {parts}\n"
 
 
 def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -234,7 +250,7 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
         _report(ns, obj, f"verification failed: {clause}: {detail}\n")
         return EXIT_NEGATIVE
     if ns.format == "dot":
-        _emit(to_dot(result.layer, result), ns.output)
+        _emit((to_dot(result.layer, result),), ns.output)
     elif ns.format == "text":
         _emit(_render_tiling_text(result), ns.output)
     else:
@@ -244,8 +260,7 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
         obj["variant"] = variant
         obj["block_count"] = str(len(result.blocks))
         obj["verified"] = True
-        array = _json_array(list(map(_block_renderer(2), result.blocks)), 1)
-        _emit_json(obj, ns.output, "blocks", array)
+        _emit_json(obj, ns.output, "blocks", map(_block_renderer(2), result.blocks))
     return EXIT_OK
 
 
@@ -284,12 +299,12 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     if ns.format == "json":
         # obj's other values are numbers, booleans, decimal strings and
         # nonempty lists, so the placeholder occurs once; each distinct
-        # placement is rendered once
+        # placement is rendered once, and each tiling is one chunk
         render = functools.cache(_block_renderer(3))
         arrays = (_json_array(list(map(render, t.blocks)), 2) for t in result.tilings or ())
-        _emit_json(obj, ns.output, "tilings", _json_array(list(arrays), 1))
+        _emit_json(obj, ns.output, "tilings", arrays)
     else:
-        _emit(f"count {count}\n", ns.output)
+        _emit((f"count {count}\n",), ns.output)
     return EXIT_OK if result.count > 0 else EXIT_NEGATIVE
 
 
@@ -310,7 +325,7 @@ def _emit_triangle_json(seq: FSeq, table, output: Optional[str]) -> None:
         f'{{\n      "k": {k},\n      "n": {n},\n      "value": "{text}"\n    }}'
         for n, k, text in table.cell_texts()
     )
-    _emit_json(obj, output, "cells", _json_array(list(cells), 1))
+    _emit_json(obj, output, "cells", cells)
 
 
 def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -318,9 +333,9 @@ def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
         seq, ns.kind, ns.rows, mode=ns.mode, include_zero=ns.include_zero
     )
     if ns.format == "csv":
-        _emit(table.to_csv(), ns.output)
+        _emit(table.csv_rows(), ns.output)
     elif ns.format == "text":
-        _emit(table.to_text(), ns.output)
+        _emit((table.to_text(),), ns.output)
     else:
         _emit_triangle_json(seq, table, ns.output)
     return EXIT_NEGATIVE if table.notes else EXIT_OK
@@ -357,13 +372,13 @@ def _cmd_cta3(ns: argparse.Namespace, seq: FSeq) -> int:
     if ns.format == "json":
         _emit_json(obj, ns.output)
     else:
-        _emit(",".join(obj["h"]) + "\n", ns.output)
+        lines = [",".join(obj["h"]) + "\n"]
         if mismatch is not None:
-            _emit(
+            lines.append(
                 f"reconstruction mismatch at n = {mismatch['n']}: "
-                f"expected {mismatch['expected']}, got {mismatch['got']}\n",
-                ns.output,
+                f"expected {mismatch['expected']}, got {mismatch['got']}\n"
             )
+        _emit(lines, ns.output)
     return EXIT_OK if mismatch is None else EXIT_NEGATIVE
 
 

@@ -956,7 +956,11 @@ class _IntCells(Mapping):
 class Triangle:
     """Lower-triangular table of exact integers with per-cell error notes.
 
-    cells maps (n, k) to an int; a cell with a note has no value.
+    cells maps (n, k) to an int; a cell with a note has no value.  The
+    renderings make each cell's text as they reach it: csv_rows and
+    cell_texts hold one row's texts at a time, so a writer of their chunks
+    never holds the whole table as text; to_csv joins csv_rows, and to_text
+    builds the whole table, since it needs the widest cell first.
     """
 
     kind: str
@@ -992,14 +996,18 @@ class Triangle:
                 texts.append(text)
                 yield n, k, text
 
+    def csv_rows(self) -> Iterator[str]:
+        """The CSV text in chunks: the header line, then one chunk per row n."""
+        yield "n,k,value\n"
+        for n, row in groupby(self._walk(), key=itemgetter(0)):
+            # only notes, led by "!", hold commas
+            yield "".join(
+                f"{n},{k},{text.replace(',', ';') if text[0] == '!' else text}\n"
+                for _, k, text in row
+            )
+
     def to_csv(self) -> str:
-        # only notes, led by "!", hold commas
-        lines = ["n,k,value"]
-        lines += [
-            f"{n},{k},{text.replace(',', ';') if text[0] == '!' else text}"
-            for n, k, text in self._walk()
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_rows())
 
     def to_text(self) -> str:
         cells = list(self._walk())

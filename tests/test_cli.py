@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, caps."""
 import contextlib
 import decimal
+import functools
 import hashlib
 import io
 import itertools
@@ -12,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -209,6 +211,12 @@ def test_block_arrays_match_json_dumps_at_any_depth():
         got = cli._json_array(list(map(cli._block_renderer(depth + 1), blocks)), depth)
         assert got == want.replace("\n", "\n" + "  " * depth)
         assert cli._json_array([], depth) == "[]"
+    # the streamed top-level array: one chunk per item, then the bracket
+    texts = [cli._block_renderer(2)(b) for b in blocks]
+    assert list(cli._json_items(iter(texts))) == [
+        "[\n    " + texts[0], ",\n    " + texts[1], "\n  ]"]
+    assert "".join(cli._json_items(texts)) == cli._json_array(texts, 1)
+    assert list(cli._json_items([])) == ["[]"]
 
 
 def test_tile_auto_picks_fibonacci(capsys):
@@ -879,6 +887,18 @@ def test_cta3_reconstruction_mismatch(capsys):
     assert obj["reconstruction"]["mismatch"] == {"n": 6, "expected": "8", "got": "16"}
 
 
+def test_cta3_text_mismatch_to_file_keeps_both_lines(tmp_path, capsys):
+    # both lines go through one open of --output, so the mismatch line does
+    # not truncate the factor line
+    spec = '{"kind": "explicit", "terms": ["1", "1", "2", "4", "4", "1", "8"]}'
+    argv = ["cta3", "--seq", spec, "--count", "6", "--format", "text"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (1, "1,2,4,2,1,2\nreconstruction mismatch at n = 6: expected 8, got 16\n")
+    target = tmp_path / "cta3.txt"
+    assert run(argv + ["--output", str(target)], capsys) == (1, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_cta3_partial_reconstruction_depth(capsys):
     spec = '{"kind": "explicit", "terms": ["1", "1", "2", "4", "4", "1", "8"]}'
     code, out, _ = run(
@@ -1189,6 +1209,191 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
     assert "Exceeds the limit" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# streamed output: long documents are written a row, tiling or item at a time
+
+def _dump(obj):
+    """A document as json.dumps writes the whole object."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _triangle_reference(spec, kind, rows, fmt):
+    """The triangle's CSV or JSON document, from its cells and notes."""
+    seq = cli.load_sequence(spec)
+    table = tiling.triangle(seq, kind, rows)
+    cells = [(n, k) for n in range(1, rows + 1) for k in range(1, n + 1)]
+    notes = table.notes
+    if fmt == "csv":
+        return "n,k,value\n" + "".join(
+            f"{n},{k},!{notes[n, k].replace(',', ';')}\n" if (n, k) in notes
+            else f"{n},{k},{table.cells[n, k]}\n"
+            for n, k in cells
+        )
+    return _dump({
+        "kind": kind,
+        "rows": rows,
+        "seq": fseq.to_descriptor(seq),
+        "cells": [{"n": n, "k": k, "value": str(table.cells[n, k])}
+                  for n, k in cells if (n, k) not in notes],
+        "notes": [{"n": n, "k": k, "note": notes[n, k]} for n, k in cells if (n, k) in notes],
+    })
+
+
+def _seq_reference(spec, key, values):
+    return _dump({"seq": fseq.to_descriptor(cli.load_sequence(spec)), key: list(map(str, values))})
+
+
+# its descriptor's own nonempty "terms" sorts before the "terms": [] placeholder
+EXPLICIT_7 = '{"kind": "explicit", "terms": ["1", "1", "2", "3", "5", "8", "13"]}'
+# a constructive triangle whose notes hold commas, which CSV turns into ";"
+NOTED = ("natural", "fibonacci", 5)
+
+
+@pytest.mark.parametrize("argv,code,reference", [
+    pytest.param(["seq", "--seq", "natural", "--count", "0"], 0,
+                 lambda: _seq_reference("natural", "terms", []), id="seq-empty"),
+    pytest.param(["seq", "--seq", EXPLICIT_7, "--count", "0"], 0,
+                 lambda: _seq_reference(EXPLICIT_7, "terms", []), id="seq-explicit-empty"),
+    pytest.param(["seq", "--seq", EXPLICIT_7, "--count", "6"], 0,
+                 lambda: _seq_reference(EXPLICIT_7, "terms", [1, 2, 3, 5, 8, 13]),
+                 id="seq-explicit"),
+    pytest.param(["seq", "--seq", EXPLICIT_7, "--count", "5", "--factorials"], 0,
+                 lambda: _seq_reference(EXPLICIT_7, "factorials", [1, 2, 6, 30, 240]),
+                 id="seq-factorials"),
+    pytest.param(["seq", "--seq", "fibonacci", "--count", "6", "--fnomials"], 0,
+                 lambda: expected_triangle(fseq.fibonacci(), 6, True, "json"), id="seq-fnomials"),
+    pytest.param(["triangle", "--seq", NOTED[0], "--kind", NOTED[1], "--rows", str(NOTED[2]),
+                  "--format", "json"], 1,
+                 lambda: _triangle_reference(*NOTED, "json"), id="triangle-json-notes"),
+    pytest.param(["triangle", "--seq", NOTED[0], "--kind", NOTED[1], "--rows", str(NOTED[2])], 1,
+                 lambda: _triangle_reference(*NOTED, "csv"), id="triangle-csv-notes"),
+    pytest.param(["triangle", "--seq", EXPLICIT_7, "--rows", "6", "--format", "json"], 1,
+                 lambda: _triangle_reference(EXPLICIT_7, "fnomial", 6, "json"),
+                 id="triangle-json-non-integer"),
+    pytest.param(["tile", "--seq", "natural", "--k", "1", "--n", "1"], 0,
+                 lambda: _tile_document(fseq.natural(), 1, 1, "additive", None),
+                 id="tile-one-block"),
+    pytest.param(["enumerate", "--seq", "natural", "--k", "1", "--n", "1", "--limit", "1"], 0,
+                 lambda: _listing_document(fseq.natural(), 1, 1, 1), id="enumerate-one-block"),
+    *(pytest.param(["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--limit", str(limit)],
+                   0, functools.partial(_listing_document, fseq.natural(), 2, 3, limit),
+                   id=f"enumerate-limit-{limit}")
+      for limit in (0, 1, 5)),  # natural 2..3 has 4 tilings
+])
+def test_streamed_documents_match_one_dump(argv, code, reference, tmp_path, capsys):
+    want = reference()
+    got = run(argv, capsys)
+    assert got[::2] == (code, "")
+    assert_same_text(got[1], want, "stdout")
+    target = tmp_path / "out"
+    assert run(argv + ["--output", str(target)], capsys) == (code, "", "")
+    assert_same_text(target.read_text(encoding="utf-8"), want, "--output")
+
+
+class WriteOnly:
+    """A stdout with write and flush alone, keeping each chunk written."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def write_only(argv):
+    """(exit code, chunks written to stdout, stderr) of one CLI run."""
+    out, err = WriteOnly(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.chunks, err.getvalue()
+
+
+# (argv, chunks written): a long document takes one chunk per row, tiling or
+# item, plus its head and tail; a short report or a text table is one chunk
+_CHUNKED = [
+    (["seq", "--seq", "fibonacci", "--count", "6"], 9),
+    (["seq", "--seq", "fibonacci", "--count", "6", "--format", "text"], 7),
+    (["seq", "--seq", "natural", "--count", "4", "--factorials"], 7),
+    (["seq", "--seq", "natural", "--count", "4", "--factorials", "--format", "text"], 5),
+    (["seq", "--seq", "natural", "--count", "3", "--fnomials"], 12),  # 10 cells
+    (["seq", "--seq", "natural", "--count", "3", "--fnomials", "--format", "text"], 1),
+    (["admissible", "--seq", "natural", "--count", "5"], 1),
+    (["admissible", "--seq", NON_ADMISSIBLE, "--count", "2", "--format", "text"], 1),
+    (["tile", "--seq", "natural", "--k", "2", "--n", "3"], 6),  # 3 blocks
+    (["tile", "--seq", "natural", "--k", "2", "--n", "3", "--format", "text"], 4),
+    (["tile", "--seq", "natural", "--k", "2", "--n", "3", "--format", "dot"], 1),
+    (["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--limit", "3"], 6),
+    (["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--format", "text"], 1),
+    (["triangle", "--seq", "fibonacci", "--rows", "6"], 7),
+    (["triangle", "--seq", "fibonacci", "--rows", "6", "--format", "text"], 1),
+    (["triangle", "--seq", "fibonacci", "--rows", "3", "--format", "json"], 9),  # 6 cells
+    (["cta3", "--seq", "natural", "--count", "6"], 1),
+    (["cta3", "--seq", "natural", "--count", "6", "--format", "text"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,chunks", _CHUNKED, ids=lambda v: " ".join(v) if type(v) is list else None)
+def test_every_format_writes_to_a_write_only_stdout(argv, chunks):
+    code, written, err = write_only(argv)
+    assert (code, "".join(written), err) == capture(argv)
+    assert len(written) == chunks
+
+
+def test_failing_triangle_writes_nothing(tmp_path):
+    argv = ["triangle", "--seq", '{"kind": "explicit", "terms": ["1", "2"]}', "--rows", "5"]
+    code, written, err = write_only(argv)
+    assert (code, written) == (2, [])
+    assert err.startswith("error: explicit sequence has 1 terms")
+    target = tmp_path / "triangle.csv"
+    assert capture(argv + ["--output", str(target)])[:2] == (2, "")
+    assert not target.exists()
+
+
+def test_node_cap_refusal_writes_only_its_report(tmp_path):
+    argv = ["enumerate", "--seq", "natural", "--k", "3", "--n", "5", "--limit", "5",
+            "--cap-nodes", "10"]
+    code, written, err = write_only(argv)
+    assert (code, len(written), err) == (3, 1, "")
+    report = json.loads(written[0])
+    assert sorted(report) == ["complete", "count", "error"]
+    assert report["complete"] is False and "nodes cap of 10 exceeded" in report["error"]
+    target = tmp_path / "refusal.json"
+    assert capture(argv + ["--output", str(target)]) == (3, "", "")
+    assert target.read_text(encoding="utf-8") == written[0]
+
+
+class Discard:
+    """A stdout that keeps only the length of what it is given."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_big_triangle_is_never_held_as_text():
+    # 14,239,130 bytes of CSV (bench/expected.json); were the document or a
+    # full copy of it ever built, the traced peak would pass its size
+    out = Discard()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["triangle", "--seq", "fibonacci", "--rows", "200"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out.size) == (0, 14_239_130)
+    assert peak < out.size, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
