@@ -5,6 +5,7 @@ All arithmetic is exact: integers and fractions.Fraction throughout.
 """
 from .errors import (
     CapExceeded,
+    Caps,
     CobwebError,
     DescriptorError,
     IdentityError,

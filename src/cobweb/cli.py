@@ -19,9 +19,11 @@ from decimal import Decimal
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import fseq, seqalg
-from .digits import EXACT, to_decimal
+from .digits import EXACT, parse_decimal, to_decimal
 from .errors import (
+    CAP_DEFAULTS,
     CapExceeded,
+    Caps,
     CobwebError,
     DescriptorError,
     IdentityError,
@@ -48,9 +50,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-# Each name has a --cap-<name> flag and a COBWEB_CAP_<NAME> variable.
-CAP_NAMES = ("chains", "placements", "nodes")
-
 
 def load_sequence(spec: str) -> FSeq:
     """Sequence from a bare kind name, inline JSON descriptor, or file path."""
@@ -63,19 +62,18 @@ def load_sequence(spec: str) -> FSeq:
     return fseq.from_descriptor({"kind": text})
 
 
-def _resolve_cap(flag_value: Optional[int], name: str) -> Optional[int]:
-    value = flag_value
-    if value is None:
-        env = f"COBWEB_CAP_{name.upper()}"
-        raw = os.environ.get(env)
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
+def _resolve_cap(flag: Optional[str], name: str) -> Optional[int]:
+    """--cap-<name>'s text, else COBWEB_CAP_<NAME>'s, as an int of any size; None if unset."""
+    env = f"COBWEB_CAP_{name.upper()}"
+    source, text = (f"--cap-{name}", flag) if flag is not None else (env, os.environ.get(env))
+    if text is None:
+        return None
+    try:
+        value = parse_decimal(text)
+    except ValueError as exc:
+        raise ValueError(f"{source} must be an integer, got {text!r}") from exc
     if value < 1:
-        raise ValueError(f"cap-{name} must be >= 1, got {value}")
+        raise ValueError(f"cap-{name} must be >= 1, got {to_decimal(value)}")
     return value
 
 
@@ -238,7 +236,7 @@ def _cmd_tile(ns: argparse.Namespace, seq: FSeq) -> int:
             return EXIT_NEGATIVE
     tile = tile_additive if variant == "additive" else tile_fibonacci
     try:
-        result = tile(seq, k, n, seed, chain_cap=ns.cap_chains)
+        result = tile(seq, k, n, seed, caps=ns.caps)
     except IdentityError as exc:
         obj = {"error": str(exc), "identity": exc.which, "witness": list(exc.witness)}
         _report(ns, obj, str(exc) + "\n")
@@ -272,13 +270,7 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     if ns.workers < 1:
         raise ValueError(f"workers must be positive, got {ns.workers}")
     try:
-        result = enumerate_tilings(
-            layer,
-            limit,
-            chain_cap=ns.cap_chains,
-            placement_cap=ns.cap_placements,
-            node_cap=ns.cap_nodes,
-        )
+        result = enumerate_tilings(layer, limit, caps=ns.caps)
     except CapExceeded as exc:
         partial = None if exc.partial_count is None else to_decimal(exc.partial_count)
         obj = {"complete": False, "count": partial, "error": str(exc)}
@@ -432,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("first-slots", "seeded-random"), default="first-slots"
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap-chains", type=int, default=None)
+    p.add_argument("--cap-chains", default=None)
 
     p = sub.add_parser("enumerate", help="exhaustively count (and list) tilings")
     common(p, ("json", "text"), "json")
@@ -440,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=None, help="also list up to this many tilings")
     p.add_argument("--workers", type=int, default=1, help="results do not depend on it")
-    for name in CAP_NAMES:
-        p.add_argument(f"--cap-{name}", type=int, default=None)
+    for name in CAP_DEFAULTS:
+        p.add_argument(f"--cap-{name}", default=None)
 
     p = sub.add_parser("triangle", help="emit a counting triangle")
     common(p, ("csv", "text", "json"), "csv")
@@ -469,10 +461,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        caps = vars(ns)
-        for name in CAP_NAMES:
-            if f"cap_{name}" in caps:  # a subcommand resolves only the caps it has flags for
-                caps[f"cap_{name}"] = _resolve_cap(caps[f"cap_{name}"], name)
+        # a subcommand reads only the caps it has flags for
+        given = {name: _resolve_cap(getattr(ns, f"cap_{name}"), name)
+                 for name in CAP_DEFAULTS if hasattr(ns, f"cap_{name}")}
+        ns.caps = Caps(**{name: value for name, value in given.items() if value is not None})
         seq = load_sequence(ns.seq)
         return _HANDLERS[ns.command](ns, seq)
     except CapExceeded as exc:

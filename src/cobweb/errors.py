@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one cap check."""
+"""Exception types shared across the package, and the one cap table:
+CAP_DEFAULTS names each settable cap, and a Caps holds the caps in force."""
 from __future__ import annotations
 
-from typing import Optional
+from types import MappingProxyType
 
 from .digits import to_decimal
 
@@ -14,7 +15,8 @@ __all__ = [
     "TilingError",
     "NonIntegralError",
     "CapExceeded",
-    "check_cap",
+    "CAP_DEFAULTS",
+    "Caps",
 ]
 
 
@@ -65,14 +67,29 @@ class CapExceeded(CobwebError):
         self.limit = limit
         self.needed = needed
         self.partial_count = partial_count
-        detail = f"{cap_name} cap of {limit} exceeded"
+        detail = f"{cap_name} cap of {to_decimal(limit)} exceeded"
         if needed is not None:
             detail += f" (needed {to_decimal(needed)})"
         super().__init__(detail)
 
 
-def check_cap(name: str, needed: int, cap: Optional[int], default: int) -> None:
-    """Raise CapExceeded when needed exceeds the cap (default when cap is None)."""
-    limit = default if cap is None else cap
-    if needed > limit:
-        raise CapExceeded(name, limit, needed=needed)
+# The count memo holds about 140 bytes per node, so 10^7 nodes stay near 1.4 GB.
+CAP_DEFAULTS = {"chains": 10**5, "placements": 10**6, "nodes": 10**7}
+
+
+class Caps:
+    """The cap in force for each name of CAP_DEFAULTS: the given value, else
+    the default.  An unknown name is a TypeError.  The limits are a read-only
+    mapping, so one instance can be shared, as every default caps= is."""
+
+    __slots__ = ("limits",)
+
+    def __init__(self, **given: int):
+        if not given.keys() <= CAP_DEFAULTS.keys():
+            raise TypeError(f"Caps() takes only {', '.join(CAP_DEFAULTS)}, got {', '.join(given)}")
+        self.limits = MappingProxyType({**CAP_DEFAULTS, **given})
+
+    def check(self, name: str, needed: int) -> None:
+        """Raise CapExceeded when needed exceeds the named cap."""
+        if needed > self.limits[name]:
+            raise CapExceeded(name, self.limits[name], needed=needed)

@@ -13,8 +13,8 @@ yields: its slots read as one mixed-radix number, level k most significant.
 chain_ids numbers a placement's chains so, and chain_at reads a chain back;
 the exact cover and the verifier both count chains by these ids.
 
-Enumeration here is brute force and capped: exceeding a cap raises a named
-error rather than truncating output.
+Enumeration here is brute force and capped: past a cap of its errors.Caps
+argument it raises CapExceeded rather than truncating output.
 """
 from __future__ import annotations
 
@@ -25,12 +25,10 @@ from itertools import combinations, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from . import fseq
-from .errors import ZeroTermError, check_cap
+from .errors import Caps, ZeroTermError
 from .fseq import FSeq
 
 __all__ = [
-    "DEFAULT_CHAIN_CAP",
-    "DEFAULT_PLACEMENT_CAP",
     "Chain",
     "Layer",
     "BlockPlacement",
@@ -45,9 +43,6 @@ __all__ = [
     "tiling_to_dict",
     "to_dot",
 ]
-
-DEFAULT_CHAIN_CAP = 10**5
-DEFAULT_PLACEMENT_CAP = 10**6
 
 # A maximal chain is one slot index per level, bottom to top.
 Chain = tuple[int, ...]
@@ -121,9 +116,9 @@ def tiling_to_dict(tiling: Tiling) -> dict:
     }
 
 
-def enumerate_chains(layer: Layer, cap: Optional[int] = None) -> Iterator[Chain]:
-    """All maximal chains in lexicographic order; errors if over the cap."""
-    check_cap("chains", layer.chain_count, cap, DEFAULT_CHAIN_CAP)
+def enumerate_chains(layer: Layer, caps: Caps = Caps()) -> Iterator[Chain]:
+    """All maximal chains in lexicographic order; errors if over the chains cap."""
+    caps.check("chains", layer.chain_count)
     return iproduct(*(range(size) for size in layer.sizes))
 
 
@@ -165,14 +160,14 @@ def placement_count(layer: Layer) -> int:
     )
 
 
-def enumerate_placements(layer: Layer, cap: Optional[int] = None) -> Iterator[BlockPlacement]:
+def enumerate_placements(layer: Layer, caps: Caps = Caps()) -> Iterator[BlockPlacement]:
     """All distinct block placements in deterministic order.
 
     Each fitting ordering of the prime sizes is one size assignment, and
     expands to its own subset families.  Order is by size assignment, then by
     the lexicographic order of each level's subset.
     """
-    check_cap("placements", placement_count(layer), cap, DEFAULT_PLACEMENT_CAP)
+    caps.check("placements", placement_count(layer))
 
     def generate() -> Iterator[BlockPlacement]:
         for assignment in _fitting_assignments(layer):

@@ -79,16 +79,16 @@ from typing import Iterable, Iterator, Optional
 from . import fseq
 from .digits import to_decimal
 from .errors import (
+    CAP_DEFAULTS,
     CapExceeded,
+    Caps,
     IdentityError,
     NonIntegralError,
     TilingError,
     ZeroTermError,
-    check_cap,
 )
 from .fseq import FSeq
 from .poset import (
-    DEFAULT_CHAIN_CAP,
     BlockPlacement,
     Layer,
     Tiling,
@@ -119,8 +119,7 @@ __all__ = [
     "triangle",
 ]
 
-# The count memo holds about 140 bytes per node, so 10^7 nodes stay near 1.4 GB.
-DEFAULT_NODE_CAP = 10**7
+DEFAULT_NODE_CAP = CAP_DEFAULTS["nodes"]
 DEFAULT_ROW_CAP = 200
 
 
@@ -317,12 +316,12 @@ def _cells(seq: FSeq, which: int, leaf, split, mode: str = "derived"):
     return value
 
 
-def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
+def _layer_tilings(seq, k, n, which, choose, caps) -> list[Tiling]:
     """The sorted distinct tilings of levels k..n under identity `which`'s
     recursion, over the group families that choose offers: one from a
     policy's choice source, every reachable one from _all_families."""
     layer = build_layer(seq, k, n)
-    check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
+    caps.check("chains", layer.chain_count)
 
     def split(top, size_a, count_a, size_b, count_b):
         families = choose(top, size_a, count_a, size_b, count_b)
@@ -349,8 +348,8 @@ def _layer_tilings(seq, k, n, which, choose, chain_cap) -> list[Tiling]:
     return [Tiling(layer, tuple(map(BlockPlacement, raw))) for raw in raws]
 
 
-def _tile(seq, k, n, which, seed, chain_cap) -> Tiling:
-    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(seed), chain_cap)
+def _tile(seq, k, n, which, seed, caps) -> Tiling:
+    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(seed), caps)
     return tiling
 
 
@@ -360,7 +359,7 @@ def tile_additive(
     n: int,
     seed: Optional[int] = None,
     *,
-    chain_cap: Optional[int] = None,
+    caps: Caps = Caps(),
 ) -> Tiling:
     """Tile the layer over levels k..n of a sum-split sequence.
 
@@ -368,9 +367,9 @@ def tile_additive(
     range the recursion touches; the first violation is raised as an error.
     Without a seed every split takes its first slots; an int seed shuffles
     them from random.Random(seed), the same tiling on every run.  Any other
-    seed is a ValueError.
+    seed is a ValueError.  A layer past caps' chains cap is refused.
     """
-    return _tile(seq, k, n, 1, seed, chain_cap)
+    return _tile(seq, k, n, 1, seed, caps)
 
 
 def tile_fibonacci(
@@ -379,7 +378,7 @@ def tile_fibonacci(
     n: int,
     seed: Optional[int] = None,
     *,
-    chain_cap: Optional[int] = None,
+    caps: Caps = Caps(),
 ) -> Tiling:
     """Tile the layer over levels k..n of a convolution-split sequence.
 
@@ -387,7 +386,7 @@ def tile_fibonacci(
     term(m - 1) * term(k) on the range the recursion touches.  The seed
     chooses slots as in tile_additive.
     """
-    return _tile(seq, k, n, 2, seed, chain_cap)
+    return _tile(seq, k, n, 2, seed, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +796,7 @@ def enumerate_tilings(
     layer: Layer,
     limit: Optional[int] = None,
     *,
-    chain_cap: Optional[int] = None,
-    placement_cap: Optional[int] = None,
-    node_cap: Optional[int] = None,
+    caps: Caps = Caps(),
 ) -> TilingEnumeration:
     """Count (exactly) and optionally list all tilings of a layer.
 
@@ -810,20 +807,16 @@ def enumerate_tilings(
     (_Search.listing): counts of raw sets the count never reached add their
     classes to nodes, and so does each raw set that the listing expands, on
     the path of a listed tiling with more below it.  A truncation flag
-    tells when the count exceeds the limit.  The search raises CapExceeded
-    past the node cap instead of truncating; a cap passed while listing
-    reports the exact count as its partial count, and a count may fit under
-    a cap that its listing exceeds.
+    tells when the count exceeds the limit.  Past a cap of caps (chains,
+    placements, nodes) it raises CapExceeded instead of truncating; a node
+    cap passed while listing reports the exact count as its partial count,
+    and a count may fit under a node cap that its listing exceeds.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    check_cap("chains", layer.chain_count, chain_cap, DEFAULT_CHAIN_CAP)
-    placements = sorted(enumerate_placements(layer, cap=placement_cap), key=attrgetter("subsets"))
-    search = _Search(
-        layer.sizes,
-        [placement.subsets for placement in placements],
-        DEFAULT_NODE_CAP if node_cap is None else node_cap,
-    )
+    caps.check("chains", layer.chain_count)
+    placements = sorted(enumerate_placements(layer, caps), key=attrgetter("subsets"))
+    search = _Search(layer.sizes, [p.subsets for p in placements], caps.limits["nodes"])
     count = search.count(*search.root)
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
@@ -1034,7 +1027,8 @@ def triangle(
         raise ValueError(f"kind must be one of {TRIANGLE_KINDS}, got {kind!r}")
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
-    check_cap("rows", rows, None, DEFAULT_ROW_CAP)
+    if rows > DEFAULT_ROW_CAP:
+        raise CapExceeded("rows", DEFAULT_ROW_CAP, needed=rows)
     cells: dict = {}
     notes: dict = {}
     if kind in ("additive", "fibonacci"):

@@ -644,7 +644,7 @@ def test_every_cap_by_flag_and_env(name, argv, cap, source, capsys, monkeypatch)
     assert f"{name} cap of {cap} exceeded" in out + err
 
 
-@pytest.mark.parametrize("name", cli.CAP_NAMES)
+@pytest.mark.parametrize("name", errors.CAP_DEFAULTS)
 def test_cap_env_must_be_integer(name, capsys, monkeypatch):
     monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", "1e3")
     code, _, err = run(["enumerate", "--seq", "natural", "--k", "2", "--n", "3"], capsys)
@@ -653,7 +653,7 @@ def test_cap_env_must_be_integer(name, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("name", cli.CAP_NAMES)
+@pytest.mark.parametrize("name", errors.CAP_DEFAULTS)
 def test_zero_cap_is_usage_error(name, source, capsys, monkeypatch):
     argv = ["enumerate", "--seq", "natural", "--k", "2", "--n", "3"]
     if source == "flag":
@@ -678,7 +678,7 @@ def test_cap_env_leaves_capless_subcommands_alone(argv, capsys, monkeypatch):
     # a subcommand reads only the cap variables of its own --cap flags
     want = run(argv, capsys)
     assert want[0] == 0
-    for name in cli.CAP_NAMES:
+    for name in errors.CAP_DEFAULTS:
         for raw in ("abc", "0"):
             monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", raw)
             assert run(argv, capsys) == want, (name, raw)
@@ -697,6 +697,37 @@ def test_tile_reads_only_the_chain_cap_env(capsys, monkeypatch):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert "COBWEB_CAP_CHAINS must be an integer" in err
+
+
+@pytest.mark.parametrize("name", errors.CAP_DEFAULTS)
+def test_cap_flag_must_be_integer(name, capsys):
+    # a flag is read as text, through the same parse as its variable
+    argv = ["enumerate", "--seq", "natural", "--k", "2", "--n", "3", f"--cap-{name}", "1e3"]
+    assert run(argv, capsys) == (2, "", f"error: --cap-{name} must be an integer, got '1e3'\n")
+
+
+HUGE_CAP = "1" + "0" * 4999  # 5,000 digits, past the 4,300-digit limit
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("name", errors.CAP_DEFAULTS)
+def test_cap_past_digit_limit(name, source, capsys, monkeypatch):
+    argv = ["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--format", "text"]
+    if source == "flag":
+        argv += [f"--cap-{name}", HUGE_CAP]
+    else:
+        monkeypatch.setenv(f"COBWEB_CAP_{name.upper()}", HUGE_CAP)
+    assert run(argv, capsys) == (0, "count 4\n", "")
+
+
+def test_cap_refusal_past_digit_limit(capsys):
+    # the limit and the need of a refusal both render past the digit limit
+    needed = "2" + "0" * 5000
+    spec = '{"kind": "explicit", "terms": ["1", "1", "%s"]}' % needed
+    argv = ["tile", "--seq", spec, "--k", "1", "--n", "2", "--variant", "additive",
+            "--cap-chains", HUGE_CAP]
+    want = f"error: chains cap of {HUGE_CAP} exceeded (needed {needed})\n"
+    assert run(argv, capsys) == (3, "", want)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_chain_ids_are_indices_in_enumerate_chains():
 def test_enumerate_chains_cap():
     layer = poset.build_layer(fseq.natural(), 2, 5)
     with pytest.raises(errors.CapExceeded) as err:
-        list(poset.enumerate_chains(layer, cap=10))
+        list(poset.enumerate_chains(layer, errors.Caps(chains=10)))
     assert err.value.cap_name == "chains"
     assert err.value.needed == 120
 
@@ -116,7 +116,7 @@ def test_all_one_layer_has_one_placement_at_any_height():
 def test_enumerate_placements_cap():
     layer = poset.build_layer(fseq.natural(), 2, 4)
     with pytest.raises(errors.CapExceeded) as err:
-        list(poset.enumerate_placements(layer, cap=3))
+        list(poset.enumerate_placements(layer, errors.Caps(placements=3)))
     assert err.value.cap_name == "placements"
 
 

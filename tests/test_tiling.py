@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset, tiling
+from cobweb.digits import parse_decimal
 from helpers import UpperBoundCheck, check_count_upper_bound, make_tiling
 
 
@@ -126,16 +127,29 @@ def test_detect_variant():
 
 def test_chain_cap_respected():
     with pytest.raises(errors.CapExceeded) as err:
-        tiling.tile_additive(fseq.natural(), 2, 5, chain_cap=100)
+        tiling.tile_additive(fseq.natural(), 2, 5, caps=errors.Caps(chains=100))
     assert err.value.cap_name == "chains"
     assert err.value.needed == 120
+
+
+def test_cap_refusal_past_digit_limit():
+    # a 5,000-digit limit, past the 4,300-digit int/str limit, renders in full
+    limit, needed = "1" + "0" * 4999, "2" + "0" * 5000
+    layer = poset.build_layer(fseq.explicit(["1", "1", needed]), 1, 2)
+    caps = errors.Caps(chains=parse_decimal(limit))
+    for call in (lambda: tiling.enumerate_tilings(layer, caps=caps),
+                 lambda: tiling.tile_additive(layer.seq, 1, 2, caps=caps)):
+        with pytest.raises(errors.CapExceeded) as err:
+            call()
+        assert (err.value.limit, err.value.needed) == (caps.limits["chains"], layer.chain_count)
+        assert str(err.value) == f"chains cap of {limit} exceeded (needed {needed})"
 
 
 # ---------------------------------------------------------------------------
 # choice streams: every tiling a recursion reaches, the counters' oracle
 
 def _stream(seq, k, n, which):
-    return tiling._layer_tilings(seq, k, n, which, tiling._all_families, None)
+    return tiling._layer_tilings(seq, k, n, which, tiling._all_families, errors.Caps())
 
 
 def test_additive_stream_counts_match_counter():
@@ -549,7 +563,7 @@ def test_enumeration_node_cap():
     # the count-only pass expands 82 slot-relabelling classes of natural 4..5
     layer = poset.build_layer(fseq.natural(), 4, 5)
     with pytest.raises(errors.CapExceeded) as err:
-        tiling.enumerate_tilings(layer, node_cap=50)
+        tiling.enumerate_tilings(layer, caps=errors.Caps(nodes=50))
     assert err.value.cap_name == "nodes"
     assert err.value.partial_count is not None
     # partial_count is a lower bound on the count wherever the cap bites,
@@ -571,7 +585,7 @@ def test_enumeration_node_cap():
 
 def _cap_outcome(layer, cap, limit):
     try:
-        res = tiling.enumerate_tilings(layer, limit, node_cap=cap)
+        res = tiling.enumerate_tilings(layer, limit, caps=errors.Caps(nodes=cap))
     except errors.CapExceeded as exc:
         return ("cap", exc.cap_name, exc.limit, exc.partial_count)
     return ("done", res.count, res.nodes)
@@ -823,12 +837,12 @@ def _listing_oracle(layer):
     return sorted(tuple(sorted(placements[r].subsets for r in s)) for s in solutions)
 
 
-def _check_listing_against_oracle(layer, node_cap=None):
+def _check_listing_against_oracle(layer, caps=errors.Caps()):
     want = _listing_oracle(layer)
     count = len(want)
     assert tiling.enumerate_tilings(layer).count == count
     for limit in sorted({0, 1, 7, count - 1, count, count + 1} - {-1}):
-        res = tiling.enumerate_tilings(layer, limit, node_cap=node_cap)
+        res = tiling.enumerate_tilings(layer, limit, caps=caps)
         assert res.count == count, limit
         assert [_blocks(t) for t in res.tilings] == want[:limit], limit
         assert res.truncated == (count > limit), limit
@@ -858,11 +872,11 @@ def test_enumeration_listing_matches_oracle_on_explicit_sequences(terms, data):
     try:
         # a listing expands raw states too: filter on its node count, since
         # the count-only pass can fit a cap that the listing passes
-        count = tiling.enumerate_tilings(layer, 1, node_cap=2_000).count
+        count = tiling.enumerate_tilings(layer, 1, caps=errors.Caps(nodes=2_000)).count
     except errors.CapExceeded:
         assume(False)
     assume(count <= 2_000)
-    _check_listing_against_oracle(layer, node_cap=10_000)
+    _check_listing_against_oracle(layer, caps=errors.Caps(nodes=10_000))
 
 
 def test_enumeration_listing_expands_each_state_once():
@@ -879,7 +893,7 @@ def test_enumeration_listing_fits_a_node_bound():
     # lists, beyond the count's 2,762 classes
     layer = poset.build_layer(fseq.natural(), 3, 5)
     counted = tiling.enumerate_tilings(layer)
-    listed = tiling.enumerate_tilings(layer, 1000, node_cap=10_000)
+    listed = tiling.enumerate_tilings(layer, 1000, caps=errors.Caps(nodes=10_000))
     assert (listed.count, len(listed.tilings), listed.truncated) == (411_168, 1000, True)
     assert counted.nodes < listed.nodes
     assert list(tiling.verify_tilings(listed.tilings)) == [None] * 1000
@@ -914,7 +928,7 @@ def test_first_tiling_and_listing_of_every_recorded_state(terms, limit, data):
     layer = poset.build_layer(fseq.explicit(["1", "1"] + [str(t) for t in terms]), k, n)
     assume(layer.chain_count <= 36)
     try:
-        assume(tiling.enumerate_tilings(layer, node_cap=2_000).count <= 2_000)
+        assume(tiling.enumerate_tilings(layer, caps=errors.Caps(nodes=2_000)).count <= 2_000)
     except errors.CapExceeded:
         assume(False)
     search = _raw_search(layer)
@@ -941,7 +955,7 @@ def test_enumeration_rejects_negative_limit():
 def test_enumeration_respects_placement_cap():
     layer = poset.build_layer(fseq.natural(), 3, 4)
     with pytest.raises(errors.CapExceeded) as err:
-        tiling.enumerate_tilings(layer, placement_cap=5)
+        tiling.enumerate_tilings(layer, caps=errors.Caps(placements=5))
     assert err.value.cap_name == "placements"
 
 
@@ -1051,9 +1065,9 @@ def test_counters_have_no_depth_limit():
 # the tilers' and the counters' cell recursions as written before they shared
 # one driver on an explicit stack, kept as the driver's reference
 
-def _reference_layer_tilings(seq, k, n, which, choose, chain_cap):
+def _reference_layer_tilings(seq, k, n, which, choose, caps):
     layer = poset.build_layer(seq, k, n)
-    errors.check_cap("chains", layer.chain_count, chain_cap, poset.DEFAULT_CHAIN_CAP)
+    caps.check("chains", layer.chain_count)
     refuse = tiling._refusal(seq)
     memo = {}
 
@@ -1160,17 +1174,17 @@ def test_cell_driver_matches_the_reference_recursions(terms, seed):
                 got = _outcome(lambda: tiling._constructive_counter(seq, which, mode)(n, k))
                 assert got == want, (which, mode, n, k)
                 assert _outcome(lambda: shared(n, k)) == _outcome(lambda: reference(n, k))
-        # (choice source, chain cap): every family only on small layers
+        # (choice source, caps): every family only on small layers
         sources = [
-            (lambda: tiling._choice_source(None), 5040),
-            (lambda: tiling._choice_source(seed), 5040),
-            (lambda: tiling._all_families, 24),
+            (lambda: tiling._choice_source(None), errors.Caps(chains=5040)),
+            (lambda: tiling._choice_source(seed), errors.Caps(chains=5040)),
+            (lambda: tiling._all_families, errors.Caps(chains=24)),
         ]
-        for source, cap in sources:
+        for source, caps in sources:
             for n, k in cells:
-                want = _outcome(lambda: _reference_layer_tilings(seq, k, n, which, source(), cap))
+                want = _outcome(lambda: _reference_layer_tilings(seq, k, n, which, source(), caps))
                 got = _outcome(lambda: list(map(_blocks, tiling._layer_tilings(
-                    seq, k, n, which, source(), cap))))
+                    seq, k, n, which, source(), caps))))
                 assert got == want, (which, n, k)
 
 
@@ -1366,7 +1380,7 @@ def test_tilers_verify_or_refuse_any_input(terms, k, extra, seed):
     seq, n = fseq.explicit([1] + terms), k + extra
     for tile in (tiling.tile_additive, tiling.tile_fibonacci):
         try:
-            t = _under_import_recursion_limit(lambda: tile(seq, k, n, seed, chain_cap=2000))
+            t = _under_import_recursion_limit(lambda: tile(seq, k, n, seed, caps=errors.Caps(chains=2000)))
         except (errors.CobwebError, ValueError):
             continue
         assert type(seed) is int or seed is None, seed
