@@ -6,6 +6,7 @@ to get a picture of the chain partition.
 """
 import argparse
 import pathlib
+import sys
 
 from cobweb import cli, poset, tiling
 
@@ -40,7 +41,11 @@ def main() -> None:
             continue
         tiler = tiling.tile_additive if variant == "additive" else tiling.tile_fibonacci
         result = tiler(seq, k, n, args.seed)
-        assert tiling.verify_tiling(result) is None
+        violation = tiling.verify_tiling(result)
+        if violation is not None:
+            print(f"{spec} {k}..{n} failed verification: {violation.clause}: {violation.detail}",
+                  file=sys.stderr)
+            sys.exit(1)
         path = outdir / f"{spec.replace(' ', '_')}_{k}_{n}.dot"
         path.write_text(poset.to_dot(result.layer, result), encoding="utf-8")
         print(f"{path}  ({len(result.blocks)} blocks, {variant})")

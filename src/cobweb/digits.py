@@ -37,6 +37,8 @@ EXACT = decimal.Context(
 def to_decimal(value: Union[int, Decimal, Fraction]) -> str:
     """str(value) of an int, an integral Decimal or a Fraction, at any number
     of digits."""
+    if type(value) is Decimal:
+        return str(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return to_decimal(value.numerator)

@@ -446,8 +446,12 @@ def fnomial(seq: FSeq, n: int, k: int) -> FNomial:
 def _denominator_term(seq: FSeq, j: int) -> int:
     t = seq.term(j)
     if t == 0:
-        raise ZeroTermError(f"term {j} of {seq.label()} is zero; denominator undefined")
+        raise _zero_denominator(seq, j)
     return t
+
+
+def _zero_denominator(seq: FSeq, j: int) -> ZeroTermError:
+    return ZeroTermError(f"term {j} of {seq.label()} is zero; denominator undefined")
 
 
 def fnomial_row(
@@ -459,7 +463,7 @@ def fnomial_row(
 
     Uses {n, k} = {n, k-1} * term(n-k+1) / term(k) for k <= n/2, and yields
     the stored cell n - k, the same object, for each k past the midpoint,
-    after reading term(k) and checking that it is nonzero.  Errors surface at
+    after checking that term(k), the term cell n - k + 1 read, is nonzero.  Errors surface at
     the same k, with the same exception, as the per-cell fnomial.
     """
     if n < 0:
@@ -469,17 +473,23 @@ def fnomial_row(
     num, mul, split = (
         (Decimal, EXACT.multiply, EXACT.divmod) if decimal else (int, operator.mul, divmod)
     )
+    term = seq.term
     value = num(1)
     row = [value]
+    tops = [1]  # tops[j] = term(n - j + 1), read at cell j of the first half
     yield value
     for k in range(1, n + 1):
-        den = _denominator_term(seq, k)
+        j = n - k + 1
+        den = tops[j] if j < len(tops) else term(k)  # past the midpoint, cell j read it
+        if not den:
+            raise _zero_denominator(seq, k)
         if 2 * k > n:
             # term(1..k) are nonzero, so the terms n-k+1..k cancel and
             # {n, k} = {n, n-k}, the same rational and so the same type.
             yield row[n - k]
             continue
-        top = seq.term(n - k + 1)
+        top = term(j)
+        tops.append(top)
         if type(value) is Fraction:
             value *= Fraction(top, den)
             if value.denominator == 1:
@@ -503,10 +513,18 @@ def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    for n in range(N + 1):
-        for k, value in enumerate(fnomial_row(seq, n)):
-            if value.denominator != 1:
+    # fnomial_row's int steps, which stop at the first remainder: row n
+    # reads term(n) first and divides by it only at its last cell
+    terms = [1]
+    for n in range(1, N + 1):
+        terms.append(seq.term(n))
+        value = 1
+        for k in range(1, n // 2 + 1):
+            value, rest = divmod(value * terms[n - k + 1], terms[k])
+            if rest:
                 return (n, k)
+        if not terms[n]:
+            raise _zero_denominator(seq, n)
     return None
 
 

@@ -36,14 +36,19 @@ verbatim: ordered, base cases k = 1 and m <= 1 (additive) or m <= 2
 (convolution), no refusal.  A triangle shares one memo, checks its identity
 once per row, and notes the cells an identity or a refusal rules out.
 
-verify_tiling checks a tiling clause by clause, by chain ids
-(poset.chain_ids): the blocks partition the chains when their chain counts
-sum to the layer's chain count and their ids are that many distinct
-numbers, and only when that test fails does a second pass look for the
-first shared or uncovered chain.  One verifier serves every tiling of one
-Layer object (verify_tilings, the listing of enumerate): it computes the
-prime-size multiset and the law once, and checks each distinct level subset
-and each distinct placement, and numbers the placement's chains, once.
+verify_tiling checks one tiling by level sections (_sections_partition):
+the blocks partition the layer when, for each slot of the last level, the
+heads of the blocks through it partition the levels below, and so on down
+to one level.  Each distinct section is checked once, and a constructive
+tiling repeats one sub-tiling under many groups, so the check follows the
+blocks, not the chains, and builds no chain id.  verify_tilings, the
+listing of enumerate, checks many tilings of one Layer object by chain ids
+(poset.chain_ids) instead, since each distinct placement's ids serve all
+of them: the blocks partition the chains when their chain counts sum to
+the layer's chain count and their ids are that many distinct numbers.
+Only when a test fails does an ordered pass name the first violated clause
+and its witness.  No clause counts the blocks: blocks of the prime sizes
+that partition the chains number the layer's F-nomial.
 
 Exhaustive enumeration is an exact cover of the chain universe by block
 placements, each stored as an int mask over the chain ids and ranked by its
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
-from itertools import chain, combinations, groupby, product as iproduct
+from itertools import chain, combinations, groupby, product as iproduct, repeat
 from math import comb, factorial, prod
 from operator import attrgetter, itemgetter, or_
 from typing import Iterable, Iterator, Optional
@@ -401,20 +406,81 @@ class TilingViolation:
     witness: object = None
 
 
-class _Verifier:
-    """verify_tiling for the tilings of one Layer object.
+def _is_slot_set(subset: tuple, size: int) -> bool:
+    """Whether subset is a nonempty sorted set of slots below size."""
+    return (bool(subset) and tuple(sorted(set(subset))) == subset
+            and 0 <= subset[0] and subset[-1] < size)
 
-    The expected size multiset and the law are computed once, each distinct
-    level subset is checked once, and each distinct placement's chain ids
-    once.  Blocks share a few prefixes (their first m - 1 subsets), and each
-    distinct prefix of a checked placement is cached with its chain ids and
-    the size its last level must have.  A new placement behind a cached
-    prefix is checked on its last level alone, and its ids extend the
-    prefix's by that level in one pass over its own chains; any doubt sends
-    it through the full check, which finds the same fault.  A tiling whose
-    chain count and number of distinct ids both equal the layer's chain
-    count is a partition; only when that test fails does a second pass find
-    the first shared or uncovered chain.
+
+def _sections_partition(layer: Layer, expected: list[int], blocks: list[tuple]) -> bool:
+    """Whether blocks, one slot subset per level each, are blocks of the
+    prime size multiset `expected` that partition the layer's chains.
+
+    A block is S_0 x ... x S_{m-1}, so the blocks partition the layer when,
+    for each slot x of the last level, the heads S_0 .. S_{m-2} of the
+    blocks with x in S_{m-1} partition the product of the other levels: the
+    section of x.  A section is split so again, level by level down to
+    level 0, where each slot must lie in exactly one entry.  An entry is a
+    head and the sizes of the levels split off above it, so that a level-0
+    entry's sizes with its own must sort to `expected`.  Each distinct
+    section, as a frozenset of its entries, is split once however often it
+    recurs, and a frozenset shorter than its entries means two equal entries
+    over one slot, an overlap.  Every distinct subset is checked first, so
+    no slot indexes a section unchecked.  No chain id is built.
+    """
+    sizes = layer.sizes
+    if set(map(len, blocks)) != {len(sizes)}:
+        return False
+    for size, column in zip(sizes, zip(*blocks)):
+        if not all(_is_slot_set(subset, size) for subset in set(column)):
+            return False
+    level = [zip(blocks, repeat(()))]  # one level's distinct sections
+    for size in sizes[:0:-1]:  # split by the slots of levels m - 1 .. 1
+        below = set()
+        for section in level:
+            by_last: dict[tuple, list] = {}  # a last subset -> its entries, one level down
+            for head, split in section:
+                last = head[-1]
+                entries = by_last.get(last)
+                if entries is None:
+                    entries = by_last[last] = []
+                entries.append((head[:-1], split + (len(last),)))
+            through: list[list[frozenset]] = [[] for _ in range(size)]  # a slot's parts
+            for last, entries in by_last.items():
+                part = frozenset(entries)
+                if len(part) != len(entries):
+                    return False
+                for x in last:
+                    through[x].append(part)
+            for parts in through:
+                got = parts[0] if len(parts) == 1 else frozenset().union(*parts)
+                if not parts or len(got) != sum(map(len, parts)):
+                    return False
+                below.add(got)
+        level = below
+    every = list(range(sizes[0]))
+    shapes = set()  # each level-0 entry's sizes, its own first
+    for section in level:
+        cover = []
+        for (first,), split in section:
+            cover += first
+            shapes.add((len(first),) + split)
+        cover.sort()
+        if cover != every:
+            return False
+    return all(sorted(shape) == expected for shape in shapes)
+
+
+class _Verifier:
+    """verify_tilings for the tilings of one Layer object, by chain ids, and
+    verify_tiling's ordered pass once its section test has failed.
+
+    The expected size multiset is computed once, each distinct level subset
+    is checked once, and each distinct placement's chain ids
+    (poset.chain_ids) are built once, so they amortize across the tilings
+    of one listing.  A tiling whose chain count and number of distinct ids
+    both equal the layer's chain count is a partition; only when that test
+    fails does a second pass find the first shared or uncovered chain.
     """
 
     def __init__(self, layer: Layer):
@@ -422,45 +488,25 @@ class _Verifier:
         self.expected = sorted(prime_level_sizes(layer.seq, layer.m))
         self.valid = [set() for _ in layer.sizes]  # checked subsets per level
         self.ids: dict[tuple, list[int]] = {}  # checked placements' chain ids
-        # checked prefixes' chain ids and last-level size
-        self.prefixes: dict[tuple, tuple[list[int], int]] = {}
-        self.law = None
 
     def __call__(self, tiling: Tiling) -> Optional[TilingViolation]:
         layer = self.layer
         if tiling.layer is not layer:
             raise ValueError("a verifier checks the tilings of its own layer only")
-        ids, prefixes, m = self.ids, self.prefixes, layer.m
-        top, valid_top = layer.sizes[-1], self.valid[-1]
+        ids = self.ids
         blocks = []
         for bi, block in enumerate(tiling.blocks):
             subsets = block.subsets
             got = ids.get(subsets)
             if got is None:
-                head = subsets[:-1]
-                prefix = prefixes.get(head)
-                if (prefix is None or len(subsets) != m or subsets[-1] not in valid_top
-                        or len(subsets[-1]) != prefix[1]):
-                    fault = self._fault(bi, subsets)
-                    if fault:
-                        return fault
-                    if prefix is None:
-                        prefix = prefixes[head] = (chain_ids(layer, head), len(subsets[-1]))
-                got = ids[subsets] = [i * top + s for i in prefix[0] for s in subsets[-1]]
+                fault = self._fault(bi, subsets)
+                if fault:
+                    return fault
+                got = ids[subsets] = chain_ids(layer, subsets)
             blocks.append(got)
         chains = layer.chain_count
         if sum(map(len, blocks)) != chains or len(set(chain.from_iterable(blocks))) != chains:
             return self._misplaced(blocks)
-        if self.law is None:
-            # computed here, not up front: fnomial raises on a zero prime
-            # size, where every tiling fails an earlier clause
-            self.law = fseq.fnomial(layer.seq, layer.n, layer.m)
-        if not self.law.is_integer or len(blocks) != self.law.value:
-            return TilingViolation(
-                "block-count",
-                f"{len(blocks)} blocks, law requires {self.law.value}",
-                len(blocks),
-            )
         return None
 
     def _fault(self, bi: int, subsets: tuple) -> Optional[TilingViolation]:
@@ -474,8 +520,7 @@ class _Verifier:
             if subset in valid:
                 continue
             size = layer.sizes[li]
-            if not (subset and tuple(sorted(set(subset))) == subset
-                    and 0 <= subset[0] and subset[-1] < size):
+            if not _is_slot_set(subset, size):
                 return TilingViolation(
                     "block-sizes",
                     f"block {bi} level {layer.k + li} subset {subset} is not a sorted "
@@ -513,14 +558,22 @@ def verify_tiling(tiling: Tiling) -> Optional[TilingViolation]:
 
     Clauses in order: every block's size multiset equals the prime level
     sizes; blocks are pairwise chain-disjoint; the blocks cover the chain
-    universe; the block count equals the layer's generalized binomial.
+    universe.  The block count then equals the layer's generalized
+    binomial, since each block holds term(1) * ... * term(m) chains.  One
+    tiling is checked by level sections (_sections_partition); only a
+    failed check runs the ordered pass that names the first clause.
     """
-    return _Verifier(tiling.layer)(tiling)
+    verifier = _Verifier(tiling.layer)
+    blocks = [block.subsets for block in tiling.blocks]
+    if _sections_partition(tiling.layer, verifier.expected, blocks):
+        return None
+    return verifier(tiling)
 
 
 def verify_tilings(tilings: Iterable[Tiling]) -> Iterator[Optional[TilingViolation]]:
     """verify_tiling's verdict on each tiling, in order, from one verifier
-    for tilings that share one Layer object (ValueError otherwise)."""
+    for tilings that share one Layer object (ValueError otherwise), by the
+    chain ids of each distinct placement."""
     verifier = None
     for t in tilings:
         verifier = verifier or _Verifier(t.layer)

@@ -1,10 +1,13 @@
 """The scripts under scripts/ run end to end on small arguments."""
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from cobweb import tiling
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,3 +37,21 @@ def test_script_runs(script, args, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_render_layers_exits_on_a_failed_verification(tmp_path, monkeypatch, capsys):
+    # an explicit check, not an assert, so that python -O keeps it
+    path = ROOT / "scripts" / "render_layers.py"
+    spec = importlib.util.spec_from_file_location("render_layers", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    violation = tiling.TilingViolation("shared-chain", "chain (0, 0) lies in blocks 0 and 1")
+    monkeypatch.setattr(tiling, "verify_tiling", lambda t: violation)
+    monkeypatch.setattr(sys, "argv", ["render_layers.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "natural 2..4 failed verification: shared-chain: chain (0, 0) lies in blocks 0 and 1\n"
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -385,13 +385,27 @@ def _valid_tilings(source):
         tiling.tile_additive(fseq.natural(), 2, 5), tiling.tile_additive(fseq.natural(), 3, 5, 7),
         tiling.tile_fibonacci(fseq.fibonacci(), 3, 6),
         tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, 7),
+        # chain-heavy: 720 and 3,120 chains over 6 and 13 blocks
+        tiling.tile_additive(fseq.natural(), 2, 6), tiling.tile_additive(fseq.natural(), 2, 6, 5),
+        tiling.tile_fibonacci(fseq.fibonacci(), 2, 7),
+        tiling.tile_fibonacci(fseq.fibonacci(), 2, 7, 3),
     ]
     return (tiles[source - len(_LISTED)],)
 
 
-_SOURCES = len(_LISTED) + 4
+_SOURCES = len(_LISTED) + 8
 _CORRUPTIONS = ("drop", "duplicate", "reorder", "replace", "move-slot", "resize", "unsort",
                 "add-level")
+
+
+def _placement(layer, draw):
+    """One block placement of the layer, drawn without listing them all (fibonacci
+    2..7 has over nine million)."""
+    assignment = draw(st.sampled_from(poset._fitting_assignments(layer)))
+    return tuple(
+        tuple(sorted(draw(st.permutations(range(size)))[:a]))
+        for size, a in zip(layer.sizes, assignment)
+    )
 
 
 def _corrupt(blocks, how, layer, draw):
@@ -411,8 +425,7 @@ def _corrupt(blocks, how, layer, draw):
         rest = blocks[:i] + blocks[i + 1:]
         return rest[:j] + [blocks[i]] + rest[j:]
     if how == "replace":
-        placements = list(poset.enumerate_placements(layer))
-        block = list(placements[draw(st.integers(0, len(placements) - 1))].subsets)
+        block = list(_placement(layer, draw))
     elif how == "move-slot" and subset:
         moved = list(subset)
         moved[draw(st.integers(0, len(moved) - 1))] = draw(st.integers(-1, size))
@@ -456,8 +469,8 @@ def test_verifier_matches_the_oracle_on_corrupted_tilings(tilings):
 
 @pytest.mark.parametrize("fault", ["out-of-range", "overlapping", "resized", "empty", "absent"])
 def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
-    # two blocks share their first m - 1 subsets, which the first one caches;
-    # the second one's last level is faulty
+    # two blocks share their first m - 1 subsets, so their heads meet in the
+    # sections of the slots they share; the second one's last level is faulty
     valid = tiling.tile_fibonacci(fseq.fibonacci(), 3, 6)
     layer = valid.layer
     blocks = [b.subsets for b in valid.blocks]
@@ -477,7 +490,7 @@ def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
     assert want is not None
     assert want.clause == ("shared-chain" if fault == "overlapping" else "block-sizes")
     assert tiling.verify_tiling(bad) == want
-    # and behind prefixes and placements cached from a valid tiling first
+    # and behind placements numbered from a valid tiling first
     assert list(tiling.verify_tilings([valid, bad, valid])) == [None, want, None]
 
 
@@ -515,6 +528,63 @@ def test_verifier_state_belongs_to_one_layer_object():
             assert tiling.verify_tiling(other).clause == "block-sizes"
         with pytest.raises(ValueError, match="its own layer"):
             list(tiling.verify_tilings([poset.Tiling(layer, b) for layer, b in order]))
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (4, 7)])
+def test_verifier_finds_an_extra_block_over_two_equal_heads(k, n):
+    # blocks (h, A) and (h, B) with disjoint last subsets of one size, and an
+    # extra (h, C) with C meeting both: every chain stays covered, and the
+    # copies of head h that meet over a slot of C are only told apart by count
+    # two a-groups of one size over one sub-tiling give such pairs
+    valid = tiling.tile_fibonacci(fseq.fibonacci(), k, n)
+    blocks = [b.subsets for b in valid.blocks]
+    head, a, b = next((x[:-1], x[-1], y[-1]) for x in blocks for y in blocks
+                      if x[:-1] == y[:-1] and len(x[-1]) == len(y[-1]) > 1
+                      and not set(x[-1]) & set(y[-1]))
+    extra = head + (tuple(sorted(a[:1] + b[1:])),)
+    for at in (0, len(blocks)):
+        bad = poset.Tiling(valid.layer, tuple(
+            map(poset.BlockPlacement, blocks[:at] + [extra] + blocks[at:])))
+        want = _oracle_verify(bad)
+        assert want is not None and want.clause == "shared-chain"
+        assert tiling.verify_tiling(bad) == want
+        assert list(tiling.verify_tilings([valid, bad])) == [None, want]
+
+
+@pytest.mark.parametrize("tile", [
+    lambda: tiling.tile_additive(fseq.natural(), 2, 8),
+    lambda: tiling.tile_fibonacci(fseq.fibonacci(), 2, 8),
+], ids=["natural-2-8", "fibonacci-2-8"])
+def test_verify_tiling_accepts_a_tile_without_chain_ids(tile, monkeypatch):
+    # 40,320 and 65,520 chains over 8 and 21 blocks: the level sections
+    # decide a valid tiling without numbering one chain
+    t = tile()
+
+    def refuse(*args):
+        raise AssertionError("a valid tiling built chain ids")
+
+    monkeypatch.setattr(tiling, "chain_ids", refuse)
+    assert tiling.verify_tiling(t) is None
+
+
+@pytest.mark.parametrize("fault", ["move-slot", "drop"])
+def test_verifier_faults_at_the_chains_cap_match_the_oracle(fault):
+    # the bench's largest tile: 12,376 blocks over 74,256 chains
+    valid = tiling.tile_fibonacci(fseq.fibonacci(), 6, 9)
+    layer = valid.layer
+    blocks = [b.subsets for b in valid.blocks]
+    i = len(blocks) // 2
+    if fault == "drop":
+        del blocks[i]
+    else:
+        last = blocks[i][-1]
+        free = next(x for x in range(layer.sizes[-1]) if x not in last)
+        blocks[i] = blocks[i][:-1] + (tuple(sorted(last[1:] + (free,))),)
+    bad = poset.Tiling(layer, tuple(map(poset.BlockPlacement, blocks)))
+    want = _oracle_verify(bad)
+    assert want is not None
+    assert want.clause == ("uncovered-chain" if fault == "drop" else "shared-chain")
+    assert tiling.verify_tiling(bad) == want
 
 
 # ---------------------------------------------------------------------------
