@@ -62,6 +62,16 @@ def load_sequence(spec: str) -> FSeq:
     return fseq.from_descriptor({"kind": text})
 
 
+def _integer(text: str) -> int:
+    """A flag's or a cap variable's text as an int of any size: the type of
+    every integer flag, named int so that argparse's refusal still reads
+    "invalid int value"."""
+    return parse_decimal(text)
+
+
+_integer.__name__ = "int"
+
+
 def _resolve_cap(flag: Optional[str], name: str) -> Optional[int]:
     """--cap-<name>'s text, else COBWEB_CAP_<NAME>'s, as an int of any size; None if unset."""
     env = f"COBWEB_CAP_{name.upper()}"
@@ -69,7 +79,7 @@ def _resolve_cap(flag: Optional[str], name: str) -> Optional[int]:
     if text is None:
         return None
     try:
-        value = parse_decimal(text)
+        value = _integer(text)
     except ValueError as exc:
         raise ValueError(f"{source} must be an integer, got {text!r}") from exc
     if value < 1:
@@ -149,7 +159,7 @@ def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:
 def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
     count = ns.count
     if count < 0:
-        raise ValueError(f"--count must be >= 0, got {count}")
+        raise ValueError(f"--count must be >= 0, got {to_decimal(count)}")
     if ns.fnomials:
         table = triangle(seq, "fnomial", max(count, 1), include_zero=True)
         if ns.format == "json":
@@ -179,7 +189,7 @@ def _cmd_seq(ns: argparse.Namespace, seq: FSeq) -> int:
 def _cmd_admissible(ns: argparse.Namespace, seq: FSeq) -> int:
     count = ns.count
     if count < 0:
-        raise ValueError(f"--count must be >= 0, got {count}")
+        raise ValueError(f"--count must be >= 0, got {to_decimal(count)}")
     witness = fseq.is_admissible_prefix(seq, count)
     if witness is None:
         _report(
@@ -268,7 +278,7 @@ def _cmd_enumerate(ns: argparse.Namespace, seq: FSeq) -> int:
     limit = ns.limit if ns.format == "json" or not ns.limit else min(ns.limit, 0)
     # the search is sequential; --workers is only validated
     if ns.workers < 1:
-        raise ValueError(f"workers must be positive, got {ns.workers}")
+        raise ValueError(f"workers must be positive, got {to_decimal(ns.workers)}")
     try:
         result = enumerate_tilings(layer, limit, caps=ns.caps)
     except CapExceeded as exc:
@@ -313,11 +323,17 @@ def _emit_triangle_json(seq: FSeq, table, output: Optional[str]) -> None:
     }
     # "cells" sorts first, so its '"cells": []' is the placeholder; a cell
     # text is digits only and needs no escaping
-    cells = (
-        f'{{\n      "k": {k},\n      "n": {n},\n      "value": "{text}"\n    }}'
-        for n, k, text in table.cell_texts()
-    )
-    _emit_json(obj, output, "cells", cells)
+    start = table.start
+
+    def cells():
+        for n, texts, noted in table.row_texts():
+            pairs = zip(range(start, n + 1), texts)
+            if noted:  # a note's text, led by "!", is not a cell
+                pairs = [(k, text) for k, text in pairs if text[0] != "!"]
+            item = '{\n      "k": %d,\n      "n": ' + str(n) + ',\n      "value": "%s"\n    }'
+            yield from map(item.__mod__, pairs)
+
+    _emit_json(obj, output, "cells", cells())
 
 
 def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
@@ -336,10 +352,12 @@ def _cmd_triangle(ns: argparse.Namespace, seq: FSeq) -> int:
 def _cmd_cta3(ns: argparse.Namespace, seq: FSeq) -> int:
     count = ns.count
     if count < 1:
-        raise ValueError(f"--count must be >= 1, got {count}")
+        raise ValueError(f"--count must be >= 1, got {to_decimal(count)}")
     depth = count if ns.reconstruct is None else ns.reconstruct
     if not 1 <= depth <= count:
-        raise ValueError(f"--reconstruct must lie in 1..{count}, got {depth}")
+        raise ValueError(
+            f"--reconstruct must lie in 1..{to_decimal(count)}, got {to_decimal(depth)}"
+        )
     result = seqalg.h_general(seq, count)
     if isinstance(result, seqalg.DivisibilityWitness):
         term, lcm = to_decimal(result.term), to_decimal(result.lcm)
@@ -405,49 +423,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="print terms, factorials, or the fnomial table")
     common(p, ("json", "text"), "json")
-    p.add_argument("--count", type=int, required=True, help="terms 1..N")
+    p.add_argument("--count", type=_integer, required=True, help="terms 1..N")
     p.add_argument("--factorials", action="store_true", help="sequence factorials instead of terms")
     p.add_argument("--fnomials", action="store_true", help="fnomial triangle with this many rows")
 
     p = sub.add_parser("admissible", help="integrality check of all fnomials up to N")
     common(p, ("json", "text"), "json")
-    p.add_argument("--count", type=int, required=True, help="prefix length N")
+    p.add_argument("--count", type=_integer, required=True, help="prefix length N")
 
     p = sub.add_parser("tile", help="construct and verify one tiling of a layer")
     common(p, ("json", "text", "dot"), "json")
-    p.add_argument("--k", type=int, required=True, help="bottom level of the layer")
-    p.add_argument("--n", type=int, required=True, help="top level of the layer")
+    p.add_argument("--k", type=_integer, required=True, help="bottom level of the layer")
+    p.add_argument("--n", type=_integer, required=True, help="top level of the layer")
     p.add_argument(
         "--variant", choices=("auto", "additive", "fibonacci"), default="auto"
     )
     p.add_argument(
         "--policy", choices=("first-slots", "seeded-random"), default="first-slots"
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
     p.add_argument("--cap-chains", default=None)
 
     p = sub.add_parser("enumerate", help="exhaustively count (and list) tilings")
     common(p, ("json", "text"), "json")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="also list up to this many tilings")
-    p.add_argument("--workers", type=int, default=1, help="results do not depend on it")
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--limit", type=_integer, default=None, help="also list up to this many tilings")
+    p.add_argument("--workers", type=_integer, default=1, help="results do not depend on it")
     for name in CAP_DEFAULTS:
         p.add_argument(f"--cap-{name}", default=None)
 
     p = sub.add_parser("triangle", help="emit a counting triangle")
     common(p, ("csv", "text", "json"), "csv")
     p.add_argument("--kind", choices=TRIANGLE_KINDS, default="fnomial")
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=_integer, required=True)
     p.add_argument("--mode", choices=("paper", "derived"), default="derived")
     p.add_argument("--include-zero", action="store_true", help="include the k = 0 column")
 
     p = sub.add_parser("cta3", help="divisor-quotient factorization of a sequence")
     common(p, ("json", "text"), "json")
-    p.add_argument("--count", type=int, required=True, help="emit h(1..N)")
+    p.add_argument("--count", type=_integer, required=True, help="emit h(1..N)")
     p.add_argument(
         "--reconstruct",
-        type=int,
+        type=_integer,
         default=None,
         help="check reconstruction on this prefix (default: all N terms)",
     )

@@ -9,14 +9,18 @@ decimal module, whose int conversions are exact and carry no such limit.
 Both conversions are quadratic in the digit count, though, and str() of a
 Decimal is linear.  So output that prints every value of a long product
 (an F-nomial table, running factorials) computes those values as Decimal
-integers under EXACT and never converts them from int.  EXACT carries as
+integers under EXACT and never converts them from int; an F-nomial table
+holds them in one list per row, each distinct value once (a row's second
+half is its first half's objects), and takes each one's str() once.  The
+CLI reads its integer flags with parse_decimal.  EXACT carries as
 many digits as the decimal module allows and traps every signal that could
 mean a lost digit, so a result is exact or an exception.  Arithmetic on
 Decimals goes through its methods (EXACT.multiply, EXACT.divmod): a plain
 operator uses the caller's current context, which rounds to 28 digits by
 default without raising, and this package never changes that context.  No
 Decimal leaves the public API unasked: values cross it as int, Fraction or
-str, unless a caller opts into Decimal rows (fseq.fnomial_row).
+str, unless a caller opts into Decimal rows (fseq.fnomial_row with
+decimal=True).
 """
 from __future__ import annotations
 
@@ -47,7 +51,12 @@ def to_decimal(value: Union[int, Decimal, Fraction]) -> str:
 
 
 def parse_decimal(text: str) -> int:
-    """int(text, 10), at any number of digits for ASCII text."""
-    if _ASCII_INT.fullmatch(text):
+    """int(text, 10), at any number of digits for ASCII text.
+
+    Text of at most 640 characters is under every limit CPython accepts,
+    so int() reads it directly: faster on short text such as a flag's, and
+    it leaves the decimal library's conversion code unloaded.
+    """
+    if len(text) > 640 and _ASCII_INT.fullmatch(text):
         return int(Decimal(text))
     return int(text, 10)

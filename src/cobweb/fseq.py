@@ -37,11 +37,13 @@ are nonzero the terms n-k+1..k cancel from {n, k}.  The row raises the same
 error at the same cell as the per-cell code, because step k reads term(k)
 and then, up to the midpoint, term(n-k+1): the only terms the cell (n, k)
 reads that (n, k-1) did not (past the midpoint, term(n-k+1) was read at
-step n-k+1).  A caller that prints every cell (the fnomial triangle) asks
-for the row in exact decimal arithmetic instead (cobweb.digits.EXACT): the
-same steps on Decimal integers, whose str() is linear where converting an
-int is quadratic.  Scans that print nothing (admissibility) keep ints,
-which are faster there.
+step n-k+1).  The fnomial triangle, which prints every cell, builds its
+rows with _fnomial_rows instead: the same steps in exact decimal arithmetic
+(cobweb.digits.EXACT) on Decimal integers, whose str() is linear where
+converting an int is quadratic, each row one list over a term list that
+grows by one term a row, its second half the first half's objects in
+reverse.  Scans that print nothing (admissibility) keep ints, which are
+faster there.
 """
 from __future__ import annotations
 
@@ -128,7 +130,7 @@ def _explicit_rule(p: dict, n: int, memo: dict) -> int:
     if n >= len(terms):
         raise SequenceRangeError(
             f"explicit sequence has {len(terms) - 1} terms past index 0; "
-            f"index {n} is out of range"
+            f"index {to_decimal(n)} is out of range"
         )
     return terms[n]
 
@@ -459,12 +461,14 @@ def fnomial_row(
 ) -> Iterator[Union[int, Decimal, Fraction]]:
     """Lazily yield fnomial(seq, n, k).value for k = 0..n, as an int when
     the cell is integral and as a Fraction otherwise; with decimal=True an
-    integral cell is an integral Decimal instead, for callers that print it.
+    integral cell is an integral Decimal instead.
 
     Uses {n, k} = {n, k-1} * term(n-k+1) / term(k) for k <= n/2, and yields
     the stored cell n - k, the same object, for each k past the midpoint,
-    after checking that term(k), the term cell n - k + 1 read, is nonzero.  Errors surface at
-    the same k, with the same exception, as the per-cell fnomial.
+    after checking that term(k), the term cell n - k + 1 read, is nonzero.
+    Errors surface at the same k, with the same exception, as the per-cell
+    fnomial.  A table of rows 1..N is faster as _fnomial_rows, whose row n
+    is the list of this row's values with decimal=True.
     """
     if n < 0:
         raise ValueError(f"fnomial row needs n >= 0, got {n}")
@@ -503,6 +507,45 @@ def fnomial_row(
                 value = Fraction(int(whole), den)
         row.append(value)
         yield value
+
+
+def _fnomial_rows(seq: FSeq, N: int) -> Iterator[list[Union[Decimal, Fraction]]]:
+    """Yield, for n = 1..N, row n of fnomials as one list of its cells k =
+    0..n: an integral Decimal, or a Fraction where the cell is not integral.
+
+    The first half is fnomial_row's decimal steps over the terms read so
+    far, each converted to a Decimal once, and cells n//2 + 1..n are cells
+    n - n//2 - 1..0, the same objects.  Row n reads one new term, term(n),
+    and divides by it only at its last cell, so it raises what
+    fnomial_row(seq, n) raises, at the same cell: rows 1..n-1 have checked
+    term(1..n-1).
+    """
+    multiply, split = EXACT.multiply, EXACT.divmod
+    one = Decimal(1)
+    terms, decimals = [1], [one]
+    for n in range(1, N + 1):
+        terms.append(seq.term(n))
+        if not terms[n]:
+            raise _zero_denominator(seq, n)
+        decimals.append(Decimal(terms[n]))
+        half = n // 2
+        value = one
+        row = [one]
+        # step k multiplies by term(n - k + 1) and divides by term(k)
+        steps = zip(range(1, half + 1), decimals[n:n - half:-1], decimals[1:half + 1])
+        for k, top, den in steps:
+            if type(value) is Fraction:
+                value *= Fraction(terms[n - k + 1], terms[k])
+                if value.denominator == 1:
+                    value = Decimal(value.numerator)
+            else:
+                whole = multiply(value, top)
+                value, rest = split(whole, den)
+                if rest:
+                    value = Fraction(int(whole), terms[k])
+            row.append(value)
+        row += row[n - half - 1::-1]
+        yield row
 
 
 def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:

@@ -25,6 +25,7 @@ from itertools import combinations, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from . import fseq
+from .digits import to_decimal
 from .errors import Caps, ZeroTermError
 from .fseq import FSeq
 
@@ -72,12 +73,12 @@ class Layer:
 def build_layer(seq: FSeq, k: int, n: int) -> Layer:
     """Layer over levels k..n; every level must have at least one slot."""
     if k < 1 or n < k:
-        raise ValueError(f"layer needs 1 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"layer needs 1 <= k <= n, got k={to_decimal(k)}, n={to_decimal(n)}")
     sizes = []
     for j in range(k, n + 1):
         size = seq.term(j)
         if size < 1:
-            raise ZeroTermError(f"level {j} of {seq.label()} has zero slots")
+            raise ZeroTermError(f"level {to_decimal(j)} of {seq.label()} has zero slots")
         sizes.append(size)
     return Layer(k=k, n=n, sizes=tuple(sizes), seq=seq)
 

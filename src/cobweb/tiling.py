@@ -76,9 +76,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
-from itertools import chain, combinations, groupby, product as iproduct, repeat
+from itertools import chain, combinations, product as iproduct, repeat
 from math import comb, factorial, prod
-from operator import attrgetter, itemgetter, or_
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Optional
 
 from . import fseq
@@ -866,7 +866,7 @@ def enumerate_tilings(
     and a count may fit under a node cap that its listing exceeds.
     """
     if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+        raise ValueError(f"limit must be >= 0, got {to_decimal(limit)}")
     caps.check("chains", layer.chain_count)
     placements = sorted(enumerate_placements(layer, caps), key=attrgetter("subsets"))
     search = _Search(layer.sizes, [p.subsets for p in placements], caps.limits["nodes"])
@@ -969,30 +969,50 @@ TRIANGLE_KINDS = ("fnomial", "additive", "fibonacci", "equal-blocks")
 
 
 class _IntCells(Mapping):
-    """Read-only view of a triangle's cells as ints.
+    """Read-only view of a triangle's rows as a mapping (n, k) -> int.
 
-    It holds each value as an int or an integral Decimal (the fnomial
-    kind's rows, computed in decimal so that printing them is linear) and
-    converts one only when it is looked up; len, iteration and membership
-    convert nothing.
+    rows[n - 1] is row n as one list indexed by k = 0..n.  A slot holds an
+    int or an integral Decimal (the fnomial kind's values, computed in
+    decimal so that printing them is linear), or None where the cell has a
+    note; slots k < start are not cells.  A fnomial row's second half holds
+    its first half's objects.  A value becomes an int only when it is looked
+    up; len, iteration and membership convert nothing.
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_rows", "_start", "_len")
 
-    def __init__(self, raw: dict):
-        self._raw = raw
+    def __init__(self, rows: list, start: int, noted: int):
+        self._rows = rows
+        self._start = start
+        self._len = sum(len(row) for row in rows) - start * len(rows) - noted
+
+    def _slot(self, key):
+        try:
+            n, k = key
+            if n >= 1 and k >= self._start:
+                return self._rows[n - 1][k]
+        except (TypeError, ValueError, IndexError):
+            pass
+        return None
 
     def __getitem__(self, key) -> int:
-        return int(self._raw[key])
+        value = self._slot(key)
+        if value is None:
+            raise KeyError(key)
+        return int(value)
 
     def __contains__(self, key) -> bool:
-        return key in self._raw
+        return self._slot(key) is not None
 
     def __iter__(self):
-        return iter(self._raw)
+        start = self._start
+        for n, row in enumerate(self._rows, 1):
+            for k in range(start, n + 1):
+                if row[k] is not None:
+                    yield n, k
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return self._len
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -1002,11 +1022,13 @@ class _IntCells(Mapping):
 class Triangle:
     """Lower-triangular table of exact integers with per-cell error notes.
 
-    cells maps (n, k) to an int; a cell with a note has no value.  The
-    renderings make each cell's text as they reach it: csv_rows and
-    cell_texts hold one row's texts at a time, so a writer of their chunks
-    never holds the whole table as text; to_csv joins csv_rows, and to_text
-    builds the whole table, since it needs the widest cell first.
+    cells maps (n, k) to an int, for k from start; a cell with a note has
+    no value.  The table is held a row at a time (_IntCells), and so are
+    its renderings: row_texts makes each row's texts when it reaches the
+    row, converting each distinct cell once (a fnomial row's first half,
+    mirrored), and csv_rows writes a row as one chunk, so a writer of its
+    chunks never holds the whole table as text.  to_csv joins csv_rows, and
+    to_text builds the whole table, since it needs the widest cell first.
     """
 
     kind: str
@@ -1015,53 +1037,55 @@ class Triangle:
     cells: _IntCells
     notes: dict
 
-    def cell_texts(self) -> Iterator[tuple[int, int, str]]:
-        """(n, k, decimal text) for each cell with a value, in row order."""
-        notes = self.notes
-        return ((n, k, text) for n, k, text in self._walk() if (n, k) not in notes)
+    @property
+    def start(self) -> int:
+        """The least k of a cell: 0 for a fnomial table with include_zero, else 1."""
+        return self.cells._start
 
-    def _walk(self) -> Iterator[tuple[int, int, str]]:
-        """(n, k, text) for each cell in row order, a note's text led by "!".
-
-        A cell that holds the same object as its mirror (n, n - k), as an
-        fnomial row's second half does, reuses the mirror's text.  A
-        generator, so a caller holds no more cell strings than it keeps.
-        """
-        start = 0 if self.include_zero and self.kind == "fnomial" else 1
-        raw = self.cells._raw
-        for n in range(1, self.rows + 1):
-            texts = []  # this row's texts, from k = start
-            for k in range(start, n + 1):
-                value = raw.get((n, k))
-                if value is None:
-                    text = "!" + self.notes[(n, k)]
-                elif start <= n - k < k and raw.get((n, n - k)) is value:
-                    text = texts[n - k - start]
-                else:
-                    text = to_decimal(value)
-                texts.append(text)
-                yield n, k, text
+    def row_texts(self) -> Iterator[tuple[int, list[str], bool]]:
+        """(n, texts, noted) for each row n: texts[k - start] is the decimal
+        text of cell (n, k), or "!" and its note, and noted tells whether
+        the row has a note."""
+        notes, start = self.notes, self.start
+        noted = {n for n, _ in notes}
+        mirror = self.kind == "fnomial"  # a fnomial row's values are Decimals
+        for n, row in enumerate(self.cells._rows, 1):
+            first, values = (0, row[:n // 2 + 1]) if mirror else (start, row[start:])
+            if n in noted:
+                texts = [
+                    "!" + notes[n, k] if value is None else to_decimal(value)
+                    for k, value in enumerate(values, first)
+                ]
+            else:
+                texts = list(map(str if mirror else to_decimal, values))
+            if mirror:
+                texts += texts[n - n // 2 - 1::-1]
+                del texts[:start]
+            yield n, texts, n in noted
 
     def csv_rows(self) -> Iterator[str]:
         """The CSV text in chunks: the header line, then one chunk per row n."""
         yield "n,k,value\n"
-        for n, row in groupby(self._walk(), key=itemgetter(0)):
-            # only notes, led by "!", hold commas
-            yield "".join(
-                f"{n},{k},{text.replace(',', ';') if text[0] == '!' else text}\n"
-                for _, k, text in row
-            )
+        ks = [f"{k}," for k in range(self.start, self.rows + 1)]
+        for n, texts, noted in self.row_texts():
+            if noted:  # only notes, led by "!", hold commas
+                texts = [text.replace(",", ";") if text[0] == "!" else text for text in texts]
+            # the lines "n,k,text\n" as one join, which copies each text once
+            parts = ["\n"] * (3 * len(texts))
+            parts[0::3] = map(f"{n},".__add__, ks[:len(texts)])
+            parts[1::3] = texts
+            yield "".join(parts)
 
     def to_csv(self) -> str:
         return "".join(self.csv_rows())
 
     def to_text(self) -> str:
-        cells = list(self._walk())
-        width = max((len(text) for _, _, text in cells), default=1)
-        lines = []
-        for n, row in groupby(cells, key=itemgetter(0)):
-            lines.append(f"{n:>3} | " + " ".join(text.rjust(width) for _, _, text in row))
-        return "\n".join(lines) + "\n"
+        rows = [(n, texts) for n, texts, _ in self.row_texts()]
+        width = max((len(text) for _, texts in rows for text in texts), default=1)
+        return "".join(
+            f"{n:>3} | " + " ".join([text.rjust(width) for text in texts]) + "\n"
+            for n, texts in rows
+        )
 
 
 def triangle(
@@ -1079,33 +1103,39 @@ def triangle(
     if kind not in TRIANGLE_KINDS:
         raise ValueError(f"kind must be one of {TRIANGLE_KINDS}, got {kind!r}")
     if rows < 1:
-        raise ValueError(f"rows must be positive, got {rows}")
+        raise ValueError(f"rows must be positive, got {to_decimal(rows)}")
     if rows > DEFAULT_ROW_CAP:
         raise CapExceeded("rows", DEFAULT_ROW_CAP, needed=rows)
-    cells: dict = {}
+    table: list = []  # row n, indexed by k = 0..n; None where a cell has a note
     notes: dict = {}
-    if kind in ("additive", "fibonacci"):
-        cell = _constructive_counter(seq, 1 if kind == "additive" else 2, mode)
-        noted = (IdentityError, ZeroTermError, TilingError)  # the tiler's refusals too
+    if kind == "fnomial":
+        start = 0 if include_zero else 1
+        # its zero-term and range errors propagate
+        for n, row in enumerate(fseq._fnomial_rows(seq, rows), 1):
+            if Fraction in map(type, row):
+                for k, value in enumerate(row):
+                    if type(value) is Fraction:
+                        notes[(n, k)] = f"non-integer {to_decimal(value)}"
+                        row[k] = None
+            table.append(row)
     else:
-        cell = partial(equal_block_bound, seq)
-        noted = (NonIntegralError,)
-    for n in range(1, rows + 1):
-        if kind == "fnomial":
-            # One lazy row per n; its zero-term and range errors propagate.
-            for k, value in enumerate(fseq.fnomial_row(seq, n, decimal=True)):
-                if k == 0 and not include_zero:
-                    continue
-                if type(value) is Fraction:
-                    notes[(n, k)] = f"non-integer {to_decimal(value)}"
-                else:
-                    cells[(n, k)] = value
-            continue
-        for k in range(1, n + 1):
-            try:
-                cells[(n, k)] = cell(n, k)
-            except noted as exc:
-                notes[(n, k)] = str(exc)
+        start = 1
+        if kind in ("additive", "fibonacci"):
+            cell = _constructive_counter(seq, 1 if kind == "additive" else 2, mode)
+            noted = (IdentityError, ZeroTermError, TilingError)  # the tiler's refusals too
+        else:
+            cell = partial(equal_block_bound, seq)
+            noted = (NonIntegralError,)
+        for n in range(1, rows + 1):
+            row = [None]
+            for k in range(1, n + 1):
+                try:
+                    row.append(cell(n, k))
+                except noted as exc:
+                    notes[(n, k)] = str(exc)
+                    row.append(None)
+            table.append(row)
     return Triangle(
-        kind=kind, rows=rows, include_zero=include_zero, cells=_IntCells(cells), notes=notes
+        kind=kind, rows=rows, include_zero=include_zero,
+        cells=_IntCells(table, start, len(notes)), notes=notes,
     )

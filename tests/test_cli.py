@@ -975,6 +975,58 @@ def test_seq_factorials_past_digit_limit(capsys):
     assert len(json.loads(out)["factorials"][-1]) > 5000
 
 
+HUGE_FLAG = "1" + "0" * 5000  # 5,001 digits, past the 4,300-digit limit
+EXPLICIT_3 = '{"kind": "explicit", "terms": ["1", "2", "3", "4"]}'
+
+
+def test_enumerate_limit_past_digit_limit(capsys):
+    argv = ["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--limit"]
+    code, out, err = run(argv + [HUGE_FLAG], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["count"], len(obj["tilings"]), obj["truncated"]) == ("4", 4, False)
+    assert run(argv + ["4"], capsys) == (code, out, err)
+
+
+def test_tile_seed_past_digit_limit(capsys):
+    argv = ["tile", "--seq", "natural", "--k", "2", "--n", "4", "--policy", "seeded-random"]
+    code, out, err = run(argv + ["--seed", HUGE_FLAG], capsys)
+    assert (code, err) == (0, "")
+    want = tiling.tile_additive(fseq.natural(), 2, 4, 10**5000)
+    assert json.loads(out)["blocks"] == poset.tiling_to_dict(want)["blocks"]
+
+
+def test_triangle_rows_past_digit_limit(capsys):
+    argv = ["triangle", "--seq", "natural", "--rows", HUGE_FLAG]
+    assert run(argv, capsys) == (3, "", f"error: rows cap of 200 exceeded (needed {HUGE_FLAG})\n")
+
+
+@pytest.mark.parametrize("argv,index", [
+    (["seq", "--seq", EXPLICIT_3, "--count", HUGE_FLAG], "4"),
+    (["tile", "--seq", EXPLICIT_3, "--k", "2", "--n", HUGE_FLAG], "4"),
+    (["enumerate", "--seq", EXPLICIT_3, "--k", "2", "--n", HUGE_FLAG], "4"),
+    (["enumerate", "--seq", EXPLICIT_3, "--k", HUGE_FLAG, "--n", HUGE_FLAG], HUGE_FLAG),
+], ids=["seq-count", "tile-n", "enumerate-n", "enumerate-k"])
+def test_range_flags_past_digit_limit(argv, index, capsys):
+    want = f"error: explicit sequence has 3 terms past index 0; index {index} is out of range\n"
+    assert run(argv, capsys) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["seq", "--seq", "natural", "--count"], "--count must be >= 0, got "),
+    (["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--limit"],
+     "limit must be >= 0, got "),
+    (["enumerate", "--seq", "natural", "--k", "2", "--n", "3", "--workers"],
+     "workers must be positive, got "),
+    (["cta3", "--seq", "natural", "--count", "3", "--reconstruct"],
+     "--reconstruct must lie in 1..3, got "),
+    (["triangle", "--seq", "natural", "--rows"], "rows must be positive, got "),
+    (["tile", "--seq", "natural", "--k", "2", "--n"], "layer needs 1 <= k <= n, got k=2, n="),
+], ids=["seq-count", "limit", "workers", "reconstruct", "rows", "tile-n"])
+def test_negative_flags_past_digit_limit(argv, err, capsys):
+    assert run(argv + ["-" + HUGE_FLAG], capsys) == (2, "", f"error: {err}-{HUGE_FLAG}\n")
+
+
 # ---------------------------------------------------------------------------
 # printed F-nomials and factorials against the int kernel
 
@@ -1460,6 +1512,24 @@ def test_usage_errors(capsys):
         capsys,
     )[0] == 2
     assert run(["tile", "--seq", "natural", "--k", "0", "--n", "3"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["admissible", "--seq", "natural", "--count", "-1"], "--count must be >= 0, got -1"),
+    (["cta3", "--seq", "natural", "--count", "0"], "--count must be >= 1, got 0"),
+    (["seq", "--seq", '{"kind": "rec2", "f1": 1.5, "f2": 1}', "--count", "1"],
+     "f1 must be an integer, got 1.5"),
+    (["seq", "--seq", '{"kind": "rec2", "f1": true, "f2": 1}', "--count", "1"],
+     "f1 must be an integer, got True"),
+], ids=["admissible-count", "cta3-count", "descriptor-float", "descriptor-bool"])
+def test_guards_are_usage_errors(argv, err, capsys):
+    assert run(argv, capsys) == (2, "", f"error: {err}\n")
+
+
+def test_malformed_integer_flag_is_an_argparse_refusal(capsys):
+    code, out, err = run(["seq", "--seq", "natural", "--count", "1e3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --count: invalid int value: '1e3'\n")
 
 
 def test_zero_level_is_semantic_error(capsys):

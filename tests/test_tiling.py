@@ -1,5 +1,6 @@
 """Tilers, verifier, exhaustive enumeration, counters, triangles."""
 import sys
+import tracemalloc
 from functools import cache
 from itertools import combinations, permutations, product as iproduct
 from math import comb, factorial, prod
@@ -1348,6 +1349,20 @@ def test_triangle_annotates_failing_cells():
     # annotations never add CSV columns
     for line in csv.strip().split("\n")[1:]:
         assert line.count(",") == 2
+
+
+def test_held_fnomial_triangle_is_its_values_and_one_list_a_row():
+    # its 10,200 distinct values take about 3.9 MiB, and one list a row
+    # adds a few hundred KiB more
+    seq = fseq.fibonacci()
+    tracemalloc.start()
+    try:
+        table = tiling.triangle(seq, "fnomial", 200)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.cells) == 200 * 201 // 2
+    assert held < 4.5 * 2**20, f"held {held / 2**20:.2f} MiB"
 
 
 def test_triangle_csv_exact():
