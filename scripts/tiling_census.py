@@ -3,6 +3,10 @@
 
 Writes one CSV row per (k, n) cell. The exhaustive column is exact but
 grows fast; keep --max-n small or pass --skip-exhaustive for wide sweeps.
+A cell whose column meets a zero term reads "error: <message>".  Any other
+refusal ends the census with "error: <message>" on stderr and the cobweb
+CLI's exit code: 2 for usage, such as an index past an explicit sequence's
+end, and 3 for a cap.
 """
 import argparse
 import csv
@@ -12,32 +16,63 @@ from cobweb import cli, errors, fseq, poset, tiling
 from cobweb.digits import to_decimal
 
 
-def census_row(seq, k, n, skip_exhaustive):
-    m = n - k + 1
-    row = {"k": k, "n": n, "blocks": "", "constructive": "", "exhaustive": "", "bound": ""}
-    f = fseq.fnomial(seq, n, m)
-    row["blocks"] = to_decimal(f.value) if f.is_integer else f"non-integer {to_decimal(f.value)}"
+def blocks(seq, k, n):
+    f = fseq.fnomial(seq, n, n - k + 1)
+    return to_decimal(f.value) if f.is_integer else f"non-integer {to_decimal(f.value)}"
+
+
+def constructive(seq, k, n):
+    variant, _, _ = tiling.detect_variant(seq, k, n)
+    if variant == "additive":
+        return to_decimal(tiling.count_tilings_additive(seq, n, k))
+    if variant == "fibonacci":
+        return to_decimal(tiling.count_tilings_fibonacci(seq, n, k))
+    return "no recursion"
+
+
+def exhaustive(seq, k, n):
     try:
-        variant, _, _ = tiling.detect_variant(seq, k, n)
-        if variant == "additive":
-            row["constructive"] = to_decimal(tiling.count_tilings_additive(seq, n, k))
-        elif variant == "fibonacci":
-            row["constructive"] = to_decimal(tiling.count_tilings_fibonacci(seq, n, k))
-        else:
-            row["constructive"] = "no recursion"
-    except errors.CobwebError as exc:
-        row["constructive"] = f"error: {exc}"
-    if not skip_exhaustive:
-        try:
-            layer = poset.build_layer(seq, k, n)
-            row["exhaustive"] = to_decimal(tiling.enumerate_tilings(layer).count)
-        except errors.CapExceeded as exc:
-            row["exhaustive"] = f"capped: {exc}"
+        return to_decimal(tiling.enumerate_tilings(poset.build_layer(seq, k, n)).count)
+    except errors.CapExceeded as exc:
+        return f"capped: {exc}"
+
+
+def bound(seq, k, n):
     try:
-        row["bound"] = to_decimal(tiling.equal_block_bound(seq, n, k))
+        return to_decimal(tiling.equal_block_bound(seq, n, k))
     except errors.NonIntegralError:
-        row["bound"] = "undefined"
+        return "undefined"
+
+
+# (name, column, the refusals that become the cell's "error: ..." text);
+# any other refusal ends the census
+COLUMNS = (
+    ("blocks", blocks, errors.ZeroTermError),
+    ("constructive", constructive, errors.CobwebError),
+    ("exhaustive", exhaustive, errors.ZeroTermError),
+    ("bound", bound, errors.ZeroTermError),
+)
+
+
+def census_row(seq, k, n, skip_exhaustive):
+    row = {"k": k, "n": n}
+    for name, column, refusals in COLUMNS:
+        if name == "exhaustive" and skip_exhaustive:
+            row[name] = ""
+            continue
+        try:
+            row[name] = column(seq, k, n)
+        except refusals as exc:
+            row[name] = f"error: {exc}"
     return row
+
+
+def write_census(handle, seq, args) -> None:
+    writer = csv.DictWriter(handle, fieldnames=["k", "n", *(name for name, _, _ in COLUMNS)])
+    writer.writeheader()
+    for n in range(1, args.max_n + 1):
+        for k in range(1, n + 1):
+            writer.writerow(census_row(seq, k, n, args.skip_exhaustive))
 
 
 def main() -> None:
@@ -50,18 +85,13 @@ def main() -> None:
     args = parser.parse_args()
 
     seq = cli.load_sequence(args.seq)
-    handle = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    writer = csv.DictWriter(
-        handle, fieldnames=["k", "n", "blocks", "constructive", "exhaustive", "bound"]
-    )
-    writer.writeheader()
-    for n in range(1, args.max_n + 1):
-        for k in range(1, n + 1):
-            writer.writerow(census_row(seq, k, n, args.skip_exhaustive))
     if args.output:
-        handle.close()
+        with open(args.output, "w", newline="", encoding="utf-8") as handle:
+            write_census(handle, seq, args)
         print(f"wrote {args.output}")
+    else:
+        write_census(sys.stdout, seq, args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.run_reported(main))

@@ -5,8 +5,9 @@ Each gallery entry shows the generalized-binomial table next to the
 tiling-count triangles, so integrality and growth are easy to eyeball.
 """
 import argparse
+import sys
 
-from cobweb import fseq, tiling
+from cobweb import cli, fseq, tiling
 
 GALLERY = [
     ("natural", fseq.natural(), ("fnomial", "additive", "equal-blocks")),
@@ -34,4 +35,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.run_reported(main))

@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import nullcontext
 from decimal import Decimal
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import fseq, seqalg
 from .digits import EXACT, parse_decimal, to_decimal
@@ -43,7 +43,7 @@ from .tiling import (
     verify_tilings,
 )
 
-__all__ = ["main", "entry", "load_sequence"]
+__all__ = ["main", "entry", "load_sequence", "run_reported"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -478,22 +478,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    return run_reported(functools.partial(_run, ns))
+
+
+def _run(ns: argparse.Namespace) -> int:
+    # a subcommand reads only the caps it has flags for
+    given = {name: _resolve_cap(getattr(ns, f"cap_{name}"), name)
+             for name in CAP_DEFAULTS if hasattr(ns, f"cap_{name}")}
+    ns.caps = Caps(**{name: value for name, value in given.items() if value is not None})
+    return _HANDLERS[ns.command](ns, load_sequence(ns.seq))
+
+
+def run_reported(body: Callable[[], Optional[int]]) -> int:
+    """Exit code of body(), 0 where it returns None, or of the refusal it
+    raises, which prints as "error: <message>" on stderr: 3 for a cap, 2 for
+    a usage or descriptor error (an index past an explicit sequence's end
+    among them), 1 for any other CobwebError.  The scripts under scripts/
+    run their main through it too, so they exit as the CLI does."""
     try:
-        # a subcommand reads only the caps it has flags for
-        given = {name: _resolve_cap(getattr(ns, f"cap_{name}"), name)
-                 for name in CAP_DEFAULTS if hasattr(ns, f"cap_{name}")}
-        ns.caps = Caps(**{name: value for name, value in given.items() if value is not None})
-        seq = load_sequence(ns.seq)
-        return _HANDLERS[ns.command](ns, seq)
-    except CapExceeded as exc:
+        code = body()
+    except (CobwebError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (DescriptorError, SequenceRangeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CobwebError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        if isinstance(exc, CapExceeded):
+            return EXIT_CAP
+        usage = isinstance(exc, (DescriptorError, SequenceRangeError, ValueError, OSError))
+        return EXIT_USAGE if usage else EXIT_NEGATIVE
+    return EXIT_OK if code is None else code
 
 
 def entry() -> None:

@@ -18,9 +18,7 @@ mean a lost digit, so a result is exact or an exception.  Arithmetic on
 Decimals goes through its methods (EXACT.multiply, EXACT.divmod): a plain
 operator uses the caller's current context, which rounds to 28 digits by
 default without raising, and this package never changes that context.  No
-Decimal leaves the public API unasked: values cross it as int, Fraction or
-str, unless a caller opts into Decimal rows (fseq.fnomial_row with
-decimal=True).
+Decimal leaves the public API: values cross it as int, Fraction or str.
 """
 from __future__ import annotations
 

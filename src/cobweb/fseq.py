@@ -23,27 +23,20 @@ counting as one: building a deeper one is a DescriptorError, because term(),
 label() and the descriptor walks recurse once per level.
 
 fnomial evaluates one cell by itself: two k-term products and a
-Fraction.  Scans over whole rows (the admissibility check, the fnomial
-triangle) use fnomial_row instead, which walks a row by the exact
-recurrence {n, k} = {n, k-1} * term(n-k+1) / term(k).  Each step reads two
-terms, multiplies the running value by one and divides it by the other, so
-a row costs O(n) small-by-big operations and a scan of N rows O(N^2),
-against O(N^3) big multiplications cell by cell.  The running value is an
-int while the cells are integral: a step is one divmod, and only a nonzero
-remainder makes it a Fraction, which turns back into an int once a later
-cell is integral again.  Only the cells k <= n/2 are computed: a cell past
-the midpoint is its mirror {n, n-k}, the same object, since once term(1..k)
-are nonzero the terms n-k+1..k cancel from {n, k}.  The row raises the same
-error at the same cell as the per-cell code, because step k reads term(k)
-and then, up to the midpoint, term(n-k+1): the only terms the cell (n, k)
-reads that (n, k-1) did not (past the midpoint, term(n-k+1) was read at
-step n-k+1).  The fnomial triangle, which prints every cell, builds its
-rows with _fnomial_rows instead: the same steps in exact decimal arithmetic
-(cobweb.digits.EXACT) on Decimal integers, whose str() is linear where
-converting an int is quadratic, each row one list over a term list that
-grows by one term a row, its second half the first half's objects in
-reverse.  Scans that print nothing (admissibility) keep ints, which are
-faster there.
+Fraction.  Scans over whole rows (fnomial_row, the admissibility check, the
+fnomial triangle) instead walk a row by the exact recurrence {n, k} =
+{n, k-1} * term(n-k+1) / term(k), in one step loop, _row_steps.  Each step
+multiplies the running value by one term and divides it by another, so a
+row costs O(n) small-by-big operations and a scan of N rows O(N^2), against
+O(N^3) big multiplications cell by cell.  The value stays an integer while
+the cells are integral: a step is one divmod, and only a nonzero remainder
+makes it a Fraction, which turns back into an integer once a later cell is
+integral again.  Only the cells k <= n/2 are computed: once term(1..k) are
+nonzero the terms n-k+1..k cancel from {n, k}, so a cell past the midpoint
+is its mirror {n, n-k}, the same object.  The integers are ints, except in
+the fnomial triangle, which prints every cell: there they are Decimals under
+exact decimal arithmetic (cobweb.digits.EXACT), whose str() is linear where
+converting an int is quadratic.
 """
 from __future__ import annotations
 
@@ -456,46 +449,23 @@ def _zero_denominator(seq: FSeq, j: int) -> ZeroTermError:
     return ZeroTermError(f"term {j} of {seq.label()} is zero; denominator undefined")
 
 
-def fnomial_row(
-    seq: FSeq, n: int, decimal: bool = False
-) -> Iterator[Union[int, Decimal, Fraction]]:
-    """Lazily yield fnomial(seq, n, k).value for k = 0..n, as an int when
-    the cell is integral and as a Fraction otherwise; with decimal=True an
-    integral cell is an integral Decimal instead.
+# The row recurrence's multiply and divmod for each number type its integral
+# cells take.  Decimal's are EXACT's, which never read the caller's context:
+# a plain operator would use it, and it may change while a row is suspended.
+_ARITHMETIC = {int: (operator.mul, divmod), Decimal: (EXACT.multiply, EXACT.divmod)}
 
-    Uses {n, k} = {n, k-1} * term(n-k+1) / term(k) for k <= n/2, and yields
-    the stored cell n - k, the same object, for each k past the midpoint,
-    after checking that term(k), the term cell n - k + 1 read, is nonzero.
-    Errors surface at the same k, with the same exception, as the per-cell
-    fnomial.  A table of rows 1..N is faster as _fnomial_rows, whose row n
-    is the list of this row's values with decimal=True.
-    """
-    if n < 0:
-        raise ValueError(f"fnomial row needs n >= 0, got {n}")
-    # The steps use EXACT's methods, which take int terms exactly, and never
-    # the caller's context, which a suspended row must not change.
-    num, mul, split = (
-        (Decimal, EXACT.multiply, EXACT.divmod) if decimal else (int, operator.mul, divmod)
-    )
-    term = seq.term
+
+def _row_steps(pairs, num: type) -> Iterator[Union[int, Decimal, Fraction]]:
+    """Yield {n, 0} = 1 and then {n, k} for k = 1, 2, ..., pair k being
+    (term(n-k+1), term(k)) as num, int or Decimal: each cell is a num while
+    integral and a Fraction otherwise.  Pairs are read one per cell, so a
+    lazy pair source raises at the cell that reads its term."""
+    mul, split = _ARITHMETIC[num]
     value = num(1)
-    row = [value]
-    tops = [1]  # tops[j] = term(n - j + 1), read at cell j of the first half
     yield value
-    for k in range(1, n + 1):
-        j = n - k + 1
-        den = tops[j] if j < len(tops) else term(k)  # past the midpoint, cell j read it
-        if not den:
-            raise _zero_denominator(seq, k)
-        if 2 * k > n:
-            # term(1..k) are nonzero, so the terms n-k+1..k cancel and
-            # {n, k} = {n, n-k}, the same rational and so the same type.
-            yield row[n - k]
-            continue
-        top = term(j)
-        tops.append(top)
+    for top, den in pairs:
         if type(value) is Fraction:
-            value *= Fraction(top, den)
+            value *= Fraction(int(top), int(den))
             if value.denominator == 1:
                 value = num(value.numerator)
         else:
@@ -504,48 +474,60 @@ def fnomial_row(
             whole = mul(value, top)
             value, rest = split(whole, den)
             if rest:
-                value = Fraction(int(whole), den)
-        row.append(value)
+                value = Fraction(int(whole), int(den))
         yield value
 
 
-def _fnomial_rows(seq: FSeq, N: int) -> Iterator[list[Union[Decimal, Fraction]]]:
-    """Yield, for n = 1..N, row n of fnomials as one list of its cells k =
-    0..n: an integral Decimal, or a Fraction where the cell is not integral.
+def fnomial_row(seq: FSeq, n: int) -> Iterator[Union[int, Fraction]]:
+    """Lazily yield fnomial(seq, n, k).value for k = 0..n, as an int when
+    the cell is integral and as a Fraction otherwise.
 
-    The first half is fnomial_row's decimal steps over the terms read so
-    far, each converted to a Decimal once, and cells n//2 + 1..n are cells
-    n - n//2 - 1..0, the same objects.  Row n reads one new term, term(n),
-    and divides by it only at its last cell, so it raises what
-    fnomial_row(seq, n) raises, at the same cell: rows 1..n-1 have checked
-    term(1..n-1).
+    Step k <= n/2 reads term(k), checks it is nonzero and reads
+    term(n-k+1): the only terms the cell (n, k) reads that (n, k-1) did
+    not.  Each cell k past the midpoint is the stored cell n - k, the same
+    object, yielded after checking that term(k) is nonzero.  So errors
+    surface at the same k, with the same exception, as the per-cell fnomial.
     """
-    multiply, split = EXACT.multiply, EXACT.divmod
-    one = Decimal(1)
-    terms, decimals = [1], [one]
+    if n < 0:
+        raise ValueError(f"fnomial row needs n >= 0, got {n}")
+    term = seq.term
+
+    def pairs():
+        for k in range(1, n // 2 + 1):
+            den = term(k)
+            if not den:
+                raise _zero_denominator(seq, k)
+            yield term(n - k + 1), den
+
+    row = []
+    for value in _row_steps(pairs(), int):
+        row.append(value)
+        yield value
+    for k in range(n // 2 + 1, n + 1):
+        if not term(k):
+            raise _zero_denominator(seq, k)
+        # term(1..k) are nonzero, so the terms n-k+1..k cancel and
+        # {n, k} = {n, n-k}, the same rational and so the same type.
+        yield row[n - k]
+
+
+def _half_rows(seq: FSeq, N: int, num: type) -> Iterator[Iterator]:
+    """Yield, for n = 1..N, the lazy cells k = 0..n//2 of row n, as
+    _row_steps gives them in num.
+
+    Row n reads one new term, term(n), as it starts, and divides by it only
+    at its last cell (n, n): so it raises that term's zero error once the
+    caller has read the row and asks for the next one, or for the end.
+    Up to that point every error is the per-cell fnomial's, at the same
+    cell, since rows 1..n-1 have read and checked term(1..n-1).
+    """
+    terms = [num(1)]
     for n in range(1, N + 1):
-        terms.append(seq.term(n))
+        terms.append(num(seq.term(n)))
+        half = n // 2
+        yield _row_steps(zip(terms[n:n - half:-1], terms[1:half + 1]), num)
         if not terms[n]:
             raise _zero_denominator(seq, n)
-        decimals.append(Decimal(terms[n]))
-        half = n // 2
-        value = one
-        row = [one]
-        # step k multiplies by term(n - k + 1) and divides by term(k)
-        steps = zip(range(1, half + 1), decimals[n:n - half:-1], decimals[1:half + 1])
-        for k, top, den in steps:
-            if type(value) is Fraction:
-                value *= Fraction(terms[n - k + 1], terms[k])
-                if value.denominator == 1:
-                    value = Decimal(value.numerator)
-            else:
-                whole = multiply(value, top)
-                value, rest = split(whole, den)
-                if rest:
-                    value = Fraction(int(whole), terms[k])
-            row.append(value)
-        row += row[n - half - 1::-1]
-        yield row
 
 
 def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
@@ -556,18 +538,12 @@ def is_admissible_prefix(seq: FSeq, N: int) -> Optional[tuple[int, int]]:
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    # fnomial_row's int steps, which stop at the first remainder: row n
-    # reads term(n) first and divides by it only at its last cell
-    terms = [1]
-    for n in range(1, N + 1):
-        terms.append(seq.term(n))
-        value = 1
-        for k in range(1, n // 2 + 1):
-            value, rest = divmod(value * terms[n - k + 1], terms[k])
-            if rest:
+    # a cell past a row's midpoint is its mirror, so a row's first non-integral
+    # cell is in its first half
+    for n, cells in enumerate(_half_rows(seq, N, int), 1):
+        for k, value in enumerate(cells):
+            if type(value) is Fraction:
                 return (n, k)
-        if not terms[n]:
-            raise _zero_denominator(seq, n)
     return None
 
 

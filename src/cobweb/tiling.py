@@ -73,6 +73,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
@@ -1110,8 +1111,11 @@ def triangle(
     notes: dict = {}
     if kind == "fnomial":
         start = 0 if include_zero else 1
-        # its zero-term and range errors propagate
-        for n, row in enumerate(fseq._fnomial_rows(seq, rows), 1):
+        # Decimal integers print in linear time (cobweb.digits); the rows'
+        # zero-term and range errors propagate
+        for n, half in enumerate(fseq._half_rows(seq, rows, Decimal), 1):
+            row = list(half)
+            row += row[n - n // 2 - 1::-1]  # cells past the midpoint: their mirrors
             if Fraction in map(type, row):
                 for k, value in enumerate(row):
                     if type(value) is Fraction:

@@ -1040,15 +1040,17 @@ def capture(argv):
 
 def int_kernel_cells(seq, rows, include_zero):
     """([(n, k, text)], error): each printed cell of the fnomial triangle as
-    the int kernel's value prints, a note's text led by "!", or the error a
-    row raises."""
+    the per-cell kernel's value prints, a note's text led by "!", or the
+    first error a cell raises.  fseq.fnomial shares no code with the rows
+    the triangle is built from."""
     cells = []
     try:
         for n in range(1, rows + 1):
-            for k, value in enumerate(fseq.fnomial_row(seq, n)):
+            for k in range(n + 1):
+                f = fseq.fnomial(seq, n, k)
                 if k or include_zero:
-                    text = to_decimal(value)
-                    cells.append((n, k, text if type(value) is int else "!non-integer " + text))
+                    text = to_decimal(f.value)
+                    cells.append((n, k, text if f.is_integer else "!non-integer " + text))
     except errors.CobwebError as exc:
         return None, exc
     return cells, None

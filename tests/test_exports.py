@@ -42,17 +42,32 @@ CAPPED = [
 ]
 
 
-@pytest.mark.parametrize("name", ("fseq", "poset", "tiling", "seqalg"))
-def test_no_cap_keyword_but_caps(name):
+LIBRARY = ("fseq", "poset", "tiling", "seqalg")
+
+
+def public_parameters(name):
+    """(entry, parameter names) of each public function or class of a module."""
     module = importlib.import_module(f"cobweb.{name}")
     for entry in module.__all__:
         target = getattr(module, entry)
-        if not (inspect.isfunction(target) or inspect.isclass(target)):
-            continue  # a constant or a type alias such as poset.Chain
-        params = inspect.signature(target).parameters
+        if inspect.isfunction(target) or inspect.isclass(target):
+            # not a constant or a type alias such as poset.Chain
+            yield entry, inspect.signature(target).parameters
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_no_cap_keyword_but_caps(name):
+    for entry, params in public_parameters(name):
         stray = [p for p in params if p == "cap" or p.endswith("_cap")]
         assert stray == [], (name, entry)
         assert ("caps" in params) == ((name, entry) in CAPPED), (name, entry)
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_no_decimal_keyword(name):
+    # values cross the public API as int, Fraction or str, never as Decimal
+    for entry, params in public_parameters(name):
+        assert "decimal" not in params, (name, entry)
 
 
 def test_caps_names_and_defaults():

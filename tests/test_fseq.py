@@ -1,5 +1,4 @@
 """Sequence kernel: terms, factorials, generalized binomials, identities."""
-import decimal
 import json
 import sys
 from decimal import Decimal
@@ -486,16 +485,33 @@ def test_mirrored_half_keeps_fractions():
     assert [type(v) for v in row] == [int, int, Fraction, Fraction, int, int]
 
 
+def _shared_rows(seq, N, num):
+    """Rows 1..N of the shared row generator in num, each its cells k = 0..n//2,
+    and the (type, message) of the error that ends them, or None."""
+    rows = []
+    try:
+        for cells in fseq._half_rows(seq, N, num):
+            rows.append(list(cells))
+    except (errors.ZeroTermError, errors.SequenceRangeError) as exc:
+        return rows, (type(exc), str(exc))
+    return rows, None
+
+
 @pytest.mark.parametrize("seq,n", [
     (fseq.fibonacci(), 41), (fseq.natural(), 40), (fseq.explicit([1, 1, 2, 4, 3, 5]), 5),
 ])
 def test_mirrored_decimal_cells_equal_the_int_row(seq, n):
-    decimals = list(fseq.fnomial_row(seq, n, decimal=True))
     ints = list(fseq.fnomial_row(seq, n))
-    assert decimals == ints
+    decimals = _shared_rows(seq, n, Decimal)[0][n - 1]
+    assert decimals == ints[:n // 2 + 1]
+    assert [type(v) for v in decimals] == [
+        Decimal if type(v) is int else Fraction for v in ints[:n // 2 + 1]
+    ]
+    # the triangle holds a Decimal row's second half as its first half's objects
+    held = tiling.triangle(seq, "fnomial", n, include_zero=True).cells._rows[n - 1]
     for k in range(n // 2 + 1, n + 1):
-        assert type(decimals[k]) is (Decimal if type(ints[k]) is int else Fraction)
-        assert decimals[k] is decimals[n - k]  # the mirror, not a recomputed cell
+        assert ints[k] is ints[n - k]  # the mirror, not a recomputed cell
+        assert held[k] is held[n - k]
 
 
 def test_fnomial_row_rejects_negative_row():
@@ -507,39 +523,13 @@ def test_fnomial_row_natural_is_pascal():
     assert list(fseq.fnomial_row(fseq.natural(), 6)) == [1, 6, 15, 20, 15, 6, 1]
 
 
-@given(_explicit_terms, st.integers(0, 11))
+@given(_explicit_terms, st.integers(1, 11))
 @settings(max_examples=150, deadline=None)
-def test_decimal_row_matches_int_row(seq, n):
-    ints = fseq.fnomial_row(seq, n)
-    decimals = fseq.fnomial_row(seq, n, decimal=True)
-    for _ in range(n + 1):
-        want = _outcome(lambda: next(ints))
-        got = _outcome(lambda: next(decimals))
-        assert got == want
-        if want[0] == "error":
-            return
-        assert type(got[1]) is (Decimal if type(want[1]) is int else Fraction)
-    assert next(decimals, None) is None
-
-
-def decimal_context_state():
-    """The current decimal context and every setting it holds."""
-    ctx = decimal.getcontext()
-    settings = (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp)
-    return ctx, settings, dict(ctx.traps), dict(ctx.flags)
-
-
-def test_decimal_row_neither_reads_nor_changes_the_callers_context():
-    before = decimal_context_state()
-    row = fseq.fnomial_row(fseq.fibonacci(), 120, decimal=True)
-    head = [next(row) for _ in range(60)]
-    assert decimal_context_state() == before  # suspended mid-row
-    with decimal.localcontext() as ctx:
-        ctx.prec = 5  # a Decimal operator would round every cell to 5 digits
-        rest = list(row)
-    assert decimal_context_state() == before
-    assert head + rest == list(fseq.fnomial_row(fseq.fibonacci(), 120))
-    assert max(rest) > 10**500
+def test_decimal_row_matches_int_row(seq, N):
+    decimals, ints = _shared_rows(seq, N, Decimal), _shared_rows(seq, N, int)
+    assert decimals == ints  # the same cells and the same error
+    for row, want in zip(decimals[0], ints[0]):
+        assert [type(v) for v in row] == [Decimal if type(v) is int else Fraction for v in want]
 
 
 # hypothesis raises the recursion limit while a test runs, which would hide
