@@ -6,6 +6,7 @@ to get a picture of the chain partition.
 """
 import argparse
 import pathlib
+import re
 import sys
 
 from cobweb import cli, poset, tiling
@@ -46,7 +47,9 @@ def main() -> None:
             print(f"{spec} {k}..{n} failed verification: {violation.clause}: {violation.detail}",
                   file=sys.stderr)
             sys.exit(1)
-        path = outdir / f"{spec.replace(' ', '_')}_{k}_{n}.dot"
+        # the label, not the spec, names the file: a spec may be a path or JSON
+        name = re.sub(r"[^A-Za-z0-9._-]", "_", seq.label())
+        path = outdir / f"{name}_{k}_{n}.dot"
         path.write_text(poset.to_dot(result.layer, result), encoding="utf-8")
         print(f"{path}  ({len(result.blocks)} blocks, {variant})")
 

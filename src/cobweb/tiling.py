@@ -57,15 +57,16 @@ search branches on the uncovered chain with the fewest remaining rows (MRV).
 One count loop memoizes the count of each uncovered chain set, keyed on a
 normal form of the set under permuting the slots of one level (which maps
 tilings to tilings), follows forced states without a key, and charges each
-state it expands to one node cap.  A listing reads its counts from that
-memo.  The first tiling of a raw set is a walk of count lookups: its least
-row is the least row whose removal leaves a set with a tiling, and a row
-that alone covers the lowest chain is taken without a lookup.  The rest come
-from one heap of the subtrees not yet listed (Lawler's k-best partition): the
-subtree with the greatest first tiling gives it, and the children off that
-tiling's path go back in under bounds, so a raw set is expanded only on the
-path of a listed tiling with more below it.  That gives canonical order
-without building every solution.
+state it expands to one node cap.  A child's alive rows are cut from one
+mask per (level, subset) when it is entered.  A listing reads its counts
+from that memo.  The first tiling of a raw set is a walk of count lookups:
+its least row is the least row whose removal leaves a set with a tiling, and
+a row that alone covers the lowest chain is taken without a lookup.  The
+rest come from one heap of the subtrees not yet listed (Lawler's k-best
+partition): the subtree with the greatest first tiling gives it, and the
+children off that tiling's path go back in under bounds, so a raw set is
+expanded only on the path of a listed tiling with more below it.  That gives
+canonical order without building every solution.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ from functools import cache, partial, reduce
 from heapq import heappop, heappush
 from itertools import chain, combinations, product as iproduct, repeat
 from math import comb, factorial, prod
-from operator import attrgetter, or_
+from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator, Optional
 
 from . import fseq
@@ -599,9 +600,10 @@ class _Search:
     listing that reads its counts.
 
     masks[r] holds the chains of row r, elem_rows[e] the rows covering chain
-    e, and clash[r] the rows sharing a chain with row r.  A state is
+    e, and meets[level, subset] the rows meeting that subset.  A state is
     (uncovered, alive); the alive rows are the rows inside the uncovered
-    chains, so the uncovered set alone decides the count.
+    chains, so the uncovered set alone decides the count.  A child's alive
+    set (_alive) is built when it is entered.
 
     The rows are every placement of the layer of level sizes `sizes`, so
     they are closed under permuting the slots of one level, and two
@@ -642,16 +644,9 @@ class _Search:
         self.elem_rows = [(1 << len(rows)) - 1]
         for slots in through:
             self.elem_rows = [acc & slot_rows for acc in self.elem_rows for slot_rows in slots]
-        meets: dict = {}  # (level, subset) -> the rows meeting the subset
-        self.clash = []
-        for subsets in rows:
-            clash = -1
-            for i, subset in enumerate(subsets):
-                part = meets.get((i, subset))
-                if part is None:
-                    part = meets[i, subset] = reduce(or_, map(through[i].__getitem__, subset))
-                clash &= part
-            self.clash.append(clash)
+        self.meets = {(i, subset): reduce(or_, map(through[i].__getitem__, subset))
+                      for i, subset in spread}
+        self.rows = rows
         self.root = ((1 << n_elems) - 1, (1 << len(rows)) - 1)
         self.top = len(rows) - 1
         self.memo = {0: 1}
@@ -697,13 +692,17 @@ class _Search:
             memo, key = self.memo, self._key
             partial = memo.get(key(self.root[0]))
             if partial is None:
-                partial = sum(memo.get(key(u), 0) for _, u, _ in self._children(*self.root))
+                partial = sum(memo.get(key(u), 0) for _, u in self._children(*self.root))
             raise CapExceeded("nodes", self.node_cap, partial_count=partial)
         return self._children(uncovered, alive)
 
+    def _alive(self, alive: int, r: int) -> int:
+        """alive less the rows meeting row r on every level: those sharing a chain."""
+        return alive & ~reduce(and_, map(self.meets.__getitem__, enumerate(self.rows[r])))
+
     def _children(self, uncovered: int, alive: int) -> list:
-        """(row, uncovered, alive) after each alive row covering the MRV chain,
-        the uncovered chain with the fewest alive rows (ties to the lowest)."""
+        """(row, uncovered) after each alive row covering the MRV chain, the
+        uncovered chain with the fewest alive rows (ties to the lowest)."""
         elem_rows = self.elem_rows
         best, fewest = 0, None
         rest = uncovered
@@ -716,35 +715,37 @@ class _Search:
                 if n <= 1:
                     break
             rest ^= low
-        masks, clash = self.masks, self.clash
+        masks = self.masks
         out = []
         while best:
             low = best & -best
             r = low.bit_length() - 1
-            out.append((r, uncovered ^ masks[r], alive & ~clash[r]))
+            out.append((r, uncovered ^ masks[r]))
             best ^= low
         return out
 
-    def count(self, uncovered: int, alive: int) -> int:
+    def count(self, uncovered: int, alive: int, row: Optional[int] = None) -> int:
         """The state's count, memo[_key(uncovered)], filled from an explicit
         stack: a state's count is the sum of its children's, and a state
         with one child that is not the empty set is followed to that child
-        without a key of its own."""
-        memo, key = self.memo, self._key
+        without a key of its own.  With a row, alive is the parent's."""
+        memo, key, cut = self.memo, self._key, self._alive
         start = key(uncovered)
-        stack = [(start, uncovered, alive, None)]
+        stack = [(start, uncovered, alive, row)]
         while stack:
-            k, uncovered, alive, kids = stack.pop()
-            if kids is not None:  # the kids' keys
-                memo[k] = sum(map(memo.__getitem__, kids))
+            k, uncovered, alive, row = stack.pop()
+            if uncovered is None:  # alive holds the kids' keys
+                memo[k] = sum(map(memo.__getitem__, alive))
             elif k not in memo:
+                alive = alive if row is None else cut(alive, row)  # entered on a miss
                 kids = self._expand(uncovered, alive)
                 while len(kids) == 1 and kids[0][1]:  # forced: the child's count
-                    _, uncovered, alive = kids[0]
+                    row, uncovered = kids[0]
+                    alive = cut(alive, row)
                     kids = self._expand(uncovered, alive)
-                kids = [(key(u), u, a) for _, u, a in kids]
-                stack.append((k, None, None, [c for c, _, _ in kids]))
-                stack += [(c, u, a, None) for c, u, a in kids if c not in memo]
+                kids = [(key(u), u, r) for r, u in kids]
+                stack.append((k, None, [c for c, _, _ in kids], None))
+                stack += [(c, u, alive, r) for c, u, r in kids if c not in memo]
         return memo[start]
 
     def listing(self, limit: int) -> list[tuple[int, ...]]:
@@ -787,11 +788,11 @@ class _Search:
                 if children is None:
                     children = kids[uncovered] = []
                     expanded, left = self._expand(uncovered, alive), total
-                    for r, u, a in expanded:
-                        got = left if r == expanded[-1][0] else count(u, a)
+                    for r, u in expanded:
+                        got = left if r == expanded[-1][0] else count(u, alive, r)
                         if got:
                             left -= got
-                            children.append((1 << (top - r), u, a, got))
+                            children.append((1 << (top - r), u, self._alive(alive, r), got))
                 for bit, u, a, got in children:
                     if key & bit:
                         path = bit, u, a, got
@@ -812,8 +813,7 @@ class _Search:
         chain lies in every solution, so the walk takes it without a count:
         the count follows such forced states without keys, and a count from
         inside a forced run would walk the rest of it again."""
-        firsts, masks, clash, elem_rows, count = (
-            self.firsts, self.masks, self.clash, self.elem_rows, self.count)
+        firsts, masks, elem_rows, count = self.firsts, self.masks, self.elem_rows, self.count
         path, low = [], 0  # no row below low lies in a solution
         while uncovered not in firsts:
             rows = alive & elem_rows[(uncovered & -uncovered).bit_length() - 1]
@@ -821,14 +821,14 @@ class _Search:
                 rest = alive >> low << low
                 while True:
                     r = (rest & -rest).bit_length() - 1
-                    if count(uncovered ^ masks[r], alive & ~clash[r]):
+                    if count(uncovered ^ masks[r], alive, r):
                         break
                     rest &= rest - 1
                 low = r + 1
             else:
                 r = rows.bit_length() - 1
             path.append((uncovered, r))
-            uncovered, alive = uncovered ^ masks[r], alive & ~clash[r]
+            uncovered, alive = uncovered ^ masks[r], self._alive(alive, r)
         key = firsts[uncovered]
         for uncovered, r in reversed(path):
             key |= 1 << (self.top - r)

@@ -493,6 +493,24 @@ def test_enumerate_node_cap_flag(capsys):
     assert "nodes cap of 50 exceeded" in obj["error"]
 
 
+def test_enumerate_search_memory_fits_under_an_address_space_limit():
+    # natural 4..7 has 212,205 placements inside every default cap: a clash
+    # mask per placement (about 5 GiB) ended in a raw MemoryError here; the
+    # child limits only its own address space
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cobweb import cli\n"
+        "sys.exit(cli.main(['enumerate', '--seq', 'natural', '--k', '4', '--n', '7',"
+        " '--format', 'text', '--cap-nodes', '1']))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert (proc.returncode, proc.stdout) == (3, "incomplete: nodes cap of 1 exceeded\n")
+
+
 def test_enumerate_natural_3_5_listing_is_pinned(capsys):
     # sha256 of the stdout, pinned from the raw-keyed recorded pass that the
     # demand-driven listing replaced

@@ -86,6 +86,24 @@ def test_census_notes_a_zero_term_per_cell(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
 
 
+def test_render_layers_names_its_file_from_the_label(tmp_path):
+    # an absolute spec path and an inline JSON spec both land inside --out,
+    # under the sequence's label with everything but [A-Za-z0-9._-] as "_"
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    path_spec = specs / "fib.json"
+    path_spec.write_text('{"kind":"fibonacci"}', encoding="utf-8")
+    inline = '{"kind":"explicit","terms":["1","1","2","3","4","5"]}'
+    out = tmp_path / "out"
+    for spec in (str(path_spec), inline):
+        proc = run_script("render_layers.py", ["--out", str(out), "--seq", spec], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), spec
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["explicit_5_terms__2_4.dot", "fibonacci_2_4.dot"]
+    assert sorted(p.name for p in tmp_path.rglob("*.dot")) == names
+    assert [p.name for p in specs.iterdir()] == ["fib.json"]
+
+
 def test_render_layers_exits_on_a_failed_verification(tmp_path, monkeypatch, capsys):
     # an explicit check, not an assert, so that python -O keeps it
     path = ROOT / "scripts" / "render_layers.py"

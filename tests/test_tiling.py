@@ -740,8 +740,9 @@ def test_search_rows_match_chain_ids(seq, k, n):
     elem_rows = [sum(1 << r for r, row in enumerate(rows) if e in row)
                  for e in range(layer.chain_count)]
     assert search.elem_rows == elem_rows
-    assert search.clash == [
-        sum(1 << q for q, other in enumerate(rows) if set(row) & set(other)) for row in rows
+    everything = (1 << len(rows)) - 1
+    assert [search._alive(everything, r) for r in range(len(rows))] == [
+        sum(1 << q for q, other in enumerate(rows) if not set(row) & set(other)) for row in rows
     ]
 
 # the fixed layers that the tier-1 tests and the enumerate bench count by
@@ -820,7 +821,7 @@ def _raw_count(search, uncovered, memo):
     if uncovered not in memo:
         alive = sum(1 << r for r, mask in enumerate(search.masks) if not mask & ~uncovered)
         kids = search._children(uncovered, alive)
-        memo[uncovered] = sum(_raw_count(search, u, memo) for _, u, _ in kids)
+        memo[uncovered] = sum(_raw_count(search, u, memo) for _, u in kids)
     return memo[uncovered]
 
 
@@ -839,13 +840,13 @@ def _recorded(search):
     while stack:
         uncovered, alive, kids = stack.pop()
         if kids is not None:
-            memo[uncovered] = sum(memo[u] for _, u, _ in kids)
+            memo[uncovered] = sum(memo[u] for _, u in kids)
             if memo[uncovered]:
-                dag[uncovered] = [(r, u) for r, u, _ in kids if memo[u]]
+                dag[uncovered] = [(r, u) for r, u in kids if memo[u]]
         elif uncovered not in memo:
             kids = search._children(uncovered, alive)
             stack.append((uncovered, alive, kids))
-            stack += [(u, a, None) for _, u, a in kids if u not in memo]
+            stack += [(u, search._alive(alive, r), None) for r, u in kids if u not in memo]
     return memo, dag
 
 
@@ -904,7 +905,8 @@ def _listing_oracle(layer):
             solutions.append(path)
             continue
         kids = search._children(uncovered, alive)
-        stack += [(path + (r,), u, a) for r, u, a in kids if _raw_count(search, u, counts)]
+        stack += [(path + (r,), u, search._alive(alive, r))
+                  for r, u in kids if _raw_count(search, u, counts)]
     return sorted(tuple(sorted(placements[r].subsets for r in s)) for s in solutions)
 
 
