@@ -47,7 +47,6 @@ from .seqalg import (
     reconstruct_prefix,
 )
 from .poset import (
-    BlockPlacement,
     Layer,
     Tiling,
     build_layer,

@@ -141,7 +141,7 @@ def _block_renderer(depth: int):
     def subset(s: tuple) -> str:
         return head + sep.join(map(str, s)) + tail if s else "[]"
 
-    return lambda block: _json_array(list(map(subset, block.subsets)), depth)
+    return lambda block: _json_array(list(map(subset, block)), depth)
 
 
 def _report(ns: argparse.Namespace, obj: dict, text: str) -> None:
@@ -219,7 +219,7 @@ def _render_tiling_text(tiling) -> Iterator[str]:
         f"sizes={','.join(str(s) for s in tiling.layer.sizes)}\n"
     )
     for i, block in enumerate(tiling.blocks):
-        parts = " | ".join(",".join(str(s) for s in subset) for subset in block.subsets)
+        parts = " | ".join(",".join(str(s) for s in subset) for subset in block)
         yield f"block {i}: {parts}\n"
 
 

@@ -2,11 +2,11 @@
 
 A layer spans levels k..n of the graded poset defined by a sequence; level j
 carries term(j) anonymous vertex slots and consecutive levels are completely
-bipartite.  A maximal chain picks one slot per level.  A block placement is a
-choice of one nonempty slot subset per level whose size multiset equals the
-multiset of prime sizes {term(1), ..., term(m)}; its chain set is the
-Cartesian product of the subsets.  A tiling partitions the chain universe
-into such blocks.
+bipartite.  A maximal chain picks one slot per level.  A block (placement) is
+a tuple of one nonempty sorted slot tuple per level whose size multiset
+equals the multiset of prime sizes {term(1), ..., term(m)}; its chain set is
+the Cartesian product of the subsets, itertools.product(*block).  A tiling
+partitions the chain universe into such blocks.
 
 A chain's id is its index in the lexicographic order enumerate_chains
 yields: its slots read as one mixed-radix number, level k most significant.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from . import fseq
@@ -31,8 +31,8 @@ from .fseq import FSeq
 
 __all__ = [
     "Chain",
+    "Block",
     "Layer",
-    "BlockPlacement",
     "Tiling",
     "build_layer",
     "prime_level_sizes",
@@ -47,6 +47,8 @@ __all__ = [
 
 # A maximal chain is one slot index per level, bottom to top.
 Chain = tuple[int, ...]
+# A block is one sorted slot tuple per level, bottom to top.
+Block = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,11 @@ def prime_level_sizes(seq: FSeq, m: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class BlockPlacement:
-    """Per-level slot subsets forming one block; subsets are sorted tuples."""
-
-    subsets: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Tiling:
-    """A canonical, sorted family of block placements over one layer."""
+    """A canonical, sorted family of blocks over one layer."""
 
     layer: Layer
-    blocks: tuple[BlockPlacement, ...]
+    blocks: tuple[Block, ...]
 
 
 def tiling_to_dict(tiling: Tiling) -> dict:
@@ -112,7 +107,7 @@ def tiling_to_dict(tiling: Tiling) -> dict:
             "seq": fseq.to_descriptor(tiling.layer.seq),
         },
         "blocks": [
-            [list(subset) for subset in block.subsets] for block in tiling.blocks
+            [list(subset) for subset in block] for block in tiling.blocks
         ],
     }
 
@@ -161,7 +156,7 @@ def placement_count(layer: Layer) -> int:
     )
 
 
-def enumerate_placements(layer: Layer, caps: Caps = Caps()) -> Iterator[BlockPlacement]:
+def enumerate_placements(layer: Layer, caps: Caps = Caps()) -> Iterator[Block]:
     """All distinct block placements in deterministic order.
 
     Each fitting ordering of the prime sizes is one size assignment, and
@@ -169,17 +164,10 @@ def enumerate_placements(layer: Layer, caps: Caps = Caps()) -> Iterator[BlockPla
     the lexicographic order of each level's subset.
     """
     caps.check("placements", placement_count(layer))
-
-    def generate() -> Iterator[BlockPlacement]:
-        for assignment in _fitting_assignments(layer):
-            pools = [
-                combinations(range(size), a)
-                for size, a in zip(layer.sizes, assignment)
-            ]
-            for subsets in iproduct(*pools):
-                yield BlockPlacement(subsets=subsets)
-
-    return generate()
+    return chain.from_iterable(
+        iproduct(*(combinations(range(size), a) for size, a in zip(layer.sizes, assignment)))
+        for assignment in _fitting_assignments(layer)
+    )
 
 
 _DOT_PALETTE = (
@@ -224,8 +212,8 @@ def to_dot(layer: Layer, tiling: Optional[Tiling] = None) -> str:
             color = _DOT_PALETTE[index % len(_DOT_PALETTE)]
             for i in range(layer.m - 1):
                 lo, hi = layer.k + i, layer.k + i + 1
-                for a in block.subsets[i]:
-                    for b in block.subsets[i + 1]:
+                for a in block[i]:
+                    for b in block[i + 1]:
                         lines.append(
                             f'  v{lo}_{a} -> v{hi}_{b} [color="{color}"];'
                         )

@@ -21,11 +21,10 @@ detect_variant and the derived counter:
   makes a block of each choice of one run per level.
 
 Every other cell needs its identity.  The driver memoizes every cell, a
-tiler's cell as its sorted distinct tilings.  A choice source offers the
-group families a split may use: without a seed it cuts the top slots in
+tiler's cell as the sorted blocks of its one tiling.  A choice source gives
+the group family a split uses: without a seed it cuts the top slots in
 order, with an int seed it shuffles them once per split from
-random.Random(seed), and the private _all_families offers every unordered
-family, the counters' oracle.
+random.Random(seed).
 
 The counters give the same driver their own leaf and split.  derived mode
 counts the tiler's choice tree by its rules: unordered families, none with
@@ -78,10 +77,10 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
-from itertools import chain, combinations, product as iproduct, repeat
+from itertools import chain, product as iproduct, repeat
 from math import comb, factorial, prod
-from operator import and_, attrgetter, or_
-from typing import Iterable, Iterator, Optional
+from operator import and_, or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import fseq
 from .digits import to_decimal
@@ -96,7 +95,7 @@ from .errors import (
 )
 from .fseq import FSeq
 from .poset import (
-    BlockPlacement,
+    Block,
     Layer,
     Tiling,
     build_layer,
@@ -189,34 +188,9 @@ def _chunk(order: list[int], start: int, size: int, count: int) -> tuple:
     ))
 
 
-def _unordered_groups(slots: tuple[int, ...], size: int) -> Iterator[tuple]:
-    """Partitions of slots into unordered groups of a fixed positive size."""
-    if not slots:
-        yield ()
-        return
-    head = slots[0]
-    rest = slots[1:]
-    for mates in combinations(rest, size - 1):
-        mate_set = set(mates)
-        leftover = tuple(x for x in rest if x not in mate_set)
-        group = (head,) + mates
-        for tail in _unordered_groups(leftover, size):
-            yield (group,) + tail
-
-
-def _all_families(top, size_a, count_a, size_b, count_b) -> Iterator[tuple]:
-    """Every unordered family of count_a groups of size_a and count_b of size_b."""
-    slots = tuple(range(top))
-    for region in combinations(slots, size_a * count_a):
-        region_set = set(region)
-        remainder = tuple(x for x in slots if x not in region_set)
-        for groups_a in _unordered_groups(region, size_a):
-            for groups_b in _unordered_groups(remainder, size_b) if count_b else [()]:
-                yield groups_a, groups_b
-
-
 def _choice_source(seed: Optional[int]):
-    """One group family per split, cut in order from the top level's slots,
+    """choose(top, size_a, count_a, size_b, count_b): one split's group
+    family (groups_a, groups_b), cut in order from the top level's slots,
     shuffled once per split by random.Random(seed) when a seed is given."""
     if seed is not None and (type(seed) is bool or not isinstance(seed, int)):
         raise ValueError(f"seed must be an int or None, got {seed!r}")
@@ -225,7 +199,7 @@ def _choice_source(seed: Optional[int]):
     def choose(top, size_a, count_a, size_b, count_b):
         order = rng.sample(range(top), top) if rng else list(range(top))
         cut = size_a * count_a
-        return [(_chunk(order, 0, size_a, count_a), _chunk(order, cut, size_b, count_b))]
+        return _chunk(order, 0, size_a, count_a), _chunk(order, cut, size_b, count_b)
 
     return choose
 
@@ -323,41 +297,31 @@ def _cells(seq: FSeq, which: int, leaf, split, mode: str = "derived"):
     return value
 
 
-def _layer_tilings(seq, k, n, which, choose, caps) -> list[Tiling]:
-    """The sorted distinct tilings of levels k..n under identity `which`'s
-    recursion, over the group families that choose offers: one from a
-    policy's choice source, every reachable one from _all_families."""
+def _tile(seq, k, n, which, seed, caps) -> Tiling:
+    """The tiling of levels k..n under identity `which`'s recursion, with
+    the group family of each split from _choice_source(seed)."""
+    choose = _choice_source(seed)
     layer = build_layer(seq, k, n)
     caps.check("chains", layer.chain_count)
 
     def split(top, size_a, count_a, size_b, count_b):
-        families = choose(top, size_a, count_a, size_b, count_b)
+        groups_a, groups_b = choose(top, size_a, count_a, size_b, count_b)
 
-        def join(subs_top: list, subs_moved: Optional[list]) -> list:
-            """Sorted distinct raw tilings of the cell from its sub-cells'."""
-            seen = set()
-            for groups_a, groups_b in families:
-                for picks_a in iproduct(subs_top, repeat=count_a):
-                    capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
-                    for picks_b in iproduct(subs_moved or (), repeat=count_b):
-                        moved = [
-                            b[1:] + (tuple(g[i] for i in b[0]),)
-                            for g, t in zip(groups_b, picks_b)
-                            for b in t
-                        ]
-                        seen.add(tuple(sorted(capped + moved)))
-            return sorted(seen)
+        def join(top_blocks: Sequence[Block], moved_blocks: Optional[Sequence[Block]]) -> list:
+            """The cell's sorted blocks from its sub-cells': each a-group tops
+            a copy of (n - 1, k), each b-group takes the place of level k - 1
+            in a copy of (n - 1, k - 1)."""
+            capped = [b + (g,) for g in groups_a for b in top_blocks]
+            moved = [
+                b[1:] + (tuple(g[i] for i in b[0]),) for g in groups_b for b in moved_blocks
+            ]
+            return sorted(capped + moved)
 
         return bool(count_b), join
 
-    raws = _cells(seq, which, lambda n, k: [_base_tiling(seq, k, n)], split)(n, k)
-    # a raw tiling's blocks are sorted already (a base case's iproduct too)
-    return [Tiling(layer, tuple(map(BlockPlacement, raw))) for raw in raws]
-
-
-def _tile(seq, k, n, which, seed, caps) -> Tiling:
-    (tiling,) = _layer_tilings(seq, k, n, which, _choice_source(seed), caps)
-    return tiling
+    # a base case's blocks, an iproduct of sorted runs, are sorted already
+    blocks = _cells(seq, which, lambda n, k: _base_tiling(seq, k, n), split)(n, k)
+    return Tiling(layer, tuple(blocks))
 
 
 def tile_additive(
@@ -414,7 +378,7 @@ def _is_slot_set(subset: tuple, size: int) -> bool:
             and 0 <= subset[0] and subset[-1] < size)
 
 
-def _sections_partition(layer: Layer, expected: list[int], blocks: list[tuple]) -> bool:
+def _sections_partition(layer: Layer, expected: list[int], blocks: Sequence[Block]) -> bool:
     """Whether blocks, one slot subset per level each, are blocks of the
     prime size multiset `expected` that partition the layer's chains.
 
@@ -497,8 +461,7 @@ class _Verifier:
             raise ValueError("a verifier checks the tilings of its own layer only")
         ids = self.ids
         blocks = []
-        for bi, block in enumerate(tiling.blocks):
-            subsets = block.subsets
+        for bi, subsets in enumerate(tiling.blocks):
             got = ids.get(subsets)
             if got is None:
                 fault = self._fault(bi, subsets)
@@ -565,11 +528,10 @@ def verify_tiling(tiling: Tiling) -> Optional[TilingViolation]:
     tiling is checked by level sections (_sections_partition); only a
     failed check runs the ordered pass that names the first clause.
     """
-    verifier = _Verifier(tiling.layer)
-    blocks = [block.subsets for block in tiling.blocks]
-    if _sections_partition(tiling.layer, verifier.expected, blocks):
+    layer = tiling.layer
+    if _sections_partition(layer, sorted(prime_level_sizes(layer.seq, layer.m)), tiling.blocks):
         return None
-    return verifier(tiling)
+    return _Verifier(layer)(tiling)
 
 
 def verify_tilings(tilings: Iterable[Tiling]) -> Iterator[Optional[TilingViolation]]:
@@ -623,7 +585,9 @@ class _Search:
         a chain lies in the rows through all its slots, and two rows share a
         chain when their subsets meet on every level."""
         n_elems = prod(sizes)
-        through = [[0] * size for size in sizes]  # the rows through each slot
+        # the rows through each slot as a bitmap of row ids, made an int
+        # once: or-ing each row's bit into an int would copy it each time
+        bitmaps = [[bytearray((len(rows) + 7) // 8) for _ in range(size)] for size in sizes]
         stride, strides = n_elems, []
         for size in sizes:
             stride //= size
@@ -631,16 +595,17 @@ class _Search:
         spread: dict = {}  # (level, subset) -> the subset's slots as chain-id bits
         self.masks = []
         for rid, subsets in enumerate(rows):
-            bit, mask = 1 << rid, 1
+            byte, bit, mask = rid >> 3, 1 << (rid & 7), 1
             for i, subset in enumerate(subsets):
-                slots = through[i]
+                slots = bitmaps[i]
                 for slot in subset:
-                    slots[slot] |= bit
+                    slots[slot][byte] |= bit
                 part = spread.get((i, subset))
                 if part is None:
                     part = spread[i, subset] = sum(1 << slot * strides[i] for slot in subset)
                 mask *= part
             self.masks.append(mask)
+        through = [[int.from_bytes(bitmap, "little") for bitmap in level] for level in bitmaps]
         self.elem_rows = [(1 << len(rows)) - 1]
         for slots in through:
             self.elem_rows = [acc & slot_rows for acc in self.elem_rows for slot_rows in slots]
@@ -869,15 +834,15 @@ def enumerate_tilings(
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {to_decimal(limit)}")
     caps.check("chains", layer.chain_count)
-    placements = sorted(enumerate_placements(layer, caps), key=attrgetter("subsets"))
-    search = _Search(layer.sizes, [p.subsets for p in placements], caps.limits["nodes"])
+    placements = sorted(enumerate_placements(layer, caps))
+    search = _Search(layer.sizes, placements, caps.limits["nodes"])
     count = search.count(*search.root)
     tilings: Optional[tuple[Tiling, ...]] = None
     truncated = False
     if limit is not None:
         truncated = count > limit
         solutions = search.listing(limit) if count and limit else []
-        # ascending row ids over placements sorted by subsets: canonical order
+        # ascending row ids over sorted placements: canonical order
         tilings = tuple(
             Tiling(layer, tuple(placements[r] for r in solution)) for solution in solutions
         )

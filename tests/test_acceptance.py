@@ -6,8 +6,8 @@ import contextlib
 import json
 import random
 
-from cobweb import cli, errors, fseq, poset, seqalg, tiling
-from helpers import check_count_upper_bound, h_natural
+from cobweb import cli, fseq, poset, seqalg, tiling
+from helpers import all_families, check_count_upper_bound, h_natural, reference_layer_tilings
 
 
 @contextlib.contextmanager
@@ -90,8 +90,7 @@ def test_criterion_5_counting_consistency():
         for n in range(1, 6):
             for k in range(1, n + 1):
                 counted = tiling.count_tilings_additive(nat, n, k)
-                streamed = len(tiling._layer_tilings(
-                    nat, k, n, 1, tiling._all_families, errors.Caps()))
+                streamed = len(reference_layer_tilings(nat, k, n, 1, all_families))
                 assert counted == streamed, (n, k)
                 total = tiling.enumerate_tilings(poset.build_layer(nat, k, n)).count
                 assert total >= counted, (n, k)

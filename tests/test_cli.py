@@ -205,9 +205,9 @@ def test_tile_json_is_byte_identical_where_subsets_recur_across_levels(tmp_path,
 
 
 def test_block_arrays_match_json_dumps_at_any_depth():
-    blocks = [poset.BlockPlacement(((0, 1), (), (3,))), poset.BlockPlacement(((2,),))]
+    blocks = [((0, 1), (), (3,)), ((2,),)]
     for depth in range(4):
-        want = json.dumps([[list(s) for s in b.subsets] for b in blocks], indent=2)
+        want = json.dumps([[list(s) for s in b] for b in blocks], indent=2)
         got = cli._json_array(list(map(cli._block_renderer(depth + 1), blocks)), depth)
         assert got == want.replace("\n", "\n" + "  " * depth)
         assert cli._json_array([], depth) == "[]"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import errors, fseq, poset
+import cobweb
+from cobweb import errors, fseq, poset, tiling
 from helpers import make_tiling
 
 
@@ -42,7 +43,7 @@ def test_chain_ids_are_indices_in_enumerate_chains():
     chains = list(poset.enumerate_chains(layer))
     assert [poset.chain_at(layer, i) for i in range(len(chains))] == chains
     for p in poset.enumerate_placements(layer):
-        assert poset.chain_ids(layer, p.subsets) == [chains.index(c) for c in iproduct(*p.subsets)]
+        assert poset.chain_ids(layer, p) == [chains.index(c) for c in iproduct(*p)]
 
 
 def test_enumerate_chains_cap():
@@ -61,7 +62,7 @@ def test_placement_count_and_enumeration():
     assert len(placements) == 9
     assert len(set(placements)) == 9
     for p in placements:
-        assert sorted(len(s) for s in p.subsets) == [1, 2]
+        assert sorted(len(s) for s in p) == [1, 2]
 
 
 def test_zero_prime_size_fits_no_placement():
@@ -108,9 +109,28 @@ def test_all_one_layer_has_one_placement_at_any_height():
     # each level takes the one remaining size; no m! permutations are built
     layer = poset.build_layer(fseq.constant(1), 1, 3000)
     assert poset.placement_count(layer) == 1
-    assert list(poset.enumerate_placements(layer)) == [
-        poset.BlockPlacement(subsets=((0,),) * 3000)
-    ]
+    assert list(poset.enumerate_placements(layer)) == [((0,),) * 3000]
+
+
+def _is_block(block):
+    """Whether block is a plain tuple of sorted, distinct int tuples."""
+    return type(block) is tuple and all(
+        type(subset) is tuple and all(type(s) is int for s in subset)
+        and list(subset) == sorted(set(subset)) for subset in block
+    )
+
+
+def test_blocks_are_plain_slot_subset_tuples():
+    assert not hasattr(poset, "BlockPlacement") and not hasattr(cobweb, "BlockPlacement")
+    assert "BlockPlacement" not in poset.__all__
+    layer = poset.build_layer(fseq.natural(), 2, 4)
+    placements = list(poset.enumerate_placements(layer))
+    assert len(placements) == 52 and all(map(_is_block, placements))
+    assert placements[0] == ((0,), (0, 1), (0, 1, 2))
+    tile = tiling.tile_fibonacci(fseq.fibonacci(), 2, 6)
+    assert tile.blocks and all(map(_is_block, tile.blocks))
+    listed = tiling.enumerate_tilings(layer, limit=5).tilings
+    assert len(listed) == 5 and all(_is_block(b) for t in listed for b in t.blocks)
 
 
 def test_enumerate_placements_cap():
@@ -122,9 +142,9 @@ def test_enumerate_placements_cap():
 
 def test_make_tiling_sorts_blocks():
     layer = poset.build_layer(fseq.natural(), 2, 3)
-    b1 = poset.BlockPlacement(subsets=((1,), (0, 1)))
-    b2 = poset.BlockPlacement(subsets=((0,), (0, 1)))
-    b3 = poset.BlockPlacement(subsets=((0, 1), (2,)))
+    b1 = ((1,), (0, 1))
+    b2 = ((0,), (0, 1))
+    b3 = ((0, 1), (2,))
     tiling = make_tiling(layer, [b1, b3, b2])
     assert tiling.blocks[0] is b2
     assert tiling.blocks[1] is b3
@@ -133,11 +153,7 @@ def test_make_tiling_sorts_blocks():
 
 def test_tiling_to_dict():
     layer = poset.build_layer(fseq.natural(), 2, 3)
-    blocks = [
-        poset.BlockPlacement(subsets=((0,), (0, 1))),
-        poset.BlockPlacement(subsets=((1,), (0, 1))),
-        poset.BlockPlacement(subsets=((0, 1), (2,))),
-    ]
+    blocks = [((0,), (0, 1)), ((1,), (0, 1)), ((0, 1), (2,))]
     d = poset.tiling_to_dict(make_tiling(layer, blocks))
     assert d["layer"] == {"k": 2, "n": 3, "seq": {"kind": "natural"}}
     assert d["blocks"] == [
@@ -160,11 +176,7 @@ def test_to_dot_plain():
 
 def test_to_dot_with_tiling_colors_blocks():
     layer = poset.build_layer(fseq.natural(), 2, 3)
-    blocks = [
-        poset.BlockPlacement(subsets=((0,), (0, 1))),
-        poset.BlockPlacement(subsets=((1,), (0, 1))),
-        poset.BlockPlacement(subsets=((0, 1), (2,))),
-    ]
+    blocks = [((0,), (0, 1)), ((1,), (0, 1)), ((0, 1), (2,))]
     dot = poset.to_dot(layer, make_tiling(layer, blocks))
     assert dot.count("color=") == 6  # one edge per (bottom, top) pair per block
     assert len({line.split("color=")[1] for line in dot.splitlines() if "color=" in line}) == 3

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from cobweb import errors, fseq, poset, tiling
 from cobweb.digits import parse_decimal
-from helpers import UpperBoundCheck, check_count_upper_bound, make_tiling
-
-
-def _blocks(t):
-    return tuple(b.subsets for b in t.blocks)
+from helpers import (
+    UpperBoundCheck,
+    all_families,
+    check_count_upper_bound,
+    make_tiling,
+    reference_layer_tilings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +35,7 @@ def test_policy_validation():
 
 def test_tile_additive_smallest_split():
     t = tiling.tile_additive(fseq.natural(), 2, 3)
-    assert _blocks(t) == (
+    assert t.blocks == (
         ((0,), (0, 1)),
         ((0, 1), (2,)),
         ((1,), (0, 1)),
@@ -43,7 +45,7 @@ def test_tile_additive_smallest_split():
 
 def test_tile_fibonacci_matching_layer():
     t = tiling.tile_fibonacci(fseq.fibonacci(), 3, 4)
-    assert _blocks(t) == (
+    assert t.blocks == (
         ((0,), (0,)),
         ((0,), (1,)),
         ((0,), (2,)),
@@ -74,11 +76,11 @@ def test_tile_grids_satisfy_block_count_law():
 def test_seeded_policy_is_deterministic_and_valid():
     t1 = tiling.tile_additive(fseq.natural(), 2, 5, 42)
     t2 = tiling.tile_additive(fseq.natural(), 2, 5, seed=42)
-    assert _blocks(t1) == _blocks(t2)
+    assert t1.blocks == t2.blocks
     assert tiling.verify_tiling(t1) is None
     t3 = tiling.tile_fibonacci(fseq.fibonacci(), 2, 6, 42)
     assert tiling.verify_tiling(t3) is None
-    assert _blocks(t3) == (
+    assert t3.blocks == (
         ((0,), (0,), (0, 2), (0, 2, 4), (0, 1, 2, 5, 7)),
         ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3,)),
         ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (4,)),
@@ -150,7 +152,10 @@ def test_cap_refusal_past_digit_limit():
 # choice streams: every tiling a recursion reaches, the counters' oracle
 
 def _stream(seq, k, n, which):
-    return tiling._layer_tilings(seq, k, n, which, tiling._all_families, errors.Caps())
+    """The reference recursion's tilings over every group family."""
+    raws = reference_layer_tilings(seq, k, n, which, all_families)
+    layer = poset.build_layer(seq, k, n)
+    return [poset.Tiling(layer, raw) for raw in raws]
 
 
 def test_additive_stream_counts_match_counter():
@@ -260,7 +265,7 @@ def test_derived_counter_pinned_past_the_stream():
 
 def test_streams_yield_distinct_sorted_tilings():
     stream = _stream(fseq.natural(), 2, 4, 1)
-    raw = [_blocks(t) for t in stream]
+    raw = [t.blocks for t in stream]
     assert raw == sorted(raw)
     assert len(set(raw)) == len(raw)
 
@@ -274,11 +279,7 @@ def test_stream_identity_precondition():
 # verifier clauses
 
 def _natural_23_blocks():
-    return [
-        poset.BlockPlacement(subsets=((0,), (0, 1))),
-        poset.BlockPlacement(subsets=((1,), (0, 1))),
-        poset.BlockPlacement(subsets=((0, 1), (2,))),
-    ]
+    return [((0,), (0, 1)), ((1,), (0, 1)), ((0, 1), (2,))]
 
 
 def test_verify_accepts_valid_tiling():
@@ -289,7 +290,7 @@ def test_verify_accepts_valid_tiling():
 def test_verify_block_sizes_clause():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
-    blocks[0] = poset.BlockPlacement(subsets=((0, 1), (0, 1)))
+    blocks[0] = ((0, 1), (0, 1))
     v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "block-sizes"
 
@@ -297,7 +298,7 @@ def test_verify_block_sizes_clause():
 def test_verify_rejects_out_of_range_slot():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
-    blocks[0] = poset.BlockPlacement(subsets=((5,), (0, 1)))
+    blocks[0] = ((5,), (0, 1))
     v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "block-sizes"
 
@@ -305,7 +306,7 @@ def test_verify_rejects_out_of_range_slot():
 def test_verify_shared_chain_clause():
     layer = poset.build_layer(fseq.natural(), 2, 3)
     blocks = _natural_23_blocks()
-    blocks[1] = poset.BlockPlacement(subsets=((0,), (0, 2)))
+    blocks[1] = ((0,), (0, 2))
     v = tiling.verify_tiling(make_tiling(layer, blocks))
     assert v is not None and v.clause == "shared-chain"
 
@@ -324,11 +325,11 @@ def _oracle_verify(t):
     m = layer.m
     expected = sorted(poset.prime_level_sizes(layer.seq, m))
     for bi, block in enumerate(t.blocks):
-        if len(block.subsets) != m:
+        if len(block) != m:
             return tiling.TilingViolation(
-                "block-sizes", f"block {bi} has {len(block.subsets)} levels, layer has {m}", bi
+                "block-sizes", f"block {bi} has {len(block)} levels, layer has {m}", bi
             )
-        for li, subset in enumerate(block.subsets):
+        for li, subset in enumerate(block):
             ok = (
                 len(subset) > 0
                 and all(0 <= s < layer.sizes[li] for s in subset)
@@ -341,14 +342,14 @@ def _oracle_verify(t):
                     f"set of slots below {layer.sizes[li]}",
                     (bi, li),
                 )
-        got = sorted(len(s) for s in block.subsets)
+        got = sorted(len(s) for s in block)
         if got != expected:
             return tiling.TilingViolation(
                 "block-sizes", f"block {bi} has size multiset {got}, expected {expected}", bi
             )
     seen = {}
     for bi, block in enumerate(t.blocks):
-        for chain in iproduct(*block.subsets):
+        for chain in iproduct(*block):
             other = seen.get(chain)
             if other is not None:
                 return tiling.TilingViolation(
@@ -451,10 +452,10 @@ def _tilings_of_one_layer(draw):
     layer = valid[0].layer
     out = []
     for _ in range(draw(st.integers(1, 6))):
-        blocks = [b.subsets for b in draw(st.sampled_from(valid)).blocks]
+        blocks = list(draw(st.sampled_from(valid)).blocks)
         for how in draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
             blocks = _corrupt(blocks, how, layer, draw)
-        out.append(poset.Tiling(layer, tuple(poset.BlockPlacement(b) for b in blocks)))
+        out.append(poset.Tiling(layer, tuple(blocks)))
     return out + draw(st.lists(st.sampled_from(out), max_size=3))  # faults met again
 
 
@@ -474,7 +475,7 @@ def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
     # sections of the slots they share; the second one's last level is faulty
     valid = tiling.tile_fibonacci(fseq.fibonacci(), 3, 6)
     layer = valid.layer
-    blocks = [b.subsets for b in valid.blocks]
+    blocks = list(valid.blocks)
     i, j = next((i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))
                 if blocks[i][:-1] == blocks[j][:-1] and len(blocks[j][-1]) > 1)
     first, second = blocks[i][-1], blocks[j][-1]
@@ -486,7 +487,7 @@ def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
         "empty": (),
     }.get(fault)
     blocks[j] = blocks[j][:-1] + ((last,) if last is not None else ())
-    bad = poset.Tiling(layer, tuple(map(poset.BlockPlacement, blocks)))
+    bad = poset.Tiling(layer, tuple(blocks))
     want = _oracle_verify(bad)
     assert want is not None
     assert want.clause == ("shared-chain" if fault == "overlapping" else "block-sizes")
@@ -498,7 +499,7 @@ def test_verifier_faults_behind_a_cached_prefix_match_the_oracle(fault):
 def test_verifier_reports_a_block_without_levels_behind_the_empty_prefix():
     # one level: every placement's prefix is (), the prefix of () too
     layer = poset.build_layer(fseq.natural(), 3, 3)
-    blocks = (poset.BlockPlacement(((0,),)), poset.BlockPlacement(()))
+    blocks = (((0,),), ())
     t = poset.Tiling(layer, blocks)
     assert tiling.verify_tiling(t) == _oracle_verify(t)
     assert tiling.verify_tiling(t).detail == "block 1 has 0 levels, layer has 1"
@@ -507,7 +508,7 @@ def test_verifier_reports_a_block_without_levels_behind_the_empty_prefix():
 def test_verifier_reports_a_clause_where_the_law_would_raise():
     # prime sizes (1, 0): fnomial raises, but every tiling fails a clause first
     layer = poset.build_layer(fseq.explicit([1, 1, 0, 2, 2, 2]), 4, 5)
-    for blocks in [(), (poset.BlockPlacement(((0,), (0, 1))),)]:
+    for blocks in [(), (((0,), (0, 1)),)]:
         t = poset.Tiling(layer, blocks)
         assert tiling.verify_tiling(t) == _oracle_verify(t) is not None
 
@@ -538,14 +539,13 @@ def test_verifier_finds_an_extra_block_over_two_equal_heads(k, n):
     # copies of head h that meet over a slot of C are only told apart by count
     # two a-groups of one size over one sub-tiling give such pairs
     valid = tiling.tile_fibonacci(fseq.fibonacci(), k, n)
-    blocks = [b.subsets for b in valid.blocks]
+    blocks = list(valid.blocks)
     head, a, b = next((x[:-1], x[-1], y[-1]) for x in blocks for y in blocks
                       if x[:-1] == y[:-1] and len(x[-1]) == len(y[-1]) > 1
                       and not set(x[-1]) & set(y[-1]))
     extra = head + (tuple(sorted(a[:1] + b[1:])),)
     for at in (0, len(blocks)):
-        bad = poset.Tiling(valid.layer, tuple(
-            map(poset.BlockPlacement, blocks[:at] + [extra] + blocks[at:])))
+        bad = poset.Tiling(valid.layer, tuple(blocks[:at] + [extra] + blocks[at:]))
         want = _oracle_verify(bad)
         assert want is not None and want.clause == "shared-chain"
         assert tiling.verify_tiling(bad) == want
@@ -558,13 +558,15 @@ def test_verifier_finds_an_extra_block_over_two_equal_heads(k, n):
 ], ids=["natural-2-8", "fibonacci-2-8"])
 def test_verify_tiling_accepts_a_tile_without_chain_ids(tile, monkeypatch):
     # 40,320 and 65,520 chains over 8 and 21 blocks: the level sections
-    # decide a valid tiling without numbering one chain
+    # decide a valid tiling without numbering one chain or building the
+    # chain-id verifier
     t = tile()
 
     def refuse(*args):
         raise AssertionError("a valid tiling built chain ids")
 
     monkeypatch.setattr(tiling, "chain_ids", refuse)
+    monkeypatch.setattr(tiling, "_Verifier", refuse)
     assert tiling.verify_tiling(t) is None
 
 
@@ -573,7 +575,7 @@ def test_verifier_faults_at_the_chains_cap_match_the_oracle(fault):
     # the bench's largest tile: 12,376 blocks over 74,256 chains
     valid = tiling.tile_fibonacci(fseq.fibonacci(), 6, 9)
     layer = valid.layer
-    blocks = [b.subsets for b in valid.blocks]
+    blocks = list(valid.blocks)
     i = len(blocks) // 2
     if fault == "drop":
         del blocks[i]
@@ -581,7 +583,7 @@ def test_verifier_faults_at_the_chains_cap_match_the_oracle(fault):
         last = blocks[i][-1]
         free = next(x for x in range(layer.sizes[-1]) if x not in last)
         blocks[i] = blocks[i][:-1] + (tuple(sorted(last[1:] + (free,))),)
-    bad = poset.Tiling(layer, tuple(map(poset.BlockPlacement, blocks)))
+    bad = poset.Tiling(layer, tuple(blocks))
     want = _oracle_verify(bad)
     assert want is not None
     assert want.clause == ("uncovered-chain" if fault == "drop" else "shared-chain")
@@ -624,7 +626,7 @@ def test_enumeration_listing_and_truncation():
     assert res.count == 4 and len(res.tilings) == 4 and not res.truncated
     for t in res.tilings:
         assert tiling.verify_tiling(t) is None
-    raw = [_blocks(t) for t in res.tilings]
+    raw = [t.blocks for t in res.tilings]
     assert raw == sorted(raw)
     res = tiling.enumerate_tilings(layer, limit=2)
     assert res.count == 4 and len(res.tilings) == 2 and res.truncated
@@ -694,7 +696,7 @@ def test_enumeration_matches_naive_exact_cover():
         want = _naive_tilings(layer)
         res = tiling.enumerate_tilings(layer, limit=len(want) + 1)
         assert res.count == len(want), (k, n)
-        assert [_blocks(t) for t in res.tilings] == want, (k, n)
+        assert [t.blocks for t in res.tilings] == want, (k, n)
     assert want == []  # the last layer, product 5..7, has no tiling
 
 
@@ -715,8 +717,7 @@ def test_enumeration_natural_6_7_count_and_work():
 
 def _raw_search(layer, node_cap=tiling.DEFAULT_NODE_CAP):
     """A _Search over the layer's placements, in enumerate_tilings' row order."""
-    placements = sorted(poset.enumerate_placements(layer), key=lambda p: p.subsets)
-    return tiling._Search(layer.sizes, [p.subsets for p in placements], node_cap)
+    return tiling._Search(layer.sizes, sorted(poset.enumerate_placements(layer)), node_cap)
 
 
 _PRODUCT_22_33 = fseq.product(fseq.periodic(2, 2), fseq.periodic(3, 3))
@@ -732,10 +733,10 @@ def test_search_rows_match_chain_ids(seq, k, n):
     # chains as poset.chain_ids and enumerate_chains do
     layer = poset.build_layer(seq, k, n)
     search = _raw_search(layer)
-    placements = sorted(poset.enumerate_placements(layer), key=lambda p: p.subsets)
+    placements = sorted(poset.enumerate_placements(layer))
     chains = {c: i for i, c in enumerate(poset.enumerate_chains(layer))}
-    rows = [[chains[c] for c in iproduct(*p.subsets)] for p in placements]
-    assert rows == [poset.chain_ids(layer, p.subsets) for p in placements]
+    rows = [[chains[c] for c in iproduct(*p)] for p in placements]
+    assert rows == [poset.chain_ids(layer, p) for p in placements]
     assert search.masks == [sum(1 << e for e in row) for row in rows]
     elem_rows = [sum(1 << r for r, row in enumerate(rows) if e in row)
                  for e in range(layer.chain_count)]
@@ -896,7 +897,7 @@ def _listing_oracle(layer):
     solution of the search pruned by _raw_count, sorted by block subsets.
     Its rows are in enumerate_placements' order, not the listing's."""
     placements = list(poset.enumerate_placements(layer))
-    search = tiling._Search(layer.sizes, [p.subsets for p in placements], tiling.DEFAULT_NODE_CAP)
+    search = tiling._Search(layer.sizes, placements, tiling.DEFAULT_NODE_CAP)
     counts = {0: 1}  # pruned by the oracle's own counts, not the search's memo
     solutions, stack = [], [((), *search.root)]
     while stack:
@@ -907,7 +908,7 @@ def _listing_oracle(layer):
         kids = search._children(uncovered, alive)
         stack += [(path + (r,), u, search._alive(alive, r))
                   for r, u in kids if _raw_count(search, u, counts)]
-    return sorted(tuple(sorted(placements[r].subsets for r in s)) for s in solutions)
+    return sorted(tuple(sorted(placements[r] for r in s)) for s in solutions)
 
 
 def _check_listing_against_oracle(layer, caps=errors.Caps()):
@@ -917,7 +918,7 @@ def _check_listing_against_oracle(layer, caps=errors.Caps()):
     for limit in sorted({0, 1, 7, count - 1, count, count + 1} - {-1}):
         res = tiling.enumerate_tilings(layer, limit, caps=caps)
         assert res.count == count, limit
-        assert [_blocks(t) for t in res.tilings] == want[:limit], limit
+        assert [t.blocks for t in res.tilings] == want[:limit], limit
         assert res.truncated == (count > limit), limit
 
 
@@ -975,7 +976,7 @@ def test_enumeration_listing_fits_a_node_bound():
 def test_enumeration_natural_6_7_lists_under_the_default_cap():
     res = tiling.enumerate_tilings(poset.build_layer(fseq.natural(), 6, 7), 100)
     assert (res.count, res.truncated, len(res.tilings)) == (23_624_926_248_960, True, 100)
-    blocks = [_blocks(t) for t in res.tilings]
+    blocks = [t.blocks for t in res.tilings]
     assert blocks == sorted(set(blocks))
     assert list(tiling.verify_tilings(res.tilings)) == [None] * 100
 
@@ -987,7 +988,7 @@ def test_enumeration_listing_gives_a_waiting_state_its_first_key():
     layer = poset.build_layer(fseq.explicit(["1", "1", "2", "2", "3", "5"]), 2, 5)
     want = _listing_oracle(layer)
     res = tiling.enumerate_tilings(layer, 42)
-    assert (res.count, [_blocks(t) for t in res.tilings]) == (351, want[:42])
+    assert (res.count, [t.blocks for t in res.tilings]) == (351, want[:42])
 
 
 @given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.integers(1, 9), st.data())
@@ -1135,47 +1136,9 @@ def test_counters_have_no_depth_limit():
         lambda: tiling.count_tilings_fibonacci(zero, 1100, 550, mode="paper")) == 1
 
 
-# the tilers' and the counters' cell recursions as written before they shared
-# one driver on an explicit stack, kept as the driver's reference
-
-def _reference_layer_tilings(seq, k, n, which, choose, caps):
-    layer = poset.build_layer(seq, k, n)
-    caps.check("chains", layer.chain_count)
-    refuse = tiling._refusal(seq)
-    memo = {}
-
-    def tilings(n, k, asked=False):
-        got = memo.get((n, k))
-        if got is not None:
-            return got
-        refuse(k, n)
-        if not tiling.needs_identity(seq, k, n):
-            got = [tiling._base_tiling(seq, k, n)]
-        else:
-            witness = asked and tiling._witness(seq, which, n)
-            if witness:
-                raise errors.IdentityError(which, witness)
-            size_a, count_a, size_b, count_b = tiling._groups(seq, n, k, which)
-            families = choose(seq.term(n), size_a, count_a, size_b, count_b)
-            subs_top = tilings(n - 1, k)
-            subs_moved = tilings(n - 1, k - 1) if count_b else []
-            seen = set()
-            for groups_a, groups_b in families:
-                for picks_a in iproduct(subs_top, repeat=count_a):
-                    capped = [b + (g,) for g, t in zip(groups_a, picks_a) for b in t]
-                    for picks_b in iproduct(subs_moved, repeat=count_b):
-                        moved = [
-                            b[1:] + (tuple(g[i] for i in b[0]),)
-                            for g, t in zip(groups_b, picks_b)
-                            for b in t
-                        ]
-                        seen.add(tuple(sorted(capped + moved)))
-            got = sorted(seen)
-        memo[n, k] = got
-        return got
-
-    return tilings(n, k, asked=True)
-
+# the counters' cell recursion as written before it shared one driver on an
+# explicit stack with the tilers, kept as the driver's reference (the tilers'
+# is helpers.reference_layer_tilings)
 
 def _reference_counter(seq, which, mode):
     check = cache(lambda n: tiling._witness(seq, which, n))
@@ -1247,18 +1210,15 @@ def test_cell_driver_matches_the_reference_recursions(terms, seed):
                 got = _outcome(lambda: tiling._constructive_counter(seq, which, mode)(n, k))
                 assert got == want, (which, mode, n, k)
                 assert _outcome(lambda: shared(n, k)) == _outcome(lambda: reference(n, k))
-        # (choice source, caps): every family only on small layers
-        sources = [
-            (lambda: tiling._choice_source(None), errors.Caps(chains=5040)),
-            (lambda: tiling._choice_source(seed), errors.Caps(chains=5040)),
-            (lambda: tiling._all_families, errors.Caps(chains=24)),
-        ]
-        for source, caps in sources:
+        # the tiler's one tiling against the reference over its one family
+        caps = errors.Caps(chains=5040)
+        for source in (None, seed):
             for n, k in cells:
-                want = _outcome(lambda: _reference_layer_tilings(seq, k, n, which, source(), caps))
-                got = _outcome(lambda: list(map(_blocks, tiling._layer_tilings(
-                    seq, k, n, which, source(), caps))))
-                assert got == want, (which, n, k)
+                choose = tiling._choice_source(source)
+                want = _outcome(lambda: reference_layer_tilings(
+                    seq, k, n, which, lambda *split: [choose(*split)], caps))
+                got = _outcome(lambda: [tiling._tile(seq, k, n, which, source, caps).blocks])
+                assert got == want, (which, source, n, k)
 
 
 def test_stirling_lambda():
